@@ -230,15 +230,11 @@ def riemann_action(md: MilnorData, i: int, j: int, sigma) -> np.ndarray:
     arr = _triple(sigma, "sigma")
     if i == j:
         return np.zeros(3)
-    k = md.sectional_matrix()[i - 1, j - 1]
-    out = np.zeros(3)
-    out[i - 1] = k * arr[j - 1]
-    out[j - 1] = -k * arr[i - 1]
-    return out
+    return _riemann(md, _EYE3[i - 1], _EYE3[j - 1], arr)
 
 
 def _riemann(md: MilnorData, u: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Trilinear extension of riemann_action: R(u, w) z.
+    # Trilinear curvature operator R(u, w) z in the principal frame.
     kmat = md.sectional_matrix()
     out = np.zeros(3)
     for i, j in ((0, 1), (0, 2), (1, 2)):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from math import comb, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .invariants import (
     MAX_DIM,
@@ -128,30 +127,35 @@ def cauchy_green(point: PointData) -> np.ndarray:
     return np.linalg.solve(point.domain_metric, pullback_metric(point))
 
 
+def _whitened_pullback(point: PointData) -> np.ndarray:
+    # Cholesky reduction of the symmetric-definite pair (P, G) (Golub & Van
+    # Loan, section 8.7): with G = L L^T, B = L^{-1} P L^{-T} is symmetric
+    # positive semi-definite and similar to alpha = G^{-1} P.
+    inv_low = np.linalg.inv(np.linalg.cholesky(point.domain_metric))
+    b = inv_low @ pullback_metric(point) @ inv_low.T
+    return 0.5 * (b + b.T)
+
+
 def stretch_eigenvalues(point: PointData) -> np.ndarray:
     """Ascending eigenvalues of (J^T H J, G), all real and >= 0 up to roundoff.
 
-    Solved as a symmetric-definite generalized problem (Cholesky reduction
-    of G inside ``scipy.linalg.eigh``), which preserves symmetry instead of
+    Computed as the symmetric eigenvalues of the whitened pullback
+    B = L^{-1} P L^{-T} (G = L L^T), which preserves symmetry instead of
     balancing the non-symmetric product G^{-1} J^T H J.
     """
-    return scipy.linalg.eigh(
-        pullback_metric(point), point.domain_metric, eigvals_only=True
-    )
+    return np.linalg.eigvalsh(_whitened_pullback(point))
 
 
 def gram_invariants(point: PointData) -> np.ndarray:
     """Brute-force oracle for the invariants: principal minors of the
     pullback Gram matrix expressed in a G-orthonormal frame.
 
-    Whites G by its Cholesky factor L and sums principal r x r minors of
-    B = L^{-1} P L^{-T}; entirely independent of the Newton-Girard path
-    used by :func:`density_report`.
+    Sums principal r x r minors of the same whitened pullback
+    B = L^{-1} P L^{-T} that :func:`stretch_eigenvalues` diagonalises;
+    entirely independent of the Newton-Girard path used by
+    :func:`density_report`.
     """
-    low = np.linalg.cholesky(point.domain_metric)
-    y = scipy.linalg.solve_triangular(low, pullback_metric(point), lower=True)
-    b = scipy.linalg.solve_triangular(low, y.T, lower=True).T
-    return elementary_invariants_minors(0.5 * (b + b.T))
+    return elementary_invariants_minors(_whitened_pullback(point))
 
 
 def density_report(point: PointData) -> DensityReport:

@@ -9,13 +9,13 @@ results.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
 from . import invariants, lie3, mapenergy
-
-_TINY = 1e-300
 
 #: One structure-constant triple per algebra class and degenerate branch.
 CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = (
@@ -35,27 +35,6 @@ CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = (
     (4.0, 1.0, 1.0),  # su2, l2 = l3, wider gap
 )
 
-#: Expected classification of every representative, keyed by the triple.
-#: Values are (algebra class, flat, H1, H2, Z1, Z2) with descriptor
-#: shorthand: "S" sphere, "E" empty, "P" polar set, "Pk" polar pair,
-#: "Cij" circle, "Cij+Pk" union.
-CLASSIFICATION_SCHEME: dict[tuple[float, float, float], tuple[str, bool, str, str, str, str]] = {
-    (0.0, 0.0, 0.0): ("abelian", True, "S", "S", "S", "S"),
-    (1.0, 0.0, 0.0): ("nil", False, "S", "S", "E", "E"),
-    (1.0, 0.0, -1.0): ("e11", False, "C13+P2", "C13+P2", "E", "C13"),
-    (2.0, 0.0, -1.0): ("e11", False, "C13+P2", "C13+P2", "E", "E"),
-    (1.0, 1.0, 0.0): ("e2", True, "C12+P3", "S", "P3", "S"),
-    (2.0, 1.0, 0.0): ("e2", False, "C12+P3", "C12+P3", "E", "E"),
-    (1.0, 1.0, -1.0): ("sl2", False, "C12+P3", "C12+P3", "E", "E"),
-    (2.0, 1.0, -1.0): ("sl2", False, "P", "C13+P2", "E", "C13"),
-    (3.0, 1.0, -1.0): ("sl2", False, "P", "P", "E", "E"),
-    (1.0, 1.0, 1.0): ("su2", False, "S", "S", "E", "E"),
-    (2.0, 1.0, 1.0): ("su2", False, "C23+P1", "C23+P1", "E", "C23"),
-    (3.0, 1.0, 1.0): ("su2", False, "C23+P1", "C23+P1", "E", "E"),
-    (2.0, 2.0, 1.0): ("su2", False, "C12+P3", "C12+P3", "E", "E"),
-    (4.0, 1.0, 1.0): ("su2", False, "C23+P1", "C23+P1", "E", "E"),
-}
-
 #: Exactly one generic representative per algebra class.
 ONE_PER_CLASS: tuple[tuple[float, float, float], ...] = (
     (0.0, 0.0, 0.0),
@@ -67,26 +46,16 @@ ONE_PER_CLASS: tuple[tuple[float, float, float], ...] = (
 )
 
 
-def descriptor_from_shorthand(code: str) -> lie3.SubsetDescriptor:
-    """Decode the scheme shorthand used in :data:`CLASSIFICATION_SCHEME`."""
-    parts = code.split("+")
-    members = []
-    for part in parts:
-        if part == "S":
-            members.append(lie3.SubsetDescriptor.sphere())
-        elif part == "E":
-            members.append(lie3.SubsetDescriptor.empty())
-        elif part == "P":
-            members.append(lie3.SubsetDescriptor.polar_set())
-        elif part.startswith("P"):
-            members.append(lie3.SubsetDescriptor.polar_pair(int(part[1])))
-        elif part.startswith("C"):
-            members.append(lie3.SubsetDescriptor.circle(int(part[1]), int(part[2])))
-        else:
-            raise ValueError(f"bad shorthand {code!r}")
-    if len(members) == 1:
-        return members[0]
-    return lie3.SubsetDescriptor.union(*members)
+def golden_classification() -> dict[tuple[float, float, float], dict]:
+    """Expected classification of every representative, keyed by the triple.
+
+    Read from the packaged ``data/classification_golden.json``; each value
+    holds ``algebra_class``, ``flat`` and the ``to_json()`` form of the
+    descriptors H1..H3 and Z1..Z3.
+    """
+    path = resources.files(__package__) / "data" / "classification_golden.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    return {tuple(float(v) for v in key.split(",")): entry for key, entry in golden.items()}
 
 
 @dataclass(frozen=True)
@@ -488,23 +457,16 @@ def check_first_variation(rng: np.random.Generator, trials: int = 1000) -> Prope
     return PropertyResult("first_variation_fd", worst <= 1e-6, worst, 1e-6)
 
 
-def check_classification_golden(
-    rng: np.random.Generator | None = None, trials: int = 0
-) -> PropertyResult:
-    """Emitted descriptors of every representative against the expected scheme."""
+def check_classification_golden(rng: np.random.Generator, trials: int = 0) -> PropertyResult:
+    """Emitted class, flatness and descriptors of every representative
+    against :func:`golden_classification`.  Deterministic: ``rng`` and
+    ``trials`` are accepted for the common battery signature and ignored."""
     bad = []
-    for rep, (cls, flat, h1, h2, z1, z2) in CLASSIFICATION_SCHEME.items():
+    for rep, expected in golden_classification().items():
         md = lie3.classify_algebra(rep)
-        sets = lie3.classify_sets(rep)
-        expected = {
-            "H1": descriptor_from_shorthand(h1),
-            "H2": descriptor_from_shorthand(h2),
-            "H3": lie3.SubsetDescriptor.sphere(),
-            "Z1": descriptor_from_shorthand(z1),
-            "Z2": descriptor_from_shorthand(z2),
-            "Z3": lie3.SubsetDescriptor.sphere(),
-        }
-        if md.algebra_class != cls or md.flat != flat or sets != expected:
+        emitted = {"algebra_class": md.algebra_class, "flat": md.flat}
+        emitted.update((name, desc.to_json()) for name, desc in lie3.classify_sets(rep).items())
+        if emitted != expected:
             bad.append(rep)
     return PropertyResult(
         "classification_golden",
@@ -537,7 +499,7 @@ def check_union_consistency(rng: np.random.Generator, trials: int = 10000) -> Pr
         p1 = lie3.is_eigendirection(md.mu**2, samples)
         p2 = lie3.is_eigendirection(md.ricci**2, samples)
         ric_norm = np.sqrt(np.einsum("ni,i->n", samples**2, md.ricci**2))
-        ricci_flat = ric_norm <= 1e-9 * max(float(np.max(np.abs(md.ricci))), _TINY)
+        ricci_flat = ric_norm <= 1e-9 * max(float(np.max(np.abs(md.ricci))), lie3._TINY)
         bad += int(np.sum(p2 != (p1 | ricci_flat)))
     return PropertyResult(
         "harmonic_union_consistency", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"
@@ -688,8 +650,5 @@ def run_battery(seed: int = 42, trials: int | None = None) -> list[PropertyResul
     for (fn, default), child in zip(BATTERY, children):
         rng = np.random.default_rng(child)
         count = default if trials is None else trials
-        if fn is check_classification_golden:
-            results.append(fn(rng, 0))
-        else:
-            results.append(fn(rng, max(count, 1)))
+        results.append(fn(rng, max(count, 1)))
     return results

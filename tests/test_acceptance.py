@@ -5,16 +5,9 @@ and asserts the criterion.  Trial counts follow the contract; the whole
 module stays under a minute on a laptop.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from hpharmonics import lie3, verify
-
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "classification_golden.json").read_text()
-)
 
 
 def _rng(tag: int) -> np.random.Generator:
@@ -89,26 +82,8 @@ def test_criterion_11_first_variation_fd():
 
 
 def test_criterion_12_classification_golden():
-    # emitted descriptors of all 14 representatives match the golden scheme
-    mismatches = []
-    for rep in verify.CLASS_REPRESENTATIVES:
-        key = ",".join(f"{v:g}" for v in rep)
-        expected = GOLDEN[key]
-        md = lie3.classify_algebra(rep)
-        sets = lie3.classify_sets(rep)
-        ok = md.algebra_class == expected["algebra_class"] and md.flat == expected["flat"]
-        for name in ("H1", "H2", "H3", "Z1", "Z2", "Z3"):
-            ok = ok and sets[name].to_json() == expected[name]
-        if not ok:
-            mismatches.append(key)
-    result = verify.PropertyResult(
-        "classification_golden_file",
-        not mismatches,
-        float(len(mismatches)),
-        0.0,
-        detail=f"{len(mismatches)} mismatches",
-    )
-    _report("C12", result)
+    # emitted descriptors of all 14 representatives match the golden file
+    _report("C12", verify.check_classification_golden(_rng(12), trials=0))
 
 
 def test_criterion_13_harmonic_union_law():

@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -10,11 +7,9 @@ from hpharmonics.lie3 import (
     classify_sets,
     is_eigendirection,
 )
-from hpharmonics.verify import CLASS_REPRESENTATIVES
+from hpharmonics.verify import CLASS_REPRESENTATIVES, golden_classification
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "classification_golden.json").read_text()
-)
+GOLDEN = golden_classification()
 
 
 def _key(rep):
@@ -22,12 +17,12 @@ def _key(rep):
 
 
 def test_every_representative_has_golden_entry():
-    assert {_key(rep) for rep in CLASS_REPRESENTATIVES} == set(GOLDEN)
+    assert set(CLASS_REPRESENTATIVES) == set(GOLDEN)
 
 
 @pytest.mark.parametrize("rep", CLASS_REPRESENTATIVES, ids=_key)
 def test_golden_classification(rep):
-    expected = GOLDEN[_key(rep)]
+    expected = GOLDEN[rep]
     md = classify_algebra(rep)
     sets = classify_sets(rep)
     assert md.algebra_class == expected["algebra_class"]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +233,21 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     code, out, _ = _run(capsys, ["verify", "--seed", "42", "--trials", "3"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_density_runs_without_scipy():
+    # Fresh interpreter: the import and a density call must not pull in scipy.
+    script = (
+        "import sys\n"
+        "import hpharmonics\n"
+        "from hpharmonics import cli\n"
+        'code = cli.main(["density", "--J", "1,0;0,1", "--G", "1,0;0,1", '
+        '"--H", "1,0;0,1", "--json"])\n'
+        'print(code, "scipy" in sys.modules)\n'
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

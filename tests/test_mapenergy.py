@@ -58,6 +58,14 @@ def test_diagonal_stretches():
     np.testing.assert_allclose(cauchy_green(point), np.diag([1.0, 4.0, 9.0]))
     np.testing.assert_allclose(stretch_eigenvalues(point), [1.0, 4.0, 9.0])
 
+    # Rotated, ill-conditioned metric: G = Q diag(g) Q^T with cond(g) = 1e6,
+    # J = Q^T and H = diag(p), so P = Q diag(p) Q^T and the stretches are p/g.
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    g = np.array([1e-3, 1.0, 1e3])
+    p = np.array([2e-3, 0.5, 7e3])
+    point = _point(q.T, dom=(q * g) @ q.T, cod=np.diag(p))
+    np.testing.assert_allclose(stretch_eigenvalues(point), np.sort(p / g), rtol=1e-9)
+
 
 def test_rank_zero_map():
     report = density_report(_point(np.zeros((4, 3))))
