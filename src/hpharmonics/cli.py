@@ -126,8 +126,9 @@ def _load_density_payload(args) -> mapenergy.PointData:
 # ---------------------------------------------------------------------------
 
 
-def _algebra_report(lam_input, sc: lie3.StructureConstants, md: lie3.MilnorData) -> dict:
-    sets = lie3.classify_sets(sc)
+def _algebra_report(
+    lam_input, sc: lie3.StructureConstants, md: lie3.MilnorData, sets: dict
+) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "input": {"lambda": _vec(lam_input)},
@@ -146,7 +147,7 @@ def _algebra_report(lam_input, sc: lie3.StructureConstants, md: lie3.MilnorData)
     }
 
 
-def _print_classify_table(report: dict) -> None:
+def _print_classify_table(report: dict, sets: dict) -> None:
     print(f"algebra class    : {report['algebra_class']}")
     print(f"lambda (norm.)   : {report['normalized']['lambda']}")
     print(f"mu               : {report['mu']}")
@@ -155,27 +156,19 @@ def _print_classify_table(report: dict) -> None:
     print(f"flat             : {report['flat']}")
     print(f"ricci kernel dim : {report['ricci_kernel_dim']}")
     for name in ("H1", "H2", "H3", "Z1", "Z2", "Z3"):
-        print(f"{name:<16} : {_descriptor_text(report['sets'][name])}")
-
-
-def _descriptor_text(doc: dict) -> str:
-    kind = doc["kind"]
-    if kind == "Union":
-        return " U ".join(_descriptor_text(m) for m in doc["members"])
-    if "indices" in doc:
-        return f"{kind}({','.join(str(i) for i in doc['indices'])})"
-    return kind
+        print(f"{name:<16} : {sets[name]}")
 
 
 def cmd_classify(args) -> int:
     lam_input = _parse_triple(args.lam, "--lambda")
     sc = lie3.StructureConstants.normalize(lam_input)
     md = lie3.classify_algebra(sc)
-    report = _algebra_report(lam_input, sc, md)
+    sets = lie3.classify_sets(sc)
+    report = _algebra_report(lam_input, sc, md, sets)
     if args.json:
         print(dumps_report(report))
     else:
-        _print_classify_table(report)
+        _print_classify_table(report, sets)
     return 0
 
 
@@ -190,7 +183,7 @@ def cmd_check(args) -> int:
     sigma = sc.permute(sigma_input) / norm
     predicates = lie3.check_predicates(md, sigma, args.r, coupling=args.coupling)
 
-    report = _algebra_report(lam_input, sc, md)
+    report = _algebra_report(lam_input, sc, md, lie3.classify_sets(sc))
     report["input"]["sigma"] = _vec(sigma_input)
     report["input"]["r"] = args.r
     report["input"]["kind"] = args.kind

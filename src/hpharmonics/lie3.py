@@ -31,6 +31,12 @@ from .invariants import elementary_invariants_newton
 _TINY = 1e-300
 _EYE3 = np.eye(3)
 
+#: Tolerance policy of every verdict: a quantity counts as zero when it is
+#: at most ``TOL`` times its scale (see :func:`_negligible`).
+TOL = 1e-9
+#: Step of the central difference in :func:`first_variation_fd`.
+_FD_STEP = 1e-5
+
 #: Algebra class labels keyed by (number of positive, number of negative)
 #: structure constants after sign normalization.
 _CLASS_BY_SIGNS = {
@@ -56,16 +62,26 @@ def _triple(values, name: str) -> np.ndarray:
     return arr
 
 
-def _unit_triple(sigma, tol: float = 1e-9) -> np.ndarray:
+def _negligible(magnitude, scale: float):
+    """Whether ``magnitude`` (scalar or array) is zero relative to ``scale``."""
+    return magnitude <= TOL * max(scale, _TINY)
+
+
+def _unit_triple(sigma) -> np.ndarray:
     arr = _triple(sigma, "sigma")
-    if abs(float(arr @ arr) - 1.0) > 2.0 * tol:
+    if abs(float(arr @ arr) - 1.0) > 2.0 * TOL:
         raise ValueError(f"sigma must be a unit vector, |sigma|^2 = {arr @ arr}")
     return arr
 
 
-def _zero_mask(values: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
-    scale = float(np.max(np.abs(values)))
-    return np.abs(values) <= rel_tol * max(scale, _TINY)
+def _zero_mask(values: np.ndarray) -> np.ndarray:
+    return _negligible(np.abs(values), float(np.max(np.abs(values))))
+
+
+def _sign_counts(values: np.ndarray) -> tuple[int, int]:
+    # Numbers of positive and negative entries that are not negligible.
+    kept = values[~_zero_mask(values)]
+    return int(np.sum(kept > 0)), int(np.sum(kept < 0))
 
 
 @dataclass(frozen=True)
@@ -85,9 +101,7 @@ class StructureConstants:
     @classmethod
     def normalize(cls, raw) -> "StructureConstants":
         vals = _triple(raw, "structure constants")
-        tol = 1e-9 * max(float(np.max(np.abs(vals))), _TINY)
-        npos = int(np.sum(vals > tol))
-        nneg = int(np.sum(vals < -tol))
+        npos, nneg = _sign_counts(vals)
         flipped = nneg > npos
         if flipped:
             vals = -vals
@@ -134,9 +148,7 @@ def classify_algebra(sc) -> MilnorData:
     if not isinstance(sc, StructureConstants):
         sc = StructureConstants.normalize(sc)
     lam = np.asarray(sc.values)
-    tol = 1e-9 * max(float(np.max(np.abs(lam))), _TINY)
-    npos = int(np.sum(lam > tol))
-    nneg = int(np.sum(lam < -tol))
+    npos, nneg = _sign_counts(lam)
     try:
         algebra_class = _CLASS_BY_SIGNS[(npos, nneg)]
     except KeyError:  # pragma: no cover - excluded by the sign convention
@@ -280,11 +292,11 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     )
 
 
-def is_eigendirection(diag_values, sigma, tol: float = 1e-9):
+def is_eigendirection(diag_values, sigma):
     """Whether unit ``sigma`` is an eigenvector of diag(``diag_values``).
 
-    Tests the component of diag(d) sigma orthogonal to sigma against
-    ``tol`` times the largest |d_i|.  Broadcasts over leading axes of
+    Tests the component of diag(d) sigma orthogonal to sigma for being
+    negligible against the largest |d_i|.  Broadcasts over leading axes of
     ``sigma`` for batch use.
     """
     d = np.asarray(diag_values, dtype=float)
@@ -293,12 +305,12 @@ def is_eigendirection(diag_values, sigma, tol: float = 1e-9):
     dots = np.einsum("...i,...i->...", v, arr)
     perp = v - dots[..., None] * arr
     residual = np.sqrt(np.einsum("...i,...i->...", perp, perp))
-    return residual <= tol * max(float(np.max(np.abs(d))), _TINY)
+    return _negligible(residual, float(np.max(np.abs(d))))
 
 
-def in_h1(md: MilnorData, sigma, tol: float = 1e-9):
+def in_h1(md: MilnorData, sigma):
     """Whether ``sigma`` is an eigenvector of the squared Milnor map."""
-    return is_eigendirection(md.mu**2, sigma, tol)
+    return is_eigendirection(md.mu**2, sigma)
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -386,7 +398,7 @@ def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
     return out
 
 
-def first_variation_fd(md: MilnorData, sigma, zeta, r: int, step: float = 1e-5) -> float:
+def first_variation_fd(md: MilnorData, sigma, zeta, r: int) -> float:
     """First-variation residual of the degree-r bending density.
 
     Varies sigma along the sphere as (sigma + t*zeta)/|sigma + t*zeta| for a
@@ -396,7 +408,7 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int, step: float = 1e-5) 
     """
     arr = _unit_triple(sigma)
     z = _triple(zeta, "zeta")
-    if abs(float(z @ arr)) > 1e-9 * (1.0 + float(np.linalg.norm(z))):
+    if not _negligible(abs(float(z @ arr)), 1.0 + float(np.linalg.norm(z))):
         raise ValueError("zeta must be orthogonal to sigma")
     if r == 1:
         tension = tension_t1(md, arr)
@@ -410,7 +422,7 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int, step: float = 1e-5) 
         moved = moved / np.linalg.norm(moved)
         return 0.5 * float(vertical_invariants(md, moved)[r])
 
-    fd = (half_density(step) - half_density(-step)) / (2.0 * step)
+    fd = (half_density(_FD_STEP) - half_density(-_FD_STEP)) / (2.0 * _FD_STEP)
     return abs(fd + float(tension @ z))
 
 
@@ -461,20 +473,16 @@ class PredicateReport:
     vertical_energy: float
 
 
-def _parallel_residual(vec: np.ndarray, arr: np.ndarray) -> float:
-    return float(np.linalg.norm(vec - float(vec @ arr) * arr))
-
-
-def check_predicates(
-    md: MilnorData, sigma, r: int, coupling: float = 0.5, tol: float = 1e-9
-) -> PredicateReport:
+def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> PredicateReport:
     """Evaluate the harmonicity predicates of a unit invariant field.
 
     ``r_parallel`` tests vanishing of the degree-r bending density (degree 1:
     the covariant derivative itself, degree 2: Ric(sigma), degree 3: trivially
-    true since the derivative has rank at most 2).  ``r_harmonic_unit`` tests
-    the tension field being a pointwise multiple of sigma, which is trivially
-    true at degree 3.  ``twisted_2_skyrmion`` tests sigma being an eigenvector
+    true since the derivative has rank at most 2).  ``r_harmonic_unit`` is
+    membership in the harmonic locus H_r of :func:`classify_sets`: sigma is
+    an eigenvector of diag(mu^2) for r = 1 and of diag(rho^2) for r = 2, and
+    every unit field qualifies at degree 3.  The vertical tension field is
+    reported alongside.  ``twisted_2_skyrmion`` tests sigma being an eigenvector
     of mu^2 - (coupling/4) rho^2 as a diagonal map; ``coupling`` is the ratio
     c2/c1 of the degree-2 to degree-1 energy weights (default 0.5, the
     binomial weights (2, 1)), and the solution set does not depend on it.
@@ -490,26 +498,21 @@ def check_predicates(
 
     mu_sq = md.mu**2
     rho_sq = md.ricci**2
-    h1 = bool(in_h1(md, arr, tol))
+    h1 = bool(in_h1(md, arr))
 
     # Vanishing is always thresholded on quantities linear in the offending
     # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
     # has the same width as descriptor membership and eigenvector residuals.
     if r == 1:
         vertical = tension_t1(md, arr)
-        parallel = np.sqrt(grad_norm_sq(md, arr)) <= tol * max(
-            float(np.max(np.abs(md.mu))), _TINY
-        )
-        harmonic_unit = _parallel_residual(vertical, arr) <= tol * max(
-            float(np.max(mu_sq)), _TINY
-        )
+        parallel = _negligible(np.sqrt(grad_norm_sq(md, arr)), float(np.max(np.abs(md.mu))))
+        harmonic_unit = h1
     elif r == 2:
         vertical = tension_t2(md, arr)
-        ric_norm = float(np.linalg.norm(md.ricci * arr))
-        parallel = ric_norm <= tol * max(float(np.max(np.abs(md.ricci))), _TINY)
-        harmonic_unit = _parallel_residual(vertical, arr) <= tol * max(
-            0.25 * float(np.max(rho_sq)), _TINY
+        parallel = _negligible(
+            float(np.linalg.norm(md.ricci * arr)), float(np.max(np.abs(md.ricci)))
         )
+        harmonic_unit = bool(is_eigendirection(rho_sq, arr))
     else:
         # Degree-3 bending density vanishes identically: the covariant
         # derivative of a unit field takes values in a 2-plane.
@@ -517,12 +520,12 @@ def check_predicates(
         parallel = True
         harmonic_unit = True
 
-    skyrmion = bool(is_eigendirection(mu_sq - 0.25 * coupling * rho_sq, arr, tol))
+    skyrmion = bool(is_eigendirection(mu_sq - 0.25 * coupling * rho_sq, arr))
     if r == 3:
         harmonic_map = h1
         horizontal = horizontal_tension(md, arr, 3) if h1 else None
     else:
-        harmonic_map = bool(is_eigendirection(md.lam, arr, tol))
+        harmonic_map = bool(is_eigendirection(md.lam, arr))
         horizontal = horizontal_tension(md, arr, r)
 
     return PredicateReport(
@@ -606,9 +609,9 @@ class SubsetDescriptor:
 
     # -- queries -------------------------------------------------------------
 
-    def contains(self, sigma, tol: float = 1e-9):
-        """Membership of unit vector(s) with absolute tolerance ``tol`` on
-        the coefficients required to vanish.  Broadcasts over leading axes."""
+    def contains(self, sigma):
+        """Membership of unit vector(s): the coefficients required to vanish
+        must be negligible against 1.  Broadcasts over leading axes."""
         arr = np.asarray(sigma, dtype=float)
         if self.kind == "Empty":
             return np.zeros(arr.shape[:-1], dtype=bool) if arr.ndim > 1 else False
@@ -617,18 +620,18 @@ class SubsetDescriptor:
         if self.kind == "PolarPair":
             k = self.indices[0] - 1
             others = [i for i in range(3) if i != k]
-            out = np.all(np.abs(arr[..., others]) <= tol, axis=-1)
+            out = np.all(_negligible(np.abs(arr[..., others]), 1.0), axis=-1)
         elif self.kind == "Circle":
             k = ({1, 2, 3} - set(self.indices)).pop() - 1
-            out = np.abs(arr[..., k]) <= tol
+            out = _negligible(np.abs(arr[..., k]), 1.0)
         elif self.kind == "PolarSet":
             out = np.zeros(arr.shape[:-1], dtype=bool)
             for k in (1, 2, 3):
-                out = out | SubsetDescriptor.polar_pair(k).contains(arr, tol)
+                out = out | SubsetDescriptor.polar_pair(k).contains(arr)
         else:  # Union
             out = np.zeros(arr.shape[:-1], dtype=bool)
             for member in self.members:
-                out = out | member.contains(arr, tol)
+                out = out | member.contains(arr)
         return bool(out) if arr.ndim == 1 else out
 
     def to_json(self) -> dict:
@@ -657,9 +660,8 @@ def _eigendirection_descriptor(values: np.ndarray) -> SubsetDescriptor:
     top = float(np.max(values))
     if top <= _TINY:
         return SubsetDescriptor.sphere()
-    tol = 1e-9 * top
     pairs = [(1, 2), (1, 3), (2, 3)]
-    equal = [abs(values[i - 1] - values[j - 1]) <= tol for i, j in pairs]
+    equal = [_negligible(abs(values[i - 1] - values[j - 1]), top) for i, j in pairs]
     count = sum(equal)
     if count >= 2:
         return SubsetDescriptor.sphere()

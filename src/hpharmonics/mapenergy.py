@@ -31,6 +31,10 @@ from .invariants import (
 )
 
 
+#: Relative tolerance of :func:`r_conformal_check`.
+_CONFORMAL_TOL = 1e-9
+
+
 class InvalidMetricError(ValueError):
     """A supplied metric matrix is not symmetric positive-definite."""
 
@@ -172,12 +176,12 @@ def density_report(point: PointData) -> DensityReport:
     )
 
 
-def r_conformal_check(point: PointData, r: int, tol: float = 1e-9) -> bool:
+def r_conformal_check(point: PointData, r: int) -> bool:
     """Pointwise r-conformality test.
 
-    True when the squared stretches are all equal within ``tol`` relative
-    spread (a conformal point), or when fewer than r of them exceed
-    ``tol`` times the largest (the rank of the differential is below r).
+    True when the squared stretches are all equal within a relative spread
+    of 1e-9 (a conformal point), or when fewer than r of them exceed 1e-9
+    times the largest (the rank of the differential is below r).
     """
     if not 1 <= r <= point.m:
         raise ValueError(f"order r={r} outside 1..{point.m}")
@@ -185,9 +189,9 @@ def r_conformal_check(point: PointData, r: int, tol: float = 1e-9) -> bool:
     top = float(ev[-1])
     if top <= 0.0:
         return True
-    if float(ev[-1] - ev[0]) <= tol * top:
+    if float(ev[-1] - ev[0]) <= _CONFORMAL_TOL * top:
         return True
-    return int(np.sum(ev > tol * top)) <= r - 1
+    return int(np.sum(ev > _CONFORMAL_TOL * top)) <= r - 1
 
 
 def conformal_scaling_residual(point: PointData, rho: float, r: int) -> float:

@@ -7,7 +7,7 @@ module stays under a minute on a laptop.
 
 import numpy as np
 
-from hpharmonics import lie3, verify
+from hpharmonics import verify
 
 
 def _rng(tag: int) -> np.random.Generator:
@@ -97,26 +97,7 @@ def test_criterion_14_harmonic_map_horizontal_tensions():
     # orthogonal to the vanishing constant is a subalgebra), fields on the
     # subalgebra circle with both coefficients nonzero have nonvanishing
     # degree-1 and degree-2 horizontal tensions while degree 3 vanishes.
-    rng = _rng(14)
-    md = lie3.classify_algebra((1.0, 0.0, -1.0))
-    worst3 = 0.0
-    min_low = np.inf
-    for _ in range(100):
-        t = rng.uniform(0.05, np.pi / 2 - 0.05)
-        sigma = np.array([np.cos(t), 0.0, np.sin(t)])
-        h1 = np.linalg.norm(lie3.horizontal_tension(md, sigma, 1))
-        h2 = np.linalg.norm(lie3.horizontal_tension(md, sigma, 2))
-        h3 = np.linalg.norm(lie3.horizontal_tension(md, sigma, 3))
-        min_low = min(min_low, h1, h2)
-        worst3 = max(worst3, h3)
-    result = verify.PropertyResult(
-        "harmonic_map_degree3_vanishing",
-        worst3 <= 1e-10 and min_low > 0.0,
-        worst3,
-        1e-10,
-        detail=f"min nonzero tension {min_low:.3e}",
-    )
-    _report("C14", result)
+    _report("C14", verify.check_harmonic_map_cases(_rng(14), trials=100))
 
 
 def test_criterion_15_skyrmion_coincidence():

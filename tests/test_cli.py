@@ -23,6 +23,9 @@ def test_classify_nil_table(capsys):
     assert "nil" in out
     assert "H1               : Sphere" in out
     assert "Z1               : Empty" in out
+    code, out, _ = _run(capsys, ["classify", "--lambda", "2,1,1"])
+    assert code == 0
+    assert "H2               : Circle(2,3) U PolarPair(1)" in out
 
 
 def test_classify_abelian_json(capsys):

@@ -518,17 +518,23 @@ def test_predicates_degree3_always_unit_harmonic():
 
 
 def test_predicates_cross_validated_with_eigen_tests():
+    # r_harmonic_unit is H_r membership at every scale of lambda.  The
+    # skyrmion locus mixes degrees 2 and 4 in lambda, so it is compared at
+    # unit scale only.
     rng = np.random.default_rng(109)
-    for rep in REPRESENTATIVES:
+    scaled = [(1e50, 0.0, 0.0), (1e50, 1e50, 1e50), (2e50, 2e50, 1e50)]
+    for rep in REPRESENTATIVES + scaled:
         md = classify_algebra(rep)
         samples = [_unit(rng) for _ in range(20)] + [E[0], E[2]]
         samples += [np.array([np.cos(0.3), 0.0, np.sin(0.3)])]
+        samples += [np.array([np.cos(0.3), np.sin(0.3), 0.0])]
         for sigma in samples:
             r2 = check_predicates(md, sigma, 2)
             assert r2.r_harmonic_unit == bool(is_eigendirection(md.ricci**2, sigma))
             r1 = check_predicates(md, sigma, 1)
             assert r1.r_harmonic_unit == bool(is_eigendirection(md.mu**2, sigma))
-            assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
+            if rep not in scaled:
+                assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
 
 
 def test_predicates_sign_invariance():
