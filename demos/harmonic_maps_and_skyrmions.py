@@ -14,7 +14,7 @@ from hpharmonics import (
     classify_algebra,
     horizontal_tension,
     in_h1,
-    is_eigendirection,
+    in_skyrmion_locus,
 )
 
 rng = np.random.default_rng(5)
@@ -23,9 +23,9 @@ print("== Twisted 2-skyrmions: coupling does not matter ==")
 md = classify_algebra((2.0, 1.0, 1.0))
 samples = rng.normal(size=(4000, 3))
 samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-h1_members = is_eigendirection(md.mu**2, samples)
+h1_members = in_h1(md, samples)
 for coupling in (0.1, 1.0, 10.0):
-    sky = is_eigendirection(md.mu**2 - 0.25 * coupling * md.ricci**2, samples)
+    sky = in_skyrmion_locus(md, samples, coupling)
     print(f"  coupling {coupling:5.1f}: skyrmion locus == harmonic locus on "
           f"{int(np.sum(sky == h1_members))}/{len(samples)} samples")
 

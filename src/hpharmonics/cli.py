@@ -163,7 +163,7 @@ def cmd_classify(args) -> int:
     lam_input = _parse_triple(args.lam, "--lambda")
     sc = lie3.StructureConstants.normalize(lam_input)
     md = lie3.classify_algebra(sc)
-    sets = lie3.classify_sets(sc)
+    sets = lie3.classify_sets(md)
     report = _algebra_report(lam_input, sc, md, sets)
     if args.json:
         print(dumps_report(report))
@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
     sigma = sc.permute(sigma_input) / norm
     predicates = lie3.check_predicates(md, sigma, args.r, coupling=args.coupling)
 
-    report = _algebra_report(lam_input, sc, md, lie3.classify_sets(sc))
+    report = _algebra_report(lam_input, sc, md, lie3.classify_sets(md))
     report["input"]["sigma"] = _vec(sigma_input)
     report["input"]["r"] = args.r
     report["input"]["kind"] = args.kind
@@ -322,7 +322,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

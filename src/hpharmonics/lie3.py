@@ -22,7 +22,7 @@ the basis serve as brute-force oracles for the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,22 +129,20 @@ class MilnorData:
     algebra_class: str
     flat: bool
     ricci_kernel_dim: int
-    _k_matrix: np.ndarray = field(repr=False, default=None)
-
-    def sectional_matrix(self) -> np.ndarray:
-        """Symmetric 3x3 matrix with [i, j] entry K_ij (zero diagonal)."""
-        return self._k_matrix
 
 
 def classify_algebra(sc) -> MilnorData:
     """Classify a structure-constant triple and derive its curvature data.
 
     Accepts a :class:`StructureConstants` or a raw triple (normalized on the
-    fly).  The sign pattern of the normalized constants selects one of the
-    six unimodular classes; the connection coefficients, principal Ricci and
-    sectional curvatures follow from the formulas in the module docstring.
-    The Ricci kernel dimension is always 0, 2 or 3.
+    fly); a :class:`MilnorData` is returned unchanged, so callers derive each
+    geometry once.  The sign pattern of the normalized constants selects one
+    of the six unimodular classes; the connection coefficients, principal
+    Ricci and sectional curvatures follow from the formulas in the module
+    docstring.  The Ricci kernel dimension is always 0, 2 or 3.
     """
+    if isinstance(sc, MilnorData):
+        return sc
     if not isinstance(sc, StructureConstants):
         sc = StructureConstants.normalize(sc)
     lam = np.asarray(sc.values)
@@ -163,16 +161,9 @@ def classify_algebra(sc) -> MilnorData:
             0.5 * (ricci[0] + ricci[1] - ricci[2]),
         ]
     )
-    k_matrix = np.array(
-        [
-            [0.0, sectional[2], sectional[1]],
-            [sectional[2], 0.0, sectional[0]],
-            [sectional[1], sectional[0], 0.0],
-        ]
-    )
     zeros = int(np.sum(_zero_mask(ricci)))
     assert zeros != 1, "a single vanishing principal Ricci curvature is impossible"
-    for arr in (lam, mu, ricci, sectional, k_matrix):
+    for arr in (lam, mu, ricci, sectional):
         arr.setflags(write=False)
     return MilnorData(
         lam=lam,
@@ -182,7 +173,6 @@ def classify_algebra(sc) -> MilnorData:
         algebra_class=algebra_class,
         flat=zeros == 3,
         ricci_kernel_dim=zeros,
-        _k_matrix=k_matrix,
     )
 
 
@@ -246,11 +236,11 @@ def riemann_action(md: MilnorData, i: int, j: int, sigma) -> np.ndarray:
 
 
 def _riemann(md: MilnorData, u: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Trilinear curvature operator R(u, w) z in the principal frame.
-    kmat = md.sectional_matrix()
+    # Trilinear curvature operator R(u, w) z in the principal frame; the
+    # pair (i, j) has sectional curvature md.sectional[3 - i - j].
     out = np.zeros(3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        coeff = (u[i] * w[j] - u[j] * w[i]) * kmat[i, j]
+        coeff = (u[i] * w[j] - u[j] * w[i]) * md.sectional[3 - i - j]
         out[i] += coeff * z[j]
         out[j] -= coeff * z[i]
     return out
@@ -292,25 +282,53 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     )
 
 
+def _unit_diagonal(diag_values) -> np.ndarray:
+    # The diagonal divided by its largest |entry|, so that squared residuals
+    # neither overflow nor underflow; the relative test is unchanged.
+    d = np.asarray(diag_values, dtype=float)
+    return d / max(float(np.max(np.abs(d))), _TINY)
+
+
+def _norm(v):
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
 def is_eigendirection(diag_values, sigma):
     """Whether unit ``sigma`` is an eigenvector of diag(``diag_values``).
 
     Tests the component of diag(d) sigma orthogonal to sigma for being
-    negligible against the largest |d_i|.  Broadcasts over leading axes of
-    ``sigma`` for batch use.
+    negligible against the largest |d_i|, on d scaled to max |d_i| = 1.
+    Broadcasts over leading axes of ``sigma`` for batch use.
     """
-    d = np.asarray(diag_values, dtype=float)
     arr = np.asarray(sigma, dtype=float)
-    v = arr * d
+    v = arr * _unit_diagonal(diag_values)
     dots = np.einsum("...i,...i->...", v, arr)
-    perp = v - dots[..., None] * arr
-    residual = np.sqrt(np.einsum("...i,...i->...", perp, perp))
-    return _negligible(residual, float(np.max(np.abs(d))))
+    return _negligible(_norm(v - dots[..., None] * arr), 1.0)
+
+
+# One rule per locus; each broadcasts over leading axes of ``sigma``.
 
 
 def in_h1(md: MilnorData, sigma):
-    """Whether ``sigma`` is an eigenvector of the squared Milnor map."""
+    """Whether ``sigma`` is an eigenvector of the squared Milnor map (H1)."""
     return is_eigendirection(md.mu**2, sigma)
+
+
+def in_h2(md: MilnorData, sigma):
+    """Whether ``sigma`` is an eigenvector of the squared Ricci map (H2)."""
+    return is_eigendirection(md.ricci**2, sigma)
+
+
+def in_z2(md: MilnorData, sigma):
+    """Whether ``sigma`` lies in the Ricci kernel (Z2): |Ric(sigma)| is
+    negligible against max |rho_i|, on rho scaled to max |rho_i| = 1."""
+    return _negligible(_norm(np.asarray(sigma, dtype=float) * _unit_diagonal(md.ricci)), 1.0)
+
+
+def in_skyrmion_locus(md: MilnorData, sigma, coupling: float):
+    """Whether ``sigma`` is a twisted 2-skyrmion: an eigenvector of
+    diag(mu^2 - (coupling/4) rho^2)."""
+    return is_eigendirection(md.mu**2 - 0.25 * coupling * md.ricci**2, sigma)
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -477,16 +495,15 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     """Evaluate the harmonicity predicates of a unit invariant field.
 
     ``r_parallel`` tests vanishing of the degree-r bending density (degree 1:
-    the covariant derivative itself, degree 2: Ric(sigma), degree 3: trivially
-    true since the derivative has rank at most 2).  ``r_harmonic_unit`` is
-    membership in the harmonic locus H_r of :func:`classify_sets`: sigma is
-    an eigenvector of diag(mu^2) for r = 1 and of diag(rho^2) for r = 2, and
-    every unit field qualifies at degree 3.  The vertical tension field is
-    reported alongside.  ``twisted_2_skyrmion`` tests sigma being an eigenvector
-    of mu^2 - (coupling/4) rho^2 as a diagonal map; ``coupling`` is the ratio
-    c2/c1 of the degree-2 to degree-1 energy weights (default 0.5, the
-    binomial weights (2, 1)), and the solution set does not depend on it.
-    ``r_harmonic_map`` is the classification of maps
+    the covariant derivative itself, degree 2: Ric(sigma), i.e. :func:`in_z2`,
+    degree 3: trivially true since the derivative has rank at most 2).
+    ``r_harmonic_unit`` is membership in the harmonic locus H_r of
+    :func:`classify_sets`: :func:`in_h1` for r = 1, :func:`in_h2` for r = 2,
+    and every unit field qualifies at degree 3.  The vertical tension field is
+    reported alongside.  ``twisted_2_skyrmion`` is :func:`in_skyrmion_locus`;
+    ``coupling`` is the ratio c2/c1 of the degree-2 to degree-1 energy
+    weights (default 0.5, the binomial weights (2, 1)), and the solution set
+    does not depend on it.  ``r_harmonic_map`` is the classification of maps
     into the unit tangent bundle: a structure-map eigenvector for r = 1, 2 and
     a squared-Milnor-map eigenvector for r = 3.
     """
@@ -496,8 +513,6 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     if not np.isfinite(coupling) or coupling <= 0.0:
         raise ValueError(f"coupling must be positive, got {coupling}")
 
-    mu_sq = md.mu**2
-    rho_sq = md.ricci**2
     h1 = bool(in_h1(md, arr))
 
     # Vanishing is always thresholded on quantities linear in the offending
@@ -509,10 +524,8 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         harmonic_unit = h1
     elif r == 2:
         vertical = tension_t2(md, arr)
-        parallel = _negligible(
-            float(np.linalg.norm(md.ricci * arr)), float(np.max(np.abs(md.ricci)))
-        )
-        harmonic_unit = bool(is_eigendirection(rho_sq, arr))
+        parallel = in_z2(md, arr)
+        harmonic_unit = in_h2(md, arr)
     else:
         # Degree-3 bending density vanishes identically: the covariant
         # derivative of a unit field takes values in a 2-plane.
@@ -520,7 +533,7 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         parallel = True
         harmonic_unit = True
 
-    skyrmion = bool(is_eigendirection(mu_sq - 0.25 * coupling * rho_sq, arr))
+    skyrmion = bool(in_skyrmion_locus(md, arr, coupling))
     if r == 3:
         harmonic_map = h1
         horizontal = horizontal_tension(md, arr, 3) if h1 else None
@@ -613,10 +626,6 @@ class SubsetDescriptor:
         """Membership of unit vector(s): the coefficients required to vanish
         must be negligible against 1.  Broadcasts over leading axes."""
         arr = np.asarray(sigma, dtype=float)
-        if self.kind == "Empty":
-            return np.zeros(arr.shape[:-1], dtype=bool) if arr.ndim > 1 else False
-        if self.kind == "Sphere":
-            return np.ones(arr.shape[:-1], dtype=bool) if arr.ndim > 1 else True
         if self.kind == "PolarPair":
             k = self.indices[0] - 1
             others = [i for i in range(3) if i != k]
@@ -624,13 +633,12 @@ class SubsetDescriptor:
         elif self.kind == "Circle":
             k = ({1, 2, 3} - set(self.indices)).pop() - 1
             out = _negligible(np.abs(arr[..., k]), 1.0)
-        elif self.kind == "PolarSet":
-            out = np.zeros(arr.shape[:-1], dtype=bool)
-            for k in (1, 2, 3):
-                out = out | SubsetDescriptor.polar_pair(k).contains(arr)
-        else:  # Union
-            out = np.zeros(arr.shape[:-1], dtype=bool)
-            for member in self.members:
+        else:  # Empty, Sphere, or the union of the members
+            out = np.full(arr.shape[:-1], self.kind == "Sphere")
+            members = self.members
+            if self.kind == "PolarSet":
+                members = tuple(SubsetDescriptor.polar_pair(k) for k in (1, 2, 3))
+            for member in members:
                 out = out | member.contains(arr)
         return bool(out) if arr.ndim == 1 else out
 
@@ -688,7 +696,8 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
     * Z2 -- the unit part of the Ricci kernel: sphere, a coordinate circle,
       or empty (kernel dimension 3, 2, 0).
 
-    The loci satisfy H_r = H_{r-1} union Z_r for r = 2, 3.
+    The loci satisfy H_r = H_{r-1} union Z_r for r = 2, 3.  Accepts what
+    :func:`classify_algebra` accepts, including its :class:`MilnorData`.
     """
     md = classify_algebra(sc)
 

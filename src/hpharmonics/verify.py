@@ -130,6 +130,13 @@ def _unit_scale_milnor(rng: np.random.Generator) -> lie3.MilnorData:
     return md
 
 
+def _field_samples(rng: np.random.Generator, n: int, structured: int) -> np.ndarray:
+    # n unit fields: random ones followed by `structured` descriptor samples.
+    return np.concatenate(
+        [_random_unit(rng, max(n - structured, 1)), _descriptor_samples(rng, structured)]
+    )[:n]
+
+
 def _descriptor_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     # Structured unit vectors: poles and coordinate-circle points, the
     # boundary cases of every descriptor.
@@ -151,7 +158,7 @@ def _descriptor_samples(rng: np.random.Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_invariant_oracles(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_invariant_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Principal-minor sums against the Newton-Girard recursion, dims 2..6."""
     worst = 0.0
     for m in range(2, 7):
@@ -164,7 +171,7 @@ def check_invariant_oracles(rng: np.random.Generator, trials: int = 1000) -> Pro
     return PropertyResult("invariant_oracle_equivalence", worst <= 1e-10, worst, 1e-10)
 
 
-def check_cayley_hamilton(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_cayley_hamilton(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Vanishing of the top Newton endomorphism, dims 2..6."""
     worst = 0.0
     for m in range(2, 7):
@@ -174,7 +181,7 @@ def check_cayley_hamilton(rng: np.random.Generator, trials: int = 1000) -> Prope
     return PropertyResult("cayley_hamilton", worst <= 1e-9, worst, 1e-9)
 
 
-def check_newton_trace(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_newton_trace(rng: np.random.Generator, trials: int) -> PropertyResult:
     """trace(A chi_{r-1}) = r e_r for all r, dims 2..6."""
     worst = 0.0
     for m in range(2, 7):
@@ -188,7 +195,7 @@ def check_newton_trace(rng: np.random.Generator, trials: int = 1000) -> Property
     return PropertyResult("newton_trace_identity", worst <= 1e-10, worst, 1e-10)
 
 
-def check_shift_scaling(rng: np.random.Generator, trials: int = 200) -> PropertyResult:
+def check_shift_scaling(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Shift identities under A -> I + A and homogeneity under A -> cA."""
     worst = 0.0
     for m in range(2, 7):
@@ -202,7 +209,7 @@ def check_shift_scaling(rng: np.random.Generator, trials: int = 200) -> Property
     return PropertyResult("shift_scaling_identities", worst <= 1e-9, worst, 1e-9)
 
 
-def check_derivative_fd(rng: np.random.Generator, trials: int = 200) -> PropertyResult:
+def check_derivative_fd(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Exact invariant derivative against central differences, h = 1e-5."""
     step = 1e-5
     worst = 0.0
@@ -224,7 +231,7 @@ def check_derivative_fd(rng: np.random.Generator, trials: int = 200) -> Property
 # ---------------------------------------------------------------------------
 
 
-def check_cauchy_green_gram(rng: np.random.Generator, trials: int = 200) -> PropertyResult:
+def check_cauchy_green_gram(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Invariants of the distortion operator against whitened Gram minors,
     plus positive semi-definiteness of the stretch spectrum."""
     worst = 0.0
@@ -241,7 +248,7 @@ def check_cauchy_green_gram(rng: np.random.Generator, trials: int = 200) -> Prop
     return PropertyResult("cauchy_green_gram_oracle", worst <= 1e-10, worst, 1e-10)
 
 
-def check_metric_homogeneity(rng: np.random.Generator, trials: int = 200) -> PropertyResult:
+def check_metric_homogeneity(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Scaling the codomain metric by c^2 scales degree-r density by c^(2r).
 
     Residuals are measured relative to the largest invariant in play: the
@@ -267,7 +274,7 @@ def check_metric_homogeneity(rng: np.random.Generator, trials: int = 200) -> Pro
     return PropertyResult("codomain_homogeneity", worst <= 1e-12, worst, 1e-12)
 
 
-def check_conformal_invariance(rng: np.random.Generator, trials: int = 100) -> PropertyResult:
+def check_conformal_invariance(rng: np.random.Generator, trials: int) -> PropertyResult:
     """For m = 4, r = 2 the combination e_2 * rho^4 is invariant under
     G -> rho^2 G, relative to the density itself."""
     worst = 0.0
@@ -299,7 +306,7 @@ def _deficient_point(rng: np.random.Generator, m: int, rank: int) -> mapenergy.P
     )
 
 
-def check_majorisation(rng: np.random.Generator, trials: int = 200) -> PropertyResult:
+def check_majorisation(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Degree-(m/2) density majorises binom(m, m/2) times the volume density,
     with equality exactly at conformal points."""
     worst = 0.0
@@ -325,7 +332,7 @@ def check_majorisation(rng: np.random.Generator, trials: int = 200) -> PropertyR
     )
 
 
-def check_rank_zeroes(rng: np.random.Generator, trials: int = 100) -> PropertyResult:
+def check_rank_zeroes(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Degree-r density vanishes exactly when the differential rank is < r."""
     bad = 0
     for _ in range(trials):
@@ -346,25 +353,20 @@ def check_rank_zeroes(rng: np.random.Generator, trials: int = 100) -> PropertyRe
 # ---------------------------------------------------------------------------
 
 
-def check_wedge_gram(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_wedge_gram(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form squared wedge against the Gram-determinant frame sum."""
     worst = 0.0
     for _ in range(trials):
         md = lie3.classify_algebra(_random_structure(rng))
         sigma = rng.uniform(-1.5, 1.5, size=3)
         closed = lie3.wedge_norm_sq(md, sigma)
-        rows = [md.mu[i] * np.cross(np.eye(3)[i], sigma) for i in range(3)]
-        oracle = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                oracle += float(rows[i] @ rows[i]) * float(rows[j] @ rows[j]) - float(
-                    rows[i] @ rows[j]
-                ) ** 2
+        gram = lie3.vertical_cauchy_green(md, sigma)
+        oracle = float(invariants.elementary_invariants_minors(gram)[2])
         worst = max(worst, _rel(closed, oracle))
     return PropertyResult("wedge_gram_oracle", worst <= 1e-11, worst, 1e-11)
 
 
-def check_divergence_oracles(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Divergence closed forms of both vertical Newton tensors against the
     frame sum over an arbitrary invariant tensor."""
     worst = 0.0
@@ -386,7 +388,7 @@ def check_divergence_oracles(rng: np.random.Generator, trials: int = 1000) -> Pr
     return PropertyResult("divergence_oracles", worst <= 1e-12, worst, 1e-12)
 
 
-def check_tension_oracles(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form tension fields against the assembled frame oracle, per class."""
     worst = 0.0
     for rep in ONE_PER_CLASS:
@@ -402,13 +404,12 @@ def check_tension_oracles(rng: np.random.Generator, trials: int = 1000) -> Prope
     return PropertyResult("tension_oracles", worst <= 1e-10, worst, 1e-10)
 
 
-def check_sphere_multiplier(rng: np.random.Generator, trials: int = 500) -> PropertyResult:
+def check_sphere_multiplier(rng: np.random.Generator, trials: int) -> PropertyResult:
     """<T_r(sigma), sigma> = -r * (degree-r bending density) on the harmonic loci."""
     worst = 0.0
     for _ in range(trials):
-        sc = _random_structure(rng)
-        md = lie3.classify_algebra(sc)
-        sets = lie3.classify_sets(sc)
+        md = lie3.classify_algebra(_random_structure(rng))
+        sets = lie3.classify_sets(md)
         for r, tension_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
             sigma = _sample_descriptor_member(rng, sets[f"H{r}"])
             if sigma is None:
@@ -443,7 +444,7 @@ def _sample_descriptor_member(
     return _sample_descriptor_member(rng, member)
 
 
-def check_first_variation(rng: np.random.Generator, trials: int = 1000) -> PropertyResult:
+def check_first_variation(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Tension fields against finite differences of the bending densities
     along sphere-constrained variations."""
     worst = 0.0
@@ -457,7 +458,7 @@ def check_first_variation(rng: np.random.Generator, trials: int = 1000) -> Prope
     return PropertyResult("first_variation_fd", worst <= 1e-6, worst, 1e-6)
 
 
-def check_classification_golden(rng: np.random.Generator, trials: int = 0) -> PropertyResult:
+def check_classification_golden(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Emitted class, flatness and descriptors of every representative
     against :func:`golden_classification`.  Deterministic: ``rng`` and
     ``trials`` are accepted for the common battery signature and ignored."""
@@ -465,7 +466,7 @@ def check_classification_golden(rng: np.random.Generator, trials: int = 0) -> Pr
     for rep, expected in golden_classification().items():
         md = lie3.classify_algebra(rep)
         emitted = {"algebra_class": md.algebra_class, "flat": md.flat}
-        emitted.update((name, desc.to_json()) for name, desc in lie3.classify_sets(rep).items())
+        emitted.update((name, desc.to_json()) for name, desc in lie3.classify_sets(md).items())
         if emitted != expected:
             bad.append(rep)
     return PropertyResult(
@@ -477,54 +478,43 @@ def check_classification_golden(rng: np.random.Generator, trials: int = 0) -> Pr
     )
 
 
-def check_union_consistency(rng: np.random.Generator, trials: int = 10000) -> PropertyResult:
+def check_union_consistency(rng: np.random.Generator, trials: int) -> PropertyResult:
     """H_r = H_{r-1} union Z_r for r = 2, 3 on sampled unit fields, checked
     both through the descriptors and through the residual predicates."""
     bad = 0
     for rep in CLASS_REPRESENTATIVES:
         md = lie3.classify_algebra(rep)
-        sets = lie3.classify_sets(rep)
-        samples = np.concatenate(
-            [_random_unit(rng, max(trials - trials // 5, 1)), _descriptor_samples(rng, trials // 5)]
-        )[:trials]
+        sets = lie3.classify_sets(md)
+        samples = _field_samples(rng, trials, trials // 5)
         h1_m = sets["H1"].contains(samples)
         h2_m = sets["H2"].contains(samples)
         z2_m = sets["Z2"].contains(samples)
         bad += int(np.sum(h2_m != (h1_m | z2_m)))
         # H3 is everything, so r = 3 reduces to H2 | Z3 == all.
         bad += int(np.sum(~(h2_m | sets["Z3"].contains(samples))))
-        # Same law at the predicate level; the degree-2 minimizers are the
-        # fields annihilated by the Ricci map (linear threshold, matching
-        # the boundary width of the eigenvector residuals).
-        p1 = lie3.is_eigendirection(md.mu**2, samples)
-        p2 = lie3.is_eigendirection(md.ricci**2, samples)
-        ric_norm = np.sqrt(np.einsum("ni,i->n", samples**2, md.ricci**2))
-        ricci_flat = lie3._negligible(ric_norm, float(np.max(np.abs(md.ricci))))
-        bad += int(np.sum(p2 != (p1 | ricci_flat)))
+        # Same law at the predicate level.
+        p2 = lie3.in_h2(md, samples)
+        bad += int(np.sum(p2 != (lie3.in_h1(md, samples) | lie3.in_z2(md, samples))))
     return PropertyResult(
         "harmonic_union_consistency", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"
     )
 
 
-def check_predicate_membership(rng: np.random.Generator, trials: int = 10000) -> PropertyResult:
+def check_predicate_membership(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Residual predicates agree with descriptor membership on sampled fields."""
     bad = 0
     for rep in CLASS_REPRESENTATIVES:
         md = lie3.classify_algebra(rep)
-        sets = lie3.classify_sets(rep)
-        samples = np.concatenate(
-            [_random_unit(rng, max(trials - trials // 5, 1)), _descriptor_samples(rng, trials // 5)]
-        )[:trials]
-        p1 = lie3.is_eigendirection(md.mu**2, samples)
-        p2 = lie3.is_eigendirection(md.ricci**2, samples)
-        bad += int(np.sum(p1 != sets["H1"].contains(samples)))
-        bad += int(np.sum(p2 != sets["H2"].contains(samples)))
+        sets = lie3.classify_sets(md)
+        samples = _field_samples(rng, trials, trials // 5)
+        bad += int(np.sum(lie3.in_h1(md, samples) != sets["H1"].contains(samples)))
+        bad += int(np.sum(lie3.in_h2(md, samples) != sets["H2"].contains(samples)))
     return PropertyResult(
         "predicate_membership", bad == 0, float(bad), 0.0, detail=f"{bad} disagreements"
     )
 
 
-def check_skyrmion_coincidence(rng: np.random.Generator, trials: int = 500) -> PropertyResult:
+def check_skyrmion_coincidence(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Twisted-2-skyrmion locus coincides with the harmonic locus for every
     positive coupling, on 10^3 sampled fields per draw."""
     samples_per = 1000
@@ -532,21 +522,15 @@ def check_skyrmion_coincidence(rng: np.random.Generator, trials: int = 500) -> P
     for _ in range(trials):
         md = lie3.classify_algebra(_random_structure(rng))
         coupling = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        samples = np.concatenate(
-            [
-                _random_unit(rng, samples_per - samples_per // 4),
-                _descriptor_samples(rng, samples_per // 4),
-            ]
-        )[:samples_per]
-        h1_p = lie3.is_eigendirection(md.mu**2, samples)
-        sky_p = lie3.is_eigendirection(md.mu**2 - 0.25 * coupling * md.ricci**2, samples)
-        bad += int(np.sum(h1_p != sky_p))
+        samples = _field_samples(rng, samples_per, samples_per // 4)
+        sky = lie3.in_skyrmion_locus(md, samples, coupling)
+        bad += int(np.sum(lie3.in_h1(md, samples) != sky))
     return PropertyResult(
         "skyrmion_h1_coincidence", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"
     )
 
 
-def check_harmonic_map_cases(rng: np.random.Generator, trials: int = 50) -> PropertyResult:
+def check_harmonic_map_cases(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Horizontal tension behavior: principal directions are harmonic maps
     at every degree; in the subalgebra circle of the e11 geometry with
     l1 = -l3 the degree-1 and degree-2 horizontal tensions are nonzero
@@ -582,7 +566,7 @@ def check_harmonic_map_cases(rng: np.random.Generator, trials: int = 50) -> Prop
     )
 
 
-def check_flip_invariance(rng: np.random.Generator, trials: int = 200) -> PropertyResult:
+def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Predicates are invariant under sigma -> -sigma and under the
     orientation flip of the structure constants, after normalization."""
     bad = 0

@@ -65,6 +65,11 @@ def test_descriptor_validation():
         SubsetDescriptor.union(SubsetDescriptor.sphere())
     with pytest.raises(ValueError):
         SubsetDescriptor("Bogus")
+    circle, pole = SubsetDescriptor.circle(1, 3), SubsetDescriptor.polar_pair(2)
+    with pytest.raises(ValueError):
+        SubsetDescriptor.union(SubsetDescriptor.union(circle, pole), SubsetDescriptor.polar_set())
+    with pytest.raises(ValueError):
+        SubsetDescriptor("Sphere", members=(circle, pole))
 
 
 def test_descriptor_text_and_json_roundtrip():

@@ -73,6 +73,21 @@ def test_check_round_sphere_pole(capsys):
     )
     doc = json.loads(out)
     np.testing.assert_allclose(doc["predicates"]["vertical_tension"], [-0.5, 0.0, 0.0])
+    # Nil has H1 = Sphere at every scale; the eigenvector residual must not
+    # overflow for |lambda| = 1e100.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = _run(
+            capsys,
+            [
+                "check",
+                "--lambda", "1e100,0,0",
+                "--sigma", "1,1,0",
+                "--r", "1",
+                "--kind", "unit-section",
+            ],
+        )
+    assert code == 0
+    assert "r_harmonic_unit    : True" in out
 
 
 def test_check_ricci_flat_section(capsys):
@@ -135,6 +150,28 @@ def test_check_sigma_follows_input_order(capsys):
     np.testing.assert_allclose(doc["predicates"]["sigma_unit"], [1.0, 0.0, 0.0])
 
 
+def test_classify_and_check_derive_geometry_once(monkeypatch, capsys):
+    derived = []
+    true_classify = lie3.classify_algebra
+
+    def counting(sc):
+        if not isinstance(sc, lie3.MilnorData):
+            derived.append(sc)
+        return true_classify(sc)
+
+    monkeypatch.setattr(lie3, "classify_algebra", counting)
+    for argv in (
+        ["classify", "--lambda", "2,1,-1"],
+        ["classify", "--lambda", "2,1,-1", "--json"],
+        ["check", "--lambda", "2,1,1", "--sigma", "0,1,1", "--r", "2", "--kind", "skyrmion"],
+        ["check", "--lambda", "1,1,1", "--sigma", "1,0,0", "--r", "3", "--kind", "map", "--json"],
+    ):
+        derived.clear()
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert len(derived) == 1, argv
+
+
 def test_check_zero_sigma_is_invalid(capsys):
     code, _, err = _run(
         capsys,
@@ -155,6 +192,17 @@ def test_density_identity(capsys):
     assert doc["volume_density"] == 1
     assert doc["r_conformal"] is True
     assert doc["majorisation_gap"] == pytest.approx(0.0)
+    code, out, _ = _run(
+        capsys, ["density", "--J", "1,0;0,1", "--G", "1,0;0,1", "--H", "1,0;0,1", "--r", "1"]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "eps             : [1.0, 2.0, 1.0]",
+        "volume density  : 1.0",
+        "r-conformal     : True (r=1)",
+        "majorisation gap: 0.0",
+        "invariance resid: 0.0 (rho=1.7)",
+    ]
 
 
 def test_density_majorisation_example(capsys):
@@ -183,6 +231,11 @@ def test_density_file_payload(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["eps"] == [1, 4, 4]
+    del payload["H"]
+    path.write_text(json.dumps(payload))
+    code, _, err = _run(capsys, ["density", "--file", str(path), "--r", "1"])
+    assert code == 2
+    assert "missing keys ['H']" in err
 
 
 def test_density_rejects_non_spd_metric(capsys):
@@ -192,6 +245,17 @@ def test_density_rejects_non_spd_metric(capsys):
     )
     assert code == 2
     assert "positive-definite" in err
+    for jac, message in (("1,a;0,1", "could not parse"), ("1,0;0", "ragged")):
+        code, _, err = _run(
+            capsys, ["density", "--J", jac, "--G", "1,0;0,1", "--H", "1,0;0,1", "--r", "1"]
+        )
+        assert code == 2
+        assert message in err
+    code, _, err = _run(
+        capsys, ["density", "--J", "1,0;0,1", "--G", "1,0;0,1", "--H", "1,0;0,1", "--r", "3"]
+    )
+    assert code == 2
+    assert "--r must be in 1..2" in err
 
 
 def test_density_requires_payload(capsys):

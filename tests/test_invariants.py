@@ -173,3 +173,6 @@ def test_input_validation():
         invariant_derivative(np.eye(3), np.eye(3), 4)
     with pytest.raises(ValueError):
         check_shift_identity(np.eye(3), 0)
+    for r in (0, 4):
+        with pytest.raises(ValueError):
+            check_scaling_identity(np.eye(3), r, 2.0)

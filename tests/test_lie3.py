@@ -7,6 +7,7 @@ from hpharmonics.lie3 import (
     StructureConstants,
     check_predicates,
     classify_algebra,
+    classify_sets,
     covariant_derivative,
     divergence_invariant_tensor,
     first_variation_fd,
@@ -26,25 +27,9 @@ from hpharmonics.lie3 import (
     vertical_newton_2,
     wedge_norm_sq,
 )
+from hpharmonics.verify import CLASS_REPRESENTATIVES as REPRESENTATIVES
 
 E = np.eye(3)
-
-REPRESENTATIVES = [
-    (0.0, 0.0, 0.0),
-    (1.0, 0.0, 0.0),
-    (1.0, 0.0, -1.0),
-    (2.0, 0.0, -1.0),
-    (1.0, 1.0, 0.0),
-    (2.0, 1.0, 0.0),
-    (1.0, 1.0, -1.0),
-    (2.0, 1.0, -1.0),
-    (3.0, 1.0, -1.0),
-    (1.0, 1.0, 1.0),
-    (2.0, 1.0, 1.0),
-    (3.0, 1.0, 1.0),
-    (2.0, 2.0, 1.0),
-    (4.0, 1.0, 1.0),
-]
 
 
 def _unit(rng):
@@ -299,6 +284,8 @@ def test_divergence_invariant_tensor():
     np.testing.assert_allclose(
         divergence_invariant_tensor(md, 3.7 * np.eye(3)), np.zeros(3)
     )
+    with pytest.raises(ValueError):
+        divergence_invariant_tensor(md, np.eye(2))
     # div nu_1 = sigma^(2) x sigma^(1)
     for _ in range(100):
         md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
@@ -407,6 +394,8 @@ def test_tension_closed_forms_match_assembly():
                 closed = closed_fn(md, sigma)
                 assembled = tension_assembled(md, sigma, r)
                 np.testing.assert_allclose(closed, assembled, atol=1e-11)
+    with pytest.raises(ValueError):
+        tension_assembled(md, E[0], 3)
 
 
 def test_sphere_bundle_multiplier_general():
@@ -438,6 +427,8 @@ def test_first_variation():
             assert first_variation_fd(md, sigma, zeta, r) <= 1e-6
     with pytest.raises(ValueError):
         first_variation_fd(round_su2, E[0], E[0], 1)  # not orthogonal
+    with pytest.raises(ValueError):
+        first_variation_fd(round_su2, E[0], E[1], 3)
 
 
 def test_horizontal_tension_principal_directions():
@@ -523,7 +514,7 @@ def test_predicates_cross_validated_with_eigen_tests():
     # unit scale only.
     rng = np.random.default_rng(109)
     scaled = [(1e50, 0.0, 0.0), (1e50, 1e50, 1e50), (2e50, 2e50, 1e50)]
-    for rep in REPRESENTATIVES + scaled:
+    for rep in list(REPRESENTATIVES) + scaled:
         md = classify_algebra(rep)
         samples = [_unit(rng) for _ in range(20)] + [E[0], E[2]]
         samples += [np.array([np.cos(0.3), 0.0, np.sin(0.3)])]
@@ -535,6 +526,35 @@ def test_predicates_cross_validated_with_eigen_tests():
             assert r1.r_harmonic_unit == bool(is_eigendirection(md.mu**2, sigma))
             if rep not in scaled:
                 assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
+    # Near the ends of the float range for mu^2 (r = 1) and rho^2 (r = 2),
+    # whose squared eigenvector residuals used to overflow or underflow.
+    # At 1e+-100 rho^2 itself leaves the range, so only r = 1 is pinned
+    # there, and the skyrmion operator's overflow is expected.
+    bases = [
+        (1.0, 0.0, 0.0),
+        (1.0, 0.0, -1.0),
+        (2.0, 1.0, 0.0),
+        (2.0, 1.0, -1.0),
+        (1.0, 1.0, 1.0),
+        (2.0, 1.0, 1.0),
+        (2.0, 2.0, 1.0),
+    ]
+    samples = [_unit(rng) for _ in range(8)] + [E[0], E[1], E[2], -E[1]]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for t in (0.3, 2.0):
+            v = np.zeros(3)
+            v[i], v[j] = np.cos(t), np.sin(t)
+            samples.append(v)
+    for base in bases:
+        for scale, degrees in ((1e50, (1, 2)), (1e-50, (1, 2)), (1e100, (1,)), (1e-100, (1,))):
+            lam = np.asarray(base) * scale
+            md = classify_algebra(lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sets = classify_sets(lam)
+                for sigma in samples:
+                    for r in degrees:
+                        verdict = check_predicates(md, sigma, r).r_harmonic_unit
+                        assert verdict == sets[f"H{r}"].contains(sigma), (base, scale, r)
 
 
 def test_predicates_sign_invariance():

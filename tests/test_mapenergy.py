@@ -71,6 +71,7 @@ def test_rank_zero_map():
     report = density_report(_point(np.zeros((4, 3))))
     np.testing.assert_allclose(report.eps, [1.0, 0.0, 0.0, 0.0])
     assert report.volume_density == 0.0
+    assert all(r_conformal_check(_point(np.zeros((4, 3))), r) for r in (1, 2, 3))
 
 
 def test_two_dim_eigenvalues():
@@ -208,6 +209,14 @@ def test_invalid_inputs():
         _point(np.eye(2), dom=np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(InvalidMetricError):
         _point(np.eye(2), dom=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(InvalidMetricError):
+        _point(np.eye(2), dom=np.ones((2, 3)))
+    with pytest.raises(InvalidMetricError):
+        _point(np.eye(2), dom=np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(ValueError):
+        PointData(jacobian=np.ones(2), domain_metric=np.eye(2), codomain_metric=np.eye(1))
+    with pytest.raises(ValueError):
+        _point(np.eye(2), cod=np.eye(3))
     with pytest.raises(ValueError):
         _point(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
@@ -224,5 +233,8 @@ def test_invalid_inputs():
         conformal_scaling_residual(point, 0.0, 1)
     with pytest.raises(ValueError):
         conformal_scaling_residual(point, -1.0, 1)
+    for r in (0, 4):
+        with pytest.raises(ValueError):
+            conformal_scaling_residual(point, 1.0, r)
     with pytest.raises(ValueError):
         r_conformal_check(point, 0)
