@@ -22,6 +22,7 @@ the basis serve as brute-force oracles for the closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ from .invariants import elementary_invariants_newton
 
 _TINY = 1e-300
 _EYE3 = np.eye(3)
+# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3).
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 #: Tolerance policy of every verdict: a quantity counts as zero when it is
 #: at most ``TOL`` times its scale (see :func:`_negligible`).
@@ -57,7 +61,7 @@ def _triple(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a triple, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -74,14 +78,23 @@ def _unit_triple(sigma) -> np.ndarray:
     return arr
 
 
-def _zero_mask(values: np.ndarray) -> np.ndarray:
-    return _negligible(np.abs(values), float(np.max(np.abs(values))))
+def _zero_mask(values) -> list[bool]:
+    # Which entries of a float triple are negligible against the largest.
+    mags = [abs(v) for v in values]
+    top = max(mags)
+    return [_negligible(m, top) for m in mags]
 
 
-def _sign_counts(values: np.ndarray) -> tuple[int, int]:
+def _sign_counts(values) -> tuple[int, int]:
     # Numbers of positive and negative entries that are not negligible.
-    kept = values[~_zero_mask(values)]
-    return int(np.sum(kept > 0)), int(np.sum(kept < 0))
+    kept = [v for v, zero in zip(values, _zero_mask(values)) if not zero]
+    return sum(v > 0 for v in kept), sum(v < 0 for v in kept)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Cross product over the last axis of (..., 3) arrays: numpy's products
+    # and differences without its axis bookkeeping, costly on 3-vectors.
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 @dataclass(frozen=True)
@@ -100,15 +113,15 @@ class StructureConstants:
 
     @classmethod
     def normalize(cls, raw) -> "StructureConstants":
-        vals = _triple(raw, "structure constants")
+        vals = _triple(raw, "structure constants").tolist()
         npos, nneg = _sign_counts(vals)
         flipped = nneg > npos
         if flipped:
-            vals = -vals
-        order = np.argsort(-vals, kind="stable")
+            vals = [-v for v in vals]
+        order = sorted(range(3), key=lambda i: -vals[i])  # stable: ties keep input order
         return cls(
-            values=tuple(float(v) for v in vals[order]),
-            permutation=tuple(int(i) for i in order),
+            values=tuple(vals[i] for i in order),
+            permutation=tuple(order),
             sign_flipped=flipped,
         )
 
@@ -145,24 +158,20 @@ def classify_algebra(sc) -> MilnorData:
         return sc
     if not isinstance(sc, StructureConstants):
         sc = StructureConstants.normalize(sc)
-    lam = np.asarray(sc.values)
-    npos, nneg = _sign_counts(lam)
+    npos, nneg = _sign_counts(sc.values)
     try:
         algebra_class = _CLASS_BY_SIGNS[(npos, nneg)]
     except KeyError:  # pragma: no cover - excluded by the sign convention
         raise ValueError(f"sign pattern ({npos}, {nneg}) violates normalization")
 
-    mu = 0.5 * float(lam.sum()) - lam
-    ricci = 2.0 * np.array([mu[1] * mu[2], mu[0] * mu[2], mu[0] * mu[1]])
-    sectional = np.array(
-        [
-            0.5 * (ricci[1] + ricci[2] - ricci[0]),
-            0.5 * (ricci[0] + ricci[2] - ricci[1]),
-            0.5 * (ricci[0] + ricci[1] - ricci[2]),
-        ]
-    )
-    zeros = int(np.sum(_zero_mask(ricci)))
+    half_sum = 0.5 * sum(sc.values)
+    m0, m1, m2 = (half_sum - v for v in sc.values)
+    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
+    zeros = sum(_zero_mask((r0, r1, r2)))
     assert zeros != 1, "a single vanishing principal Ricci curvature is impossible"
+    triples = (sc.values, (m0, m1, m2), (r0, r1, r2), (k23, k13, k12))
+    lam, mu, ricci, sectional = map(np.array, triples)
     for arr in (lam, mu, ricci, sectional):
         arr.setflags(write=False)
     return MilnorData(
@@ -192,13 +201,13 @@ def milnor_iterate(md: MilnorData, v, r: int) -> np.ndarray:
 def covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
     """Covariant derivative of the invariant field ``sigma`` along ``phi``,
     namely (mu*phi) x sigma in the oriented principal frame."""
-    return np.cross(md.mu * _triple(phi, "phi"), _triple(sigma, "sigma"))
+    return _cross(md.mu * _triple(phi, "phi"), _triple(sigma, "sigma"))
 
 
 def grad_norm_sq(md: MilnorData, sigma) -> float:
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
     arr = _triple(sigma, "sigma")
-    return float(np.sum(md.mu**2 * (float(arr @ arr) - arr**2)))
+    return float((md.mu**2 * (float(arr @ arr) - arr**2)).sum())
 
 
 def wedge_norm_sq(md: MilnorData, sigma) -> float:
@@ -207,7 +216,10 @@ def wedge_norm_sq(md: MilnorData, sigma) -> float:
     Closed form |sigma|^2 |Ric(sigma)|^2 / 4; the Gram-determinant sum over
     frame pairs gives the same number (oracle in the test battery).
     """
-    arr = _triple(sigma, "sigma")
+    return _wedge_norm_sq(md, _triple(sigma, "sigma"))
+
+
+def _wedge_norm_sq(md: MilnorData, arr: np.ndarray) -> float:
     ric = md.ricci * arr
     return 0.25 * float(arr @ arr) * float(ric @ ric)
 
@@ -215,35 +227,19 @@ def wedge_norm_sq(md: MilnorData, sigma) -> float:
 def second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
     """Second covariant derivative of ``sigma`` along the pair (phi, psi)."""
     p1 = md.mu * _triple(phi, "phi")
-    q1 = md.mu * _triple(psi, "psi")
+    q = _triple(psi, "psi")
+    q1 = md.mu * q
     arr = _triple(sigma, "sigma")
-    return (
-        float(p1 @ arr) * q1
-        - float(p1 @ q1) * arr
-        - np.cross(md.mu * np.cross(p1, _triple(psi, "psi")), arr)
-    )
+    return float(p1 @ arr) * q1 - float(p1 @ q1) * arr - _cross(md.mu * _cross(p1, q), arr)
 
 
 def riemann_action(md: MilnorData, i: int, j: int, sigma) -> np.ndarray:
     """Curvature operator R(e_i, e_j) applied to ``sigma`` (1-based indices),
-    K_ij (a_j e_i - a_i e_j); zero when i == j by antisymmetry."""
+    K_ij (a_j e_i - a_i e_j); zero when i == j by antisymmetry.  In general
+    R(u, w) z = z x (K o (u x w)) with K = ``md.sectional``."""
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError(f"frame indices must be in 1..3, got ({i}, {j})")
-    arr = _triple(sigma, "sigma")
-    if i == j:
-        return np.zeros(3)
-    return _riemann(md, _EYE3[i - 1], _EYE3[j - 1], arr)
-
-
-def _riemann(md: MilnorData, u: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Trilinear curvature operator R(u, w) z in the principal frame; the
-    # pair (i, j) has sectional curvature md.sectional[3 - i - j].
-    out = np.zeros(3)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        coeff = (u[i] * w[j] - u[j] * w[i]) * md.sectional[3 - i - j]
-        out[i] += coeff * z[j]
-        out[j] -= coeff * z[i]
-    return out
+    return _cross(_triple(sigma, "sigma"), md.sectional * _cross(_EYE3[i - 1], _EYE3[j - 1]))
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
@@ -254,8 +250,11 @@ def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
     of phi -> phi^(2) - <phi, sigma^(1)> sigma^(1) in Milnor-iterate
     notation.
     """
-    arr = _triple(sigma, "sigma")
-    deriv = md.mu[:, None] * np.cross(_EYE3, arr)
+    return _vertical_gram(md, _triple(sigma, "sigma"))
+
+
+def _vertical_gram(md: MilnorData, arr: np.ndarray) -> np.ndarray:
+    deriv = md.mu[:, None] * _cross(_EYE3, arr)
     return deriv @ deriv.T
 
 
@@ -272,21 +271,37 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     s1 = mu*sigma; equal to (trace of the vertical Gram matrix) * I minus
     that matrix.
     """
-    arr = _unit_triple(sigma)
+    return _newton_matrix(md, _unit_triple(sigma), 1)
+
+
+def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int):
+    # Vertical Newton tensor of degree 1 or 2 of the unit field ``arr`` as
+    # diag(delta) + c * s1 s1^T, s1 = mu*sigma.  Degree 2 needs sigma in H1.
+    mu_sq = md.mu**2
     s1 = md.mu * arr
-    norm_m_sq = float(np.sum(md.mu**2))
-    return (
-        (norm_m_sq - float(s1 @ s1)) * _EYE3
-        - np.diag(md.mu**2)
-        + np.outer(s1, s1)
-    )
+    s1_sq = float(s1 @ s1)
+    e1 = float(mu_sq.sum()) - s1_sq
+    if degree == 1:
+        return e1 - mu_sq, 1.0
+    if not in_h1(md, arr):
+        raise PreconditionError(
+            "sigma is not an eigenvector of the squared Milnor map; "
+            "the degree-2 Newton tensor closed form does not apply"
+        )
+    return mu_sq**2 - e1 * mu_sq + _wedge_norm_sq(md, arr), e1 - s1_sq
+
+
+def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
+    delta, c = _newton_parts(md, arr, degree)
+    s1 = md.mu * arr
+    return np.diag(delta) + c * np.outer(s1, s1)
 
 
 def _unit_diagonal(diag_values) -> np.ndarray:
     # The diagonal divided by its largest |entry|, so that squared residuals
     # neither overflow nor underflow; the relative test is unchanged.
     d = np.asarray(diag_values, dtype=float)
-    return d / max(float(np.max(np.abs(d))), _TINY)
+    return d / max(float(np.abs(d).max()), _TINY)
 
 
 def _norm(v):
@@ -319,6 +334,15 @@ def in_h2(md: MilnorData, sigma):
     return is_eigendirection(md.ricci**2, sigma)
 
 
+def in_z1(md: MilnorData, sigma):
+    """Whether ``sigma`` is parallel (Z1): |nabla sigma|, the root of
+    sum_i mu_i^2 (sum of a_j^2 over j != i), is negligible against max |mu_i|,
+    on mu scaled to max |mu_i| = 1."""
+    m0, m1, m2 = (_unit_diagonal(md.mu) ** 2).tolist()
+    arr = np.asarray(sigma, dtype=float)
+    return _negligible(np.sqrt((arr * arr) @ np.array([m1 + m2, m0 + m2, m0 + m1])), 1.0)
+
+
 def in_z2(md: MilnorData, sigma):
     """Whether ``sigma`` lies in the Ricci kernel (Z2): |Ric(sigma)| is
     negligible against max |rho_i|, on rho scaled to max |rho_i| = 1."""
@@ -327,8 +351,16 @@ def in_z2(md: MilnorData, sigma):
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling: float):
     """Whether ``sigma`` is a twisted 2-skyrmion: an eigenvector of
-    diag(mu^2 - (coupling/4) rho^2)."""
-    return is_eigendirection(md.mu**2 - 0.25 * coupling * md.ricci**2, sigma)
+    diag(d), d_i = mu_i^2 - (coupling/4) rho_i^2, for a positive coupling.
+
+    With rho_i = 2 mu_j mu_k, d_i - d_j = (mu_i^2 - mu_j^2)(1 + coupling mu_k^2)
+    for every permutation (i, j, k), so two entries of d coincide exactly
+    when the same two entries of mu^2 do: the locus is H1 (:func:`in_h1`).
+    Deciding it on d itself would mix degrees 2 and 4 in lambda.
+    """
+    if not (math.isfinite(coupling) and coupling > 0.0):
+        raise ValueError(f"coupling must be positive, got {coupling}")
+    return in_h1(md, sigma)
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -339,26 +371,12 @@ def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
     where e1, e2 are the degree-1 and degree-2 bending densities.  Off the
     eigenvector locus the closed form is invalid, so the call refuses.
     """
-    arr = _unit_triple(sigma)
-    if not in_h1(md, arr):
-        raise PreconditionError(
-            "sigma is not an eigenvector of the squared Milnor map; "
-            "the degree-2 Newton tensor closed form does not apply"
-        )
-    mu_sq = md.mu**2
-    s1 = md.mu * arr
-    e1 = float(np.sum(mu_sq)) - float(s1 @ s1)
-    e2 = wedge_norm_sq(md, arr)
-    return (
-        np.diag(mu_sq**2)
-        - e1 * np.diag(mu_sq)
-        + e2 * _EYE3
-        + (e1 - float(s1 @ s1)) * np.outer(s1, s1)
-    )
+    return _newton_matrix(md, _unit_triple(sigma), 2)
 
 
 def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
-    """Divergence of an invariant (1,1)-tensor, sum_i mu_i e_i x (T e_i).
+    """Divergence of an invariant (1,1)-tensor, sum_i mu_i e_i x (T e_i),
+    in components (mu2 T32 - mu3 T23, mu3 T13 - mu1 T31, mu1 T21 - mu2 T12).
 
     Valid for any invariant tensor because the principal frame fields are
     geodesic; multiples of the identity contribute nothing.
@@ -366,10 +384,9 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
     t = np.asarray(tensor, dtype=float)
     if t.shape != (3, 3):
         raise ValueError(f"tensor must be 3x3, got shape {t.shape}")
-    out = np.zeros(3)
-    for i in range(3):
-        out += md.mu[i] * np.cross(_EYE3[i], t[:, i])
-    return out
+    m0, m1, m2 = md.mu.tolist()
+    (_, t01, t02), (t10, _, t12), (t20, t21, _) = t.tolist()
+    return np.array([m1 * t21 - m2 * t12, m2 * t02 - m0 * t20, m0 * t10 - m1 * t01])
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +397,21 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
 def tension_t1(md: MilnorData, sigma) -> np.ndarray:
     """Degree-1 vertical tension, sigma^(2) - |M|^2 sigma (the rough
     Laplacian of an invariant field, with sign convention trace nabla^2)."""
-    arr = _triple(sigma, "sigma")
-    return md.mu**2 * arr - float(np.sum(md.mu**2)) * arr
+    return _tension_t1(md, _triple(sigma, "sigma"))
+
+
+def _tension_t1(md: MilnorData, arr: np.ndarray) -> np.ndarray:
+    mu_sq = md.mu**2
+    return mu_sq * arr - float(mu_sq.sum()) * arr
 
 
 def tension_t2(md: MilnorData, sigma) -> np.ndarray:
     """Degree-2 vertical tension of a unit field,
     -(|Ric(sigma)|^2 sigma + Ric^2(sigma)) / 4."""
-    arr = _unit_triple(sigma)
+    return _tension_t2(md, _unit_triple(sigma))
+
+
+def _tension_t2(md: MilnorData, arr: np.ndarray) -> np.ndarray:
     ric = md.ricci * arr
     return -0.25 * (float(ric @ ric) * arr + md.ricci**2 * arr)
 
@@ -453,22 +477,41 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
     with nu the full degree-(r-1) Newton tensor, i.e. the vertical one
     shifted by identity terms (nu_0 = I, nu_1 = nu_1^v + 2I,
     nu_2 = nu_2^v + nu_1^v + I); the shifts are divergence-free.  For r = 3
-    the field must be an eigenvector of the squared Milnor map.
+    the field must be an eigenvector of the squared Milnor map.  Refuses
+    when the result overflows the float range.
     """
     arr = _unit_triple(sigma)
-    if r == 1:
-        nu = _EYE3
-    elif r == 2:
-        nu = vertical_newton_1(md, arr) + 2.0 * _EYE3
-    elif r == 3:
-        nu = vertical_newton_2(md, arr) + vertical_newton_1(md, arr) + _EYE3
-    else:
+    if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
-    out = divergence_invariant_tensor(md, nu)
-    for i in range(3):
-        eta_i = covariant_derivative(md, nu[:, i], arr)
-        out += _riemann(md, arr, eta_i, _EYE3[i])
+    out = _horizontal_tension(md, arr, r)
+    if not np.isfinite(out).all():
+        raise ValueError(f"the degree-{r} horizontal tension overflows the float range")
     return out
+
+
+def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
+    # nu = diag(delta) + c s1 s1^T (s1 = mu*sigma, s2 = mu*s1).  With R as in
+    # riemann_action, the diagonal part gives (K o sigma) x (delta o s1); the
+    # rank-one part gives c (s2 x s1 + R(sigma, s2 x sigma) s1).  mu and K are
+    # taken in units of t = 2^e ~ max |mu|, an exact rescaling, so that no
+    # intermediate outgrows delta or c and a zero result stays zero.
+    if r == 1:
+        delta, c = 1.0, 0.0
+    else:
+        delta, c = _newton_parts(md, arr, 1)
+        delta = delta + (2.0 if r == 2 else 1.0)
+        if r == 3:
+            delta2, c2 = _newton_parts(md, arr, 2)
+            delta, c = delta + delta2, c + c2
+    e = math.frexp(float(np.abs(md.mu).max()))[1]
+    mu, sectional = np.ldexp(md.mu, -e), np.ldexp(md.sectional, -2 * e)
+    s1 = mu * arr
+    out = _cross(sectional * arr, delta * s1)
+    if c:
+        s2 = mu * s1
+        bend = _cross(s1, sectional * _cross(arr, _cross(s2, arr)))
+        out = out + c * (_cross(s2, s1) + np.ldexp(bend, 2 * e))
+    return np.ldexp(out, 3 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +538,9 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     """Evaluate the harmonicity predicates of a unit invariant field.
 
     ``r_parallel`` tests vanishing of the degree-r bending density (degree 1:
-    the covariant derivative itself, degree 2: Ric(sigma), i.e. :func:`in_z2`,
-    degree 3: trivially true since the derivative has rank at most 2).
+    the covariant derivative itself, i.e. :func:`in_z1`, degree 2:
+    Ric(sigma), i.e. :func:`in_z2`, degree 3: trivially true since the
+    derivative has rank at most 2).
     ``r_harmonic_unit`` is membership in the harmonic locus H_r of
     :func:`classify_sets`: :func:`in_h1` for r = 1, :func:`in_h2` for r = 2,
     and every unit field qualifies at degree 3.  The vertical tension field is
@@ -505,25 +549,25 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     weights (default 0.5, the binomial weights (2, 1)), and the solution set
     does not depend on it.  ``r_harmonic_map`` is the classification of maps
     into the unit tangent bundle: a structure-map eigenvector for r = 1, 2 and
-    a squared-Milnor-map eigenvector for r = 3.
+    a squared-Milnor-map eigenvector for r = 3.  The horizontal tension of
+    :func:`horizontal_tension` is reported alongside, or None where it is
+    not defined (off H1 at r = 3) or overflows the float range.
     """
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
-    if not np.isfinite(coupling) or coupling <= 0.0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
-
+    skyrmion = bool(in_skyrmion_locus(md, arr, coupling))  # validates coupling
     h1 = bool(in_h1(md, arr))
 
     # Vanishing is always thresholded on quantities linear in the offending
     # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
     # has the same width as descriptor membership and eigenvector residuals.
     if r == 1:
-        vertical = tension_t1(md, arr)
-        parallel = _negligible(np.sqrt(grad_norm_sq(md, arr)), float(np.max(np.abs(md.mu))))
+        vertical = _tension_t1(md, arr)
+        parallel = in_z1(md, arr)
         harmonic_unit = h1
     elif r == 2:
-        vertical = tension_t2(md, arr)
+        vertical = _tension_t2(md, arr)
         parallel = in_z2(md, arr)
         harmonic_unit = in_h2(md, arr)
     else:
@@ -533,13 +577,14 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         parallel = True
         harmonic_unit = True
 
-    skyrmion = bool(in_skyrmion_locus(md, arr, coupling))
     if r == 3:
         harmonic_map = h1
-        horizontal = horizontal_tension(md, arr, 3) if h1 else None
+        horizontal = _horizontal_tension(md, arr, 3) if h1 else None
     else:
         harmonic_map = bool(is_eigendirection(md.lam, arr))
-        horizontal = horizontal_tension(md, arr, r)
+        horizontal = _horizontal_tension(md, arr, r)
+    if horizontal is not None and not np.isfinite(horizontal).all():
+        horizontal = None
 
     return PredicateReport(
         r=r,
@@ -550,7 +595,7 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         r_harmonic_map=harmonic_map,
         vertical_tension=vertical,
         horizontal_tension=horizontal,
-        vertical_energy=float(vertical_invariants(md, arr)[r]),
+        vertical_energy=float(elementary_invariants_newton(_vertical_gram(md, arr))[r]),
     )
 
 
@@ -665,11 +710,12 @@ def _eigendirection_descriptor(values: np.ndarray) -> SubsetDescriptor:
     # Unit eigenvectors of a diagonal map with non-negative entries `values`:
     # determined by which entries coincide (relative tolerance against the
     # largest).  Near-degenerate triples resolve by transitive closure.
-    top = float(np.max(values))
+    vals = values.tolist()
+    top = max(vals)
     if top <= _TINY:
         return SubsetDescriptor.sphere()
     pairs = [(1, 2), (1, 3), (2, 3)]
-    equal = [_negligible(abs(values[i - 1] - values[j - 1]), top) for i, j in pairs]
+    equal = [_negligible(abs(vals[i - 1] - vals[j - 1]), top) for i, j in pairs]
     count = sum(equal)
     if count >= 2:
         return SubsetDescriptor.sphere()
@@ -701,18 +747,18 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
     """
     md = classify_algebra(sc)
 
-    mu_zero = _zero_mask(md.mu)
-    if int(mu_zero.sum()) == 3:
+    mu_zero = _zero_mask(md.mu.tolist())
+    if sum(mu_zero) == 3:
         z1 = SubsetDescriptor.sphere()
-    elif int(mu_zero.sum()) == 2:
-        z1 = SubsetDescriptor.polar_pair(int(np.flatnonzero(~mu_zero)[0]) + 1)
+    elif sum(mu_zero) == 2:
+        z1 = SubsetDescriptor.polar_pair(mu_zero.index(False) + 1)
     else:
         z1 = SubsetDescriptor.empty()
 
     if md.ricci_kernel_dim == 3:
         z2 = SubsetDescriptor.sphere()
     elif md.ricci_kernel_dim == 2:
-        i, j = (int(k) + 1 for k in np.flatnonzero(_zero_mask(md.ricci)))
+        i, j = (k + 1 for k, zero in enumerate(_zero_mask(md.ricci.tolist())) if zero)
         z2 = SubsetDescriptor.circle(i, j)
     else:
         z2 = SubsetDescriptor.empty()

@@ -43,7 +43,8 @@ class UnsupportedDimensionError(ValueError):
     """The operation requires an even domain dimension."""
 
 
-def _check_metric(g: np.ndarray, name: str) -> np.ndarray:
+def _check_metric(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    # The symmetrized metric and its Cholesky factor, which proves it definite.
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidMetricError(f"{name} must be square, got shape {g.shape}")
@@ -52,11 +53,11 @@ def _check_metric(g: np.ndarray, name: str) -> np.ndarray:
     sym_tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
     if np.max(np.abs(g - g.T)) > sym_tol:
         raise InvalidMetricError(f"{name} is not symmetric")
+    sym = 0.5 * (g + g.T)
     try:
-        np.linalg.cholesky(g)
+        return sym, np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         raise InvalidMetricError(f"{name} is not positive-definite") from None
-    return 0.5 * (g + g.T)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ class PointData:
     jacobian: np.ndarray
     domain_metric: np.ndarray
     codomain_metric: np.ndarray
+    # Cholesky factor L of the domain metric, G = L L^T.
+    _domain_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         jac = np.asarray(self.jacobian, dtype=float)
@@ -83,8 +86,8 @@ class PointData:
             raise ValueError(f"jacobian must be 2-D, got shape {jac.shape}")
         if not np.all(np.isfinite(jac)):
             raise ValueError("jacobian has non-finite entries")
-        g = _check_metric(self.domain_metric, "domain metric")
-        h = _check_metric(self.codomain_metric, "codomain metric")
+        g, low = _check_metric(self.domain_metric, "domain metric")
+        h, _ = _check_metric(self.codomain_metric, "codomain metric")
         n, m = jac.shape
         if m > MAX_DIM:
             raise ValueError(f"domain dimension {m} exceeds cap {MAX_DIM}")
@@ -95,6 +98,7 @@ class PointData:
         object.__setattr__(self, "jacobian", jac)
         object.__setattr__(self, "domain_metric", g)
         object.__setattr__(self, "codomain_metric", h)
+        object.__setattr__(self, "_domain_factor", low)
 
     @property
     def m(self) -> int:
@@ -135,7 +139,7 @@ def _whitened_pullback(point: PointData) -> np.ndarray:
     # Cholesky reduction of the symmetric-definite pair (P, G) (Golub & Van
     # Loan, section 8.7): with G = L L^T, B = L^{-1} P L^{-T} is symmetric
     # positive semi-definite and similar to alpha = G^{-1} P.
-    inv_low = np.linalg.inv(np.linalg.cholesky(point.domain_metric))
+    inv_low = np.linalg.inv(point._domain_factor)
     b = inv_low @ pullback_metric(point) @ inv_low.T
     return 0.5 * (b + b.T)
 

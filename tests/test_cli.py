@@ -96,6 +96,30 @@ def test_check_ricci_flat_section(capsys):
         ["check", "--lambda", "1,0,-1", "--sigma", "1,0,1", "--r", "2", "--kind", "section"],
     )
     assert code == 0
+    # Nil has Z1 = Empty at every scale; mu^2 underflows at 1e-170.
+    code, out, _ = _run(
+        capsys,
+        ["check", "--lambda", "1e-170,0,0", "--sigma", "0,1,1", "--r", "1", "--kind", "section"],
+    )
+    assert code == 1
+    assert "r_parallel         : False" in out
+
+
+def test_check_survives_horizontal_tension_overflow(capsys):
+    # The degree-3 horizontal tension of this field in H1 leaves the float
+    # range; the verdicts stand and the tension is reported as None.
+    argv = [
+        "check",
+        "--lambda=4.1587337981970593e+99,0.0,-2.0793668990985297e+99",
+        "--sigma=-0.9957791567572211,0.0,0.09178164831750239",
+        "--r=3",
+        "--kind=map",
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert "r_harmonic_map     : True" in out
+    assert "horizontal tension : None" in out
 
 
 def test_check_principal_direction_map(capsys):

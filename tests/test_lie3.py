@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hpharmonics import lie3
 from hpharmonics.invariants import elementary_invariants_newton
 from hpharmonics.lie3 import (
     PreconditionError,
@@ -14,6 +15,7 @@ from hpharmonics.lie3 import (
     grad_norm_sq,
     horizontal_tension,
     in_h1,
+    in_z1,
     is_eigendirection,
     milnor_iterate,
     riemann_action,
@@ -169,6 +171,20 @@ def test_covariant_derivative_frame_relations():
             for j in range(3):
                 expected = np.cross(md.mu[i] * E[i], E[j])
                 np.testing.assert_allclose(covariant_derivative(md, E[i], E[j]), expected)
+
+
+def test_cross_is_bitwise_numpy_cross():
+    rng = np.random.default_rng(50)
+    a = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-150, 151, size=(200, 3))
+    b = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-150, 151, size=(200, 3))
+    zeros = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0], [1e150, -0.0, 1e-150]])
+    a = np.concatenate([a, zeros, -zeros])
+    b = np.concatenate([b, zeros[::-1], zeros])
+    for x, y in ((a, b), (a[0], b[0]), (E, b[1]), (a[2], E), (zeros, -zeros)):
+        got, want = lie3._cross(x, y), np.cross(x, y)
+        assert got.shape == want.shape
+        # Bitwise, signed zeros included.
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grad_norm_sq():
@@ -352,6 +368,48 @@ def test_vertical_newton_2_examples_and_refusal():
         vertical_newton_2(md, sigma)
 
 
+def _divergence_loop(md, t):
+    # Frame sum sum_i mu_i e_i x (T e_i).
+    return sum(md.mu[i] * np.cross(E[i], t[:, i]) for i in range(3))
+
+
+def _horizontal_loop(md, sigma, r):
+    # div(nu) + sum_i R(sigma, nabla_{nu e_i} sigma) e_i over the frame, with
+    # nabla_phi sigma = (mu*phi) x sigma and R(u, w) z summed over frame pairs.
+    if r == 1:
+        nu = E
+    elif r == 2:
+        nu = vertical_newton_1(md, sigma) + 2.0 * E
+    else:
+        nu = vertical_newton_2(md, sigma) + vertical_newton_1(md, sigma) + E
+    out = _divergence_loop(md, nu)
+    for i in range(3):
+        eta = np.cross(md.mu * nu[:, i], sigma)
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            coeff = (sigma[p] * eta[q] - sigma[q] * eta[p]) * md.sectional[3 - p - q]
+            out[p] += coeff * E[i][q]
+            out[q] -= coeff * E[i][p]
+    return out
+
+
+def test_closed_forms_match_frame_loops():
+    rng = np.random.default_rng(81)
+    for rep in REPRESENTATIVES:
+        md = classify_algebra(rep)
+        generic = [_unit(rng) for _ in range(6)]
+        for t in [rng.normal(size=(3, 3)) for _ in range(4)] + [vertical_newton_1(md, generic[0])]:
+            np.testing.assert_allclose(
+                divergence_invariant_tensor(md, t), _divergence_loop(md, t), rtol=1e-12, atol=1e-15
+            )
+        for sigma in _h1_samples(rng, md, count=4) + generic:
+            for r in (1, 2, 3) if bool(in_h1(md, sigma)) else (1, 2):
+                loop = _horizontal_loop(md, sigma, r)
+                scale = max(1.0, float(np.abs(loop).max()))
+                np.testing.assert_allclose(
+                    horizontal_tension(md, sigma, r), loop, rtol=1e-12, atol=1e-12 * scale
+                )
+
+
 # ---------------------------------------------------------------------------
 # tension fields
 # ---------------------------------------------------------------------------
@@ -509,11 +567,11 @@ def test_predicates_degree3_always_unit_harmonic():
 
 
 def test_predicates_cross_validated_with_eigen_tests():
-    # r_harmonic_unit is H_r membership at every scale of lambda.  The
-    # skyrmion locus mixes degrees 2 and 4 in lambda, so it is compared at
-    # unit scale only.
+    # r_harmonic_unit is H_r membership and the skyrmion locus is H1 at every
+    # scale of lambda; on (2e5, 1e5, -1e5) the skyrmion operator's mu^2
+    # differences fall below the tolerance against its rho^2 entries.
     rng = np.random.default_rng(109)
-    scaled = [(1e50, 0.0, 0.0), (1e50, 1e50, 1e50), (2e50, 2e50, 1e50)]
+    scaled = [(1e50, 0.0, 0.0), (1e50, 1e50, 1e50), (2e50, 2e50, 1e50), (2e5, 1e5, -1e5)]
     for rep in list(REPRESENTATIVES) + scaled:
         md = classify_algebra(rep)
         samples = [_unit(rng) for _ in range(20)] + [E[0], E[2]]
@@ -524,12 +582,10 @@ def test_predicates_cross_validated_with_eigen_tests():
             assert r2.r_harmonic_unit == bool(is_eigendirection(md.ricci**2, sigma))
             r1 = check_predicates(md, sigma, 1)
             assert r1.r_harmonic_unit == bool(is_eigendirection(md.mu**2, sigma))
-            if rep not in scaled:
-                assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
+            assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
     # Near the ends of the float range for mu^2 (r = 1) and rho^2 (r = 2),
     # whose squared eigenvector residuals used to overflow or underflow.
-    # At 1e+-100 rho^2 itself leaves the range, so only r = 1 is pinned
-    # there, and the skyrmion operator's overflow is expected.
+    # At 1e+-100 rho^2 itself leaves the range, so only r = 1 is pinned there.
     bases = [
         (1.0, 0.0, 0.0),
         (1.0, 0.0, -1.0),
@@ -553,8 +609,78 @@ def test_predicates_cross_validated_with_eigen_tests():
                 sets = classify_sets(lam)
                 for sigma in samples:
                     for r in degrees:
-                        verdict = check_predicates(md, sigma, r).r_harmonic_unit
-                        assert verdict == sets[f"H{r}"].contains(sigma), (base, scale, r)
+                        report = check_predicates(md, sigma, r)
+                        where = (base, scale, r)
+                        assert report.r_harmonic_unit == sets[f"H{r}"].contains(sigma), where
+                        assert report.twisted_2_skyrmion == sets["H1"].contains(sigma), where
+
+
+def test_parallel_test_is_scale_safe():
+    # |nabla sigma| is formed on mu scaled to max |mu| = 1, so Z1 membership
+    # matches the descriptor where mu^2 underflows or overflows.
+    rng = np.random.default_rng(111)
+    samples = np.array([E[0], E[1], E[2], [0.0, 0.6, 0.8], [0.6, 0.8, 0.0], _unit(rng)])
+    bases = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0), (1.0, 0.0, -1.0)]
+    for base in bases + [(1.0, 1.0, 1.0)]:
+        for scale in (1e-170, 1.0, 1e170):
+            md = classify_algebra(np.asarray(base) * scale)
+            with np.errstate(over="ignore", invalid="ignore"):
+                z1 = classify_sets(md)["Z1"]
+            np.testing.assert_array_equal(in_z1(md, samples), z1.contains(samples), (base, scale))
+    # mu^2 = 1e-340 underflows to 0: the residual used to call this parallel.
+    md = classify_algebra((1e-170, 0.0, 0.0))
+    assert not check_predicates(md, np.array([0.0, 0.6, 0.8]), 1).r_parallel
+
+
+def test_check_predicates_validates_once(monkeypatch):
+    # One validation of sigma per call, and no numpy cross products.
+    calls = {"cross": 0, "triple": 0}
+    true_cross, true_triple = np.cross, lie3._triple
+
+    def counting_cross(*args, **kwargs):
+        calls["cross"] += 1
+        return true_cross(*args, **kwargs)
+
+    def counting_triple(*args):
+        calls["triple"] += 1
+        return true_triple(*args)
+
+    monkeypatch.setattr(np, "cross", counting_cross)
+    monkeypatch.setattr(lie3, "_triple", counting_triple)
+    rng = np.random.default_rng(112)
+    for rep in REPRESENTATIVES:
+        md = classify_algebra(rep)
+        for sigma in (E[0], np.array([0.6, 0.0, 0.8]), _unit(rng)):
+            for r in (1, 2, 3):
+                calls.update(cross=0, triple=0)
+                check_predicates(md, sigma, r)
+                assert calls["cross"] == 0
+                assert calls["triple"] <= 1
+
+
+def test_horizontal_tension_refuses_overflow():
+    # |lambda| ~ 4e99: mu^4 in the degree-2 Newton tensor leaves the float
+    # range, so the degree-3 tension cannot be represented.
+    sc = StructureConstants.normalize((4.1587337981970593e99, 0.0, -2.0793668990985297e99))
+    md = classify_algebra(sc)
+    sigma = sc.permute((-0.9957791567572211, 0.0, 0.09178164831750239))
+    sigma = sigma / np.linalg.norm(sigma)
+    assert in_h1(md, sigma)
+    big = classify_algebra(np.array([2.0, 1.0, -1.0]) * 1e120)
+    generic = np.array([0.6, 0.48, 0.64])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="degree-3 horizontal tension overflows"):
+            horizontal_tension(md, sigma, 3)
+        report = check_predicates(md, sigma, 3)
+        for r in (1, 2):
+            with pytest.raises(ValueError, match=f"degree-{r} horizontal tension overflows"):
+                horizontal_tension(big, generic, r)
+            assert check_predicates(big, generic, r).horizontal_tension is None
+    assert report.horizontal_tension is None
+    assert report.r_harmonic_map
+    # A zero tension stays zero where its terms would overflow: flat e2.
+    flat = classify_algebra((3e111, 3e111, 0.0))
+    np.testing.assert_array_equal(horizontal_tension(flat, generic, 2), np.zeros(3))
 
 
 def test_predicates_sign_invariance():
@@ -579,5 +705,6 @@ def test_predicates_validation():
         check_predicates(md, np.array([1.0, 1.0, 0.0]), 1)
     with pytest.raises(ValueError):
         check_predicates(md, E[0], 4)
-    with pytest.raises(ValueError):
-        check_predicates(md, E[0], 2, coupling=-1.0)
+    for coupling in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            check_predicates(md, E[0], 2, coupling=coupling)

@@ -67,6 +67,26 @@ def test_diagonal_stretches():
     np.testing.assert_allclose(stretch_eigenvalues(point), np.sort(p / g), rtol=1e-9)
 
 
+def test_domain_metric_factored_once(monkeypatch):
+    # PointData factors each metric once; the whitening reuses the domain
+    # factor instead of factoring G again on every call.
+    point = _random_point(np.random.default_rng(6), 4, 5)
+    factored = []
+    true_cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        factored.append(a)
+        return true_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    point = PointData(point.jacobian, point.domain_metric, point.codomain_metric)
+    assert len(factored) == 2
+    stretch_eigenvalues(point)
+    gram_invariants(point)
+    r_conformal_check(point, 2)
+    assert len(factored) == 2
+
+
 def test_rank_zero_map():
     report = density_report(_point(np.zeros((4, 3))))
     np.testing.assert_allclose(report.eps, [1.0, 0.0, 0.0, 0.0])
