@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,7 +71,9 @@ def dumps_report(doc, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(doc)!r}")
 
 
-def _vec(values) -> list[float]:
+def _vec(values) -> list[float] | None:
+    if values is None:  # a quantity the report could not represent
+        return None
     return [float(v) for v in np.asarray(values).reshape(-1)]
 
 
@@ -175,12 +178,15 @@ def cmd_classify(args) -> int:
 def cmd_check(args) -> int:
     lam_input = _parse_triple(args.lam, "--lambda")
     sigma_input = _parse_triple(args.sigma, "--sigma")
-    norm = float(np.linalg.norm(sigma_input))
+    # Scale by a power of two near max |sigma_i| (exact) so the norm can
+    # neither overflow nor underflow.
+    scaled = np.ldexp(sigma_input, -math.frexp(float(np.abs(sigma_input).max()))[1])
+    norm = float(np.linalg.norm(scaled))
     if norm == 0.0:
         raise ValueError("--sigma must be nonzero")
     sc = lie3.StructureConstants.normalize(lam_input)
     md = lie3.classify_algebra(sc)
-    sigma = sc.permute(sigma_input) / norm
+    sigma = sc.permute(scaled) / norm
     predicates = lie3.check_predicates(md, sigma, args.r, coupling=args.coupling)
 
     report = _algebra_report(lam_input, sc, md, lie3.classify_sets(md))
@@ -195,9 +201,7 @@ def cmd_check(args) -> int:
         "twisted_2_skyrmion": predicates.twisted_2_skyrmion,
         "r_harmonic_map": predicates.r_harmonic_map,
         "vertical_tension": _vec(predicates.vertical_tension),
-        "horizontal_tension": None
-        if predicates.horizontal_tension is None
-        else _vec(predicates.horizontal_tension),
+        "horizontal_tension": _vec(predicates.horizontal_tension),
         "vertical_energy": predicates.vertical_energy,
     }
 

@@ -206,8 +206,13 @@ def covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
 
 def grad_norm_sq(md: MilnorData, sigma) -> float:
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
-    arr = _triple(sigma, "sigma")
-    return float((md.mu**2 * (float(arr @ arr) - arr**2)).sum())
+    return float(_grad_norm_sq(md.mu, _triple(sigma, "sigma")))
+
+
+def _grad_norm_sq(mu: np.ndarray, arr: np.ndarray):
+    # sum_i a_i^2 (mu_j^2 + mu_k^2): no term is negative, so nothing cancels.
+    m0, m1, m2 = (mu**2).tolist()
+    return (arr * arr) @ np.array([m1 + m2, m0 + m2, m0 + m1])
 
 
 def wedge_norm_sq(md: MilnorData, sigma) -> float:
@@ -250,11 +255,7 @@ def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
     of phi -> phi^(2) - <phi, sigma^(1)> sigma^(1) in Milnor-iterate
     notation.
     """
-    return _vertical_gram(md, _triple(sigma, "sigma"))
-
-
-def _vertical_gram(md: MilnorData, arr: np.ndarray) -> np.ndarray:
-    deriv = md.mu[:, None] * _cross(_EYE3, arr)
+    deriv = md.mu[:, None] * _cross(_EYE3, _triple(sigma, "sigma"))
     return deriv @ deriv.T
 
 
@@ -274,25 +275,29 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     return _newton_matrix(md, _unit_triple(sigma), 1)
 
 
-def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int):
-    # Vertical Newton tensor of degree 1 or 2 of the unit field ``arr`` as
-    # diag(delta) + c * s1 s1^T, s1 = mu*sigma.  Degree 2 needs sigma in H1.
+def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int) -> list:
+    # Vertical Newton tensors of degrees 1..degree (<= 2) of the unit field
+    # as (delta, c), i.e. diag(delta) + c * s1 s1^T; degree 2 needs H1.
     mu_sq = md.mu**2
     s1 = md.mu * arr
     s1_sq = float(s1 @ s1)
     e1 = float(mu_sq.sum()) - s1_sq
-    if degree == 1:
-        return e1 - mu_sq, 1.0
+    parts = [(e1 - mu_sq, 1.0)]
+    if degree == 2:
+        parts.append((mu_sq**2 - e1 * mu_sq + _wedge_norm_sq(md, arr), e1 - s1_sq))
+    return parts
+
+
+def _require_h1(md: MilnorData, arr: np.ndarray) -> None:
     if not in_h1(md, arr):
         raise PreconditionError(
             "sigma is not an eigenvector of the squared Milnor map; "
             "the degree-2 Newton tensor closed form does not apply"
         )
-    return mu_sq**2 - e1 * mu_sq + _wedge_norm_sq(md, arr), e1 - s1_sq
 
 
 def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
-    delta, c = _newton_parts(md, arr, degree)
+    delta, c = _newton_parts(md, arr, degree)[-1]
     s1 = md.mu * arr
     return np.diag(delta) + c * np.outer(s1, s1)
 
@@ -335,12 +340,10 @@ def in_h2(md: MilnorData, sigma):
 
 
 def in_z1(md: MilnorData, sigma):
-    """Whether ``sigma`` is parallel (Z1): |nabla sigma|, the root of
-    sum_i mu_i^2 (sum of a_j^2 over j != i), is negligible against max |mu_i|,
-    on mu scaled to max |mu_i| = 1."""
-    m0, m1, m2 = (_unit_diagonal(md.mu) ** 2).tolist()
+    """Whether ``sigma`` is parallel (Z1): |nabla sigma| is negligible
+    against max |mu_i|, on mu scaled to max |mu_i| = 1."""
     arr = np.asarray(sigma, dtype=float)
-    return _negligible(np.sqrt((arr * arr) @ np.array([m1 + m2, m0 + m2, m0 + m1])), 1.0)
+    return _negligible(np.sqrt(_grad_norm_sq(_unit_diagonal(md.mu), arr)), 1.0)
 
 
 def in_z2(md: MilnorData, sigma):
@@ -371,7 +374,9 @@ def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
     where e1, e2 are the degree-1 and degree-2 bending densities.  Off the
     eigenvector locus the closed form is invalid, so the call refuses.
     """
-    return _newton_matrix(md, _unit_triple(sigma), 2)
+    arr = _unit_triple(sigma)
+    _require_h1(md, arr)
+    return _newton_matrix(md, arr, 2)
 
 
 def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
@@ -483,6 +488,8 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
+    if r == 3:
+        _require_h1(md, arr)
     out = _horizontal_tension(md, arr, r)
     if not np.isfinite(out).all():
         raise ValueError(f"the degree-{r} horizontal tension overflows the float range")
@@ -498,10 +505,9 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     if r == 1:
         delta, c = 1.0, 0.0
     else:
-        delta, c = _newton_parts(md, arr, 1)
+        (delta, c), *second = _newton_parts(md, arr, r - 1)
         delta = delta + (2.0 if r == 2 else 1.0)
-        if r == 3:
-            delta2, c2 = _newton_parts(md, arr, 2)
+        for delta2, c2 in second:
             delta, c = delta + delta2, c + c2
     e = math.frexp(float(np.abs(md.mu).max()))[1]
     mu, sectional = np.ldexp(md.mu, -e), np.ldexp(md.sectional, -2 * e)
@@ -529,9 +535,14 @@ class PredicateReport:
     r_harmonic_unit: bool
     twisted_2_skyrmion: bool
     r_harmonic_map: bool
-    vertical_tension: np.ndarray
+    vertical_tension: np.ndarray | None
     horizontal_tension: np.ndarray | None
-    vertical_energy: float
+    vertical_energy: float | None
+
+
+def _finite_or_none(value):
+    # A reported quantity outside the float range is reported as None.
+    return value if value is not None and np.isfinite(value).all() else None
 
 
 def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> PredicateReport:
@@ -543,59 +554,53 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     derivative has rank at most 2).
     ``r_harmonic_unit`` is membership in the harmonic locus H_r of
     :func:`classify_sets`: :func:`in_h1` for r = 1, :func:`in_h2` for r = 2,
-    and every unit field qualifies at degree 3.  The vertical tension field is
-    reported alongside.  ``twisted_2_skyrmion`` is :func:`in_skyrmion_locus`;
-    ``coupling`` is the ratio c2/c1 of the degree-2 to degree-1 energy
-    weights (default 0.5, the binomial weights (2, 1)), and the solution set
-    does not depend on it.  ``r_harmonic_map`` is the classification of maps
-    into the unit tangent bundle: a structure-map eigenvector for r = 1, 2 and
-    a squared-Milnor-map eigenvector for r = 3.  The horizontal tension of
-    :func:`horizontal_tension` is reported alongside, or None where it is
-    not defined (off H1 at r = 3) or overflows the float range.
+    and every unit field qualifies at degree 3.  ``twisted_2_skyrmion`` is
+    :func:`in_skyrmion_locus`; ``coupling`` is the ratio c2/c1 of the
+    degree-2 to degree-1 energy weights (default 0.5, the binomial weights
+    (2, 1)), and the solution set does not depend on it.  ``r_harmonic_map``
+    is the classification of maps into the unit tangent bundle: a
+    structure-map eigenvector for r = 1, 2 and a squared-Milnor-map
+    eigenvector for r = 3.
+
+    Reported alongside: the vertical tension field, the degree-r bending
+    density ``vertical_energy`` (e1 = :func:`grad_norm_sq`,
+    e2 = :func:`wedge_norm_sq`, e3 = 0) and the horizontal tension of
+    :func:`horizontal_tension`, which is None off H1 at r = 3.  Any of the
+    three that leaves the float range is reported as None.
     """
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
-    skyrmion = bool(in_skyrmion_locus(md, arr, coupling))  # validates coupling
-    h1 = bool(in_h1(md, arr))
+    # The skyrmion locus is H1; this call also validates the coupling.
+    h1 = bool(in_skyrmion_locus(md, arr, coupling))
 
     # Vanishing is always thresholded on quantities linear in the offending
     # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
     # has the same width as descriptor membership and eigenvector residuals.
     if r == 1:
-        vertical = _tension_t1(md, arr)
-        parallel = in_z1(md, arr)
-        harmonic_unit = h1
+        vertical, energy = _tension_t1(md, arr), float(_grad_norm_sq(md.mu, arr))
+        parallel, harmonic_unit = in_z1(md, arr), h1
     elif r == 2:
-        vertical = _tension_t2(md, arr)
-        parallel = in_z2(md, arr)
-        harmonic_unit = in_h2(md, arr)
+        vertical, energy = _tension_t2(md, arr), _wedge_norm_sq(md, arr)
+        parallel, harmonic_unit = in_z2(md, arr), in_h2(md, arr)
     else:
         # Degree-3 bending density vanishes identically: the covariant
         # derivative of a unit field takes values in a 2-plane.
-        vertical = np.zeros(3)
-        parallel = True
-        harmonic_unit = True
-
-    if r == 3:
-        harmonic_map = h1
-        horizontal = _horizontal_tension(md, arr, 3) if h1 else None
-    else:
-        harmonic_map = bool(is_eigendirection(md.lam, arr))
-        horizontal = _horizontal_tension(md, arr, r)
-    if horizontal is not None and not np.isfinite(horizontal).all():
-        horizontal = None
+        vertical, energy = np.zeros(3), 0.0
+        parallel = harmonic_unit = True
+    harmonic_map = h1 if r == 3 else bool(is_eigendirection(md.lam, arr))
+    horizontal = _horizontal_tension(md, arr, r) if r < 3 or h1 else None
 
     return PredicateReport(
         r=r,
         coupling=coupling,
         r_parallel=bool(parallel),
         r_harmonic_unit=bool(harmonic_unit),
-        twisted_2_skyrmion=skyrmion,
+        twisted_2_skyrmion=h1,
         r_harmonic_map=harmonic_map,
-        vertical_tension=vertical,
-        horizontal_tension=horizontal,
-        vertical_energy=float(elementary_invariants_newton(_vertical_gram(md, arr))[r]),
+        vertical_tension=_finite_or_none(vertical),
+        horizontal_tension=_finite_or_none(horizontal),
+        vertical_energy=_finite_or_none(energy),
     )
 
 

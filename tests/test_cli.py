@@ -17,6 +17,15 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _strict_json(text):
+    """Parse a report as strict JSON: Python's nan/inf tokens fail."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_classify_nil_table(capsys):
     code, out, _ = _run(capsys, ["classify", "--lambda", "1,0,0"])
     assert code == 0
@@ -31,7 +40,7 @@ def test_classify_nil_table(capsys):
 def test_classify_abelian_json(capsys):
     code, out, _ = _run(capsys, ["classify", "--lambda", "0,0,0", "--json"])
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert doc["algebra_class"] == "abelian"
     assert doc["sets"]["Z1"] == {"kind": "Sphere"}
     assert doc["schema_version"] == "1"
@@ -40,7 +49,7 @@ def test_classify_abelian_json(capsys):
 def test_classify_sl2_degenerate(capsys):
     code, out, _ = _run(capsys, ["classify", "--lambda", "2,1,-1", "--json"])
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert doc["algebra_class"] == "sl2"
     assert doc["sets"]["Z2"] == {"kind": "Circle", "indices": [1, 3]}
     assert doc["sets"]["H1"] == {"kind": "PolarSet"}
@@ -49,7 +58,7 @@ def test_classify_sl2_degenerate(capsys):
 def test_classify_json_roundtrip_is_stable(capsys):
     code, out, _ = _run(capsys, ["classify", "--lambda", "2,1,-1", "--json"])
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert cli.dumps_report(doc) + "\n" == out
 
 
@@ -71,7 +80,7 @@ def test_check_round_sphere_pole(capsys):
             "--json",
         ],
     )
-    doc = json.loads(out)
+    doc = _strict_json(out)
     np.testing.assert_allclose(doc["predicates"]["vertical_tension"], [-0.5, 0.0, 0.0])
     # Nil has H1 = Sphere at every scale; the eigenvector residual must not
     # overflow for |lambda| = 1e100.
@@ -122,6 +131,52 @@ def test_check_survives_horizontal_tension_overflow(capsys):
     assert "horizontal tension : None" in out
 
 
+def test_check_reports_overflow_as_null(capsys):
+    # mu^2 ~ 1e240 overflows the degree-2 vertical tension and energy: both
+    # are null, as the horizontal tension already was, and the verdicts stand.
+    argv = ["check", "--lambda", "1e120,0,0", "--sigma", "1,1,0", "--r", "2", "--kind", "map"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = _run(capsys, argv + ["--json"])
+    assert code == 1
+    block = _strict_json(out)["predicates"]
+    assert block["vertical_tension"] is None
+    assert block["horizontal_tension"] is None
+    assert block["vertical_energy"] is None
+    assert block["twisted_2_skyrmion"] is True
+
+
+def test_check_overflowing_energy_is_not_a_refusal(capsys):
+    # The degree-1 energy mu^2 ~ 1e340 leaves the float range; the map
+    # verdict (false: (1,1,0) is no structure eigenvector) still decides.
+    argv = ["check", "--lambda", "1e170,0,0", "--sigma", "1,1,0", "--r", "1", "--kind", "map"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert "requested (map, r=1): fails" in out
+
+
+def test_check_normalizes_sigma_at_extreme_scales(capsys):
+    # |sigma| underflows (1e-200) or overflows (1e200) in a plain norm; the
+    # unit field and every predicate must match the unscaled input.
+    for tiny, plain, want in (("1e-200,0,0", "1,0,0", 0), ("1e200,1e200,0", "1,1,0", 1)):
+        blocks = []
+        for sigma in (tiny, plain):
+            code, out, err = _run(
+                capsys,
+                [
+                    "check",
+                    "--lambda", "2,1,-1",
+                    "--sigma", sigma,
+                    "--r", "1",
+                    "--kind", "unit-section",
+                    "--json",
+                ],
+            )
+            assert (code, err) == (want, ""), sigma
+            blocks.append(_strict_json(out)["predicates"])
+        assert blocks[0] == blocks[1]
+
+
 def test_check_principal_direction_map(capsys):
     code, _, _ = _run(
         capsys,
@@ -170,7 +225,7 @@ def test_check_sigma_follows_input_order(capsys):
         ],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     np.testing.assert_allclose(doc["predicates"]["sigma_unit"], [1.0, 0.0, 0.0])
 
 
@@ -191,9 +246,11 @@ def test_classify_and_check_derive_geometry_once(monkeypatch, capsys):
         ["check", "--lambda", "1,1,1", "--sigma", "1,0,0", "--r", "3", "--kind", "map", "--json"],
     ):
         derived.clear()
-        code, _, _ = _run(capsys, argv)
+        code, out, _ = _run(capsys, argv)
         assert code == 0
         assert len(derived) == 1, argv
+        if "--json" in argv:
+            _strict_json(out)
 
 
 def test_check_zero_sigma_is_invalid(capsys):
@@ -211,7 +268,7 @@ def test_density_identity(capsys):
         ["density", "--J", "1,0;0,1", "--G", "1,0;0,1", "--H", "1,0;0,1", "--r", "1", "--json"],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert doc["eps"] == [1, 2, 1]
     assert doc["volume_density"] == 1
     assert doc["r_conformal"] is True
@@ -242,7 +299,7 @@ def test_density_majorisation_example(capsys):
         ],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert doc["majorisation_gap"] == pytest.approx(3.0)
     assert doc["conformal_invariance"]["residual"] <= 1e-10 * doc["eps"][2]
 
@@ -253,7 +310,7 @@ def test_density_file_payload(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, _ = _run(capsys, ["density", "--file", str(path), "--r", "1", "--json"])
     assert code == 0
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert doc["eps"] == [1, 4, 4]
     del payload["H"]
     path.write_text(json.dumps(payload))

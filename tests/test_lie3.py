@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -563,7 +565,7 @@ def test_predicates_degree3_always_unit_harmonic():
         report = check_predicates(md, _unit(rng), 3)
         assert report.r_parallel
         assert report.r_harmonic_unit
-        assert report.vertical_energy == pytest.approx(0.0, abs=1e-12)
+        assert report.vertical_energy == 0.0
 
 
 def test_predicates_cross_validated_with_eigen_tests():
@@ -633,29 +635,72 @@ def test_parallel_test_is_scale_safe():
 
 
 def test_check_predicates_validates_once(monkeypatch):
-    # One validation of sigma per call, and no numpy cross products.
-    calls = {"cross": 0, "triple": 0}
-    true_cross, true_triple = np.cross, lie3._triple
+    # One validation of sigma and one H1 test per call, no numpy cross
+    # products, and no Newton-Girard recursion: the energy is a closed form.
+    calls = {"cross": 0, "triple": 0, "in_h1": 0, "newton": 0}
 
-    def counting_cross(*args, **kwargs):
-        calls["cross"] += 1
-        return true_cross(*args, **kwargs)
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
 
-    def counting_triple(*args):
-        calls["triple"] += 1
-        return true_triple(*args)
+        return wrapper
 
-    monkeypatch.setattr(np, "cross", counting_cross)
-    monkeypatch.setattr(lie3, "_triple", counting_triple)
+    monkeypatch.setattr(np, "cross", counting("cross", np.cross))
+    monkeypatch.setattr(lie3, "_triple", counting("triple", lie3._triple))
+    monkeypatch.setattr(lie3, "in_h1", counting("in_h1", lie3.in_h1))
+    monkeypatch.setattr(
+        lie3,
+        "elementary_invariants_newton",
+        counting("newton", lie3.elementary_invariants_newton),
+    )
     rng = np.random.default_rng(112)
     for rep in REPRESENTATIVES:
         md = classify_algebra(rep)
         for sigma in (E[0], np.array([0.6, 0.0, 0.8]), _unit(rng)):
             for r in (1, 2, 3):
-                calls.update(cross=0, triple=0)
+                calls.update(cross=0, triple=0, in_h1=0, newton=0)
                 check_predicates(md, sigma, r)
                 assert calls["cross"] == 0
                 assert calls["triple"] <= 1
+                assert calls["in_h1"] == 1, (rep, sigma, r)
+                assert calls["newton"] == 0
+
+
+def test_reported_energy_matches_gram_invariants():
+    # The closed forms e1 = |nabla sigma|^2 and e2 = |Ric(sigma)|^2 / 4 agree
+    # with the elementary invariants of the vertical Gram matrix.
+    rng = np.random.default_rng(114)
+    for _ in range(200):
+        md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
+        sigma = _unit(rng)
+        oracle = vertical_invariants(md, sigma)
+        for r in (1, 2):
+            energy = check_predicates(md, sigma, r).vertical_energy
+            assert energy == pytest.approx(oracle[r], rel=1e-12), (md.lam, sigma, r)
+
+
+def test_reported_degree2_energy_is_exact_near_frame():
+    # Near a frame vector e2 is small against e1^2, where Newton-Girard on
+    # the Gram matrix cancels (relative error ~6e-12 on these draws); the
+    # closed form stays within a few rounding errors of the exact value.
+    rng = np.random.default_rng(115)
+    worst = 0.0
+    for _ in range(200):
+        md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
+        sigma = E[rng.integers(3)] + 10.0 ** rng.uniform(-7, -3) * rng.normal(size=3)
+        sigma = sigma / np.linalg.norm(sigma)
+        mu = [Fraction(m) for m in md.mu.tolist()]
+        a = [Fraction(x) for x in sigma.tolist()]
+        norm_sq = sum(x * x for x in a)
+        # Vertical Gram matrix [i, j] = mu_i mu_j (delta_ij |sigma|^2 - a_i a_j).
+        gram = [
+            [mu[i] * mu[j] * (norm_sq * (i == j) - a[i] * a[j]) for j in range(3)] for i in range(3)
+        ]
+        exact = sum(gram[i][i] * gram[j][j] - gram[i][j] ** 2 for i, j in ((0, 1), (0, 2), (1, 2)))
+        energy = check_predicates(md, sigma, 2).vertical_energy
+        worst = max(worst, float(abs(Fraction(energy) - exact) / exact))
+    assert worst <= 1e-15
 
 
 def test_horizontal_tension_refuses_overflow():
