@@ -322,7 +322,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A report already gives null for each value that leaves the float
+        # range, so numpy's floating-point warnings would only repeat that
+        # on stderr, with internal file paths.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,12 @@ polynomial at A itself,
 so chi_1 = trace(A)*I - A and chi_m = 0 (Cayley-Hamilton).  They satisfy
 trace(A @ chi_{r-1}) = r * e_r(A), and d/dt e_r(A + t*B) at t=0 equals
 trace(B @ chi_{r-1}(A)).
+
+Every public function takes a stack of matrices, shape (..., m, m), and
+treats each matrix on its own: a single (m, m) matrix is a stack with no
+leading axes.  Results carry the same leading axes; a single matrix gives
+an (m+1,) vector of invariants, an (m+1, m, m) array of endomorphisms, or
+one scalar residual.
 """
 
 from __future__ import annotations
@@ -31,16 +37,21 @@ MAX_DIM = 8
 
 
 def as_square_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a float m x m array, 1 <= m <= MAX_DIM."""
+    """Validate and return ``a`` as a float (..., m, m) stack, 1 <= m <= MAX_DIM."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    m = arr.shape[0]
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
+    m = arr.shape[-1]
     if not 1 <= m <= MAX_DIM:
         raise ValueError(f"dimension {m} outside supported range 1..{MAX_DIM}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _check_order(r: int, m: int) -> None:
+    if not 1 <= r <= m:
+        raise ValueError(f"order r={r} outside 1..{m}")
 
 
 def _binom(n: int, k: int) -> int:
@@ -56,84 +67,101 @@ def _binom(n: int, k: int) -> int:
 def elementary_invariants_minors(a) -> np.ndarray:
     """Elementary invariants via brute-force principal-minor sums.
 
-    Returns the vector (e_0, ..., e_m) with e_r the sum of det(A[S, S])
-    over all r-element index subsets S.  This is the reference oracle for
+    Takes an (..., m, m) stack and returns the (..., m+1) invariant vectors
+    (e_0, ..., e_m), with e_r the sum of det(A[S, S]) over all r-element
+    index subsets S.  This is the reference oracle for
     :func:`elementary_invariants_newton`.
     """
     arr = as_square_matrix(a)
-    m = arr.shape[0]
-    values = np.zeros(m + 1)
-    values[0] = 1.0
+    m = arr.shape[-1]
+    values = np.empty(arr.shape[:-2] + (m + 1,))
+    values[..., 0] = 1.0
     for r in range(1, m + 1):
-        total = 0.0
-        for subset in itertools.combinations(range(m), r):
-            idx = np.asarray(subset)
-            total += float(np.linalg.det(arr[np.ix_(idx, idx)]))
-        values[r] = total
+        idx = np.array(list(itertools.combinations(range(m), r)))
+        dets = np.linalg.det(arr[..., idx[:, :, None], idx[:, None, :]])
+        # Running sum over the subsets in lexicographic order.
+        values[..., r] = np.cumsum(dets, axis=-1)[..., -1]
     return values
 
 
 def elementary_invariants_newton(a) -> np.ndarray:
     """Elementary invariants (e_0, ..., e_m) via the Newton-Girard recursion.
 
+    Takes an (..., m, m) stack and returns the (..., m+1) invariant vectors.
     Uses r * e_r = sum_{k=1..r} (-1)^(k-1) e_{r-k} trace(A^k) with matrix
     powers accumulated by repeated multiplication, so no diagonalizability
     assumption is made.
     """
     arr = as_square_matrix(a)
-    m = arr.shape[0]
-    power_traces = np.zeros(m + 1)
-    acc = np.eye(m)
-    for k in range(1, m + 1):
-        acc = acc @ arr
-        power_traces[k] = np.trace(acc)
-    values = np.zeros(m + 1)
-    values[0] = 1.0
+    m = arr.shape[-1]
+    powers = np.empty((m,) + arr.shape)  # powers[k - 1] = A^k
+    powers[0] = arr
+    for k in range(1, m):
+        np.matmul(powers[k - 1], arr, out=powers[k])
+    power_traces = [None, *np.trace(powers, axis1=-2, axis2=-1)]
+    # The recursion works on per-r entries, plain scalars for a single
+    # matrix, so a batch of one pays no array overhead here.
+    e = [1.0]
     for r in range(1, m + 1):
         s = 0.0
         for k in range(1, r + 1):
-            s += (-1.0) ** (k - 1) * values[r - k] * power_traces[k]
-        values[r] = s / r
+            s = s + (-1.0) ** (k - 1) * e[r - k] * power_traces[k]
+        e.append(s / r)
+    values = np.empty(arr.shape[:-2] + (m + 1,))
+    for r, e_r in enumerate(e):
+        values[..., r] = e_r
     return values
 
 
-def newton_endomorphisms(a) -> list[np.ndarray]:
-    """Newton endomorphism matrices [chi_0, chi_1, ..., chi_m] of ``a``.
-
-    chi_0 is the identity, chi_r = e_r*I - A @ chi_{r-1}, and chi_m is the
-    zero matrix up to roundoff (Cayley-Hamilton; see
-    :func:`cayley_hamilton_residual`).
-    """
-    arr = as_square_matrix(a)
-    m = arr.shape[0]
-    values = elementary_invariants_newton(arr)
-    chis = [np.eye(m)]
+def _newton_chain(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # chi_0..chi_m of the validated stack ``arr`` from its invariants
+    # ``values`` (..., m+1), stacked as (..., m+1, m, m).
+    m = arr.shape[-1]
+    eye = np.eye(m)
+    chis = np.empty(arr.shape[:-2] + (m + 1, m, m))
+    chis[..., 0, :, :] = eye
     for r in range(1, m + 1):
-        chis.append(values[r] * np.eye(m) - arr @ chis[r - 1])
+        chis[..., r, :, :] = values[..., r, None, None] * eye - arr @ chis[..., r - 1, :, :]
     return chis
 
 
-def cayley_hamilton_residual(a) -> float:
-    """Max entry of chi_m(A), normalized by the recursion's largest entry."""
-    chis = newton_endomorphisms(a)
-    scale = max(float(np.max(np.abs(c))) for c in chis)
-    return float(np.max(np.abs(chis[-1]))) / scale
+def newton_endomorphisms(a) -> np.ndarray:
+    """Newton endomorphisms chi_0, ..., chi_m of an (..., m, m) stack.
+
+    Returns an (..., m+1, m, m) array whose index -3 is r: chi_0 is the
+    identity, chi_r = e_r*I - A @ chi_{r-1}, and chi_m is the zero matrix up
+    to roundoff (Cayley-Hamilton; see :func:`cayley_hamilton_residual`).
+    """
+    arr = as_square_matrix(a)
+    return _newton_chain(arr, elementary_invariants_newton(arr))
 
 
-def invariant_derivative(a, b, r: int) -> float:
-    """Exact derivative d/dt e_r(A + t*B) at t = 0, namely trace(B chi_{r-1}(A))."""
+def cayley_hamilton_residual(a):
+    """Max entry of chi_m(A), normalized by the recursion's largest entry.
+
+    One value per matrix of the (..., m, m) stack: shape (...).
+    """
+    mags = np.abs(newton_endomorphisms(a))
+    scale = np.max(mags, axis=(-3, -2, -1))
+    return (np.max(mags[..., -1, :, :], axis=(-2, -1)) / scale)[()]
+
+
+def invariant_derivative(a, b, r: int):
+    """Exact derivative d/dt e_r(A + t*B) at t = 0, namely trace(B chi_{r-1}(A)).
+
+    ``a`` and ``b`` are stacks of the same shape (..., m, m); the result has
+    one value per pair, shape (...).
+    """
     arr = as_square_matrix(a)
     brr = as_square_matrix(b)
     if arr.shape != brr.shape:
-        raise ValueError("matrices must share the same dimension")
-    m = arr.shape[0]
-    if not 1 <= r <= m:
-        raise ValueError(f"order r={r} outside 1..{m}")
-    chi = newton_endomorphisms(arr)[r - 1]
-    return float(np.trace(brr @ chi))
+        raise ValueError(f"stacks must share one shape, got {arr.shape} and {brr.shape}")
+    _check_order(r, arr.shape[-1])
+    chi = newton_endomorphisms(arr)[..., r - 1, :, :]
+    return np.trace(brr @ chi, axis1=-2, axis2=-1)[()]
 
 
-def check_shift_identity(a, r: int) -> float:
+def check_shift_identity(a, r: int):
     """Residual of the shift identities for e_r and chi_r under A -> I + A.
 
     Both expansions
@@ -141,33 +169,38 @@ def check_shift_identity(a, r: int) -> float:
         e_r(I + A)   = sum_k binom(m-k,   r-k) e_k(A)
         chi_r(I + A) = sum_k binom(m-1-k, r-k) chi_k(A)
 
-    are evaluated and the larger absolute residual is returned.
+    are evaluated and the larger absolute residual is returned, one value
+    per matrix of the (..., m, m) stack: shape (...).
     """
     arr = as_square_matrix(a)
-    m = arr.shape[0]
-    if not 1 <= r <= m:
-        raise ValueError(f"order r={r} outside 1..{m}")
+    m = arr.shape[-1]
+    _check_order(r, m)
     shifted = np.eye(m) + arr
 
     values = elementary_invariants_newton(arr)
-    lhs_e = elementary_invariants_newton(shifted)[r]
-    rhs_e = sum(_binom(m - k, r - k) * values[k] for k in range(r + 1))
+    shifted_values = elementary_invariants_newton(shifted)
+    lhs_e = shifted_values[..., r]
+    rhs_e = sum(_binom(m - k, r - k) * values[..., k] for k in range(r + 1))
 
-    chis = newton_endomorphisms(arr)
-    lhs_chi = newton_endomorphisms(shifted)[r]
-    rhs_chi = np.zeros((m, m))
+    chis = _newton_chain(arr, values)
+    lhs_chi = _newton_chain(shifted, shifted_values)[..., r, :, :]
+    rhs_chi = np.zeros(arr.shape)
     for k in range(r + 1):
-        rhs_chi = rhs_chi + _binom(m - 1 - k, r - k) * chis[k]
+        rhs_chi = rhs_chi + _binom(m - 1 - k, r - k) * chis[..., k, :, :]
 
-    return max(abs(lhs_e - rhs_e), float(np.max(np.abs(lhs_chi - rhs_chi))))
+    chi_gap = np.max(np.abs(lhs_chi - rhs_chi), axis=(-2, -1))
+    return np.maximum(np.abs(lhs_e - rhs_e), chi_gap)[()]
 
 
-def check_scaling_identity(a, r: int, c: float) -> float:
-    """Residual of the homogeneity chi_{cA,r}(cA) = c^r chi_{A,r}(A)."""
+def check_scaling_identity(a, r: int, c):
+    """Residual of the homogeneity chi_{cA,r}(cA) = c^r chi_{A,r}(A).
+
+    ``c`` broadcasts against the leading axes of the (..., m, m) stack; the
+    result has one value per matrix.
+    """
     arr = as_square_matrix(a)
-    m = arr.shape[0]
-    if not 1 <= r <= m:
-        raise ValueError(f"order r={r} outside 1..{m}")
-    lhs = newton_endomorphisms(c * arr)[r]
-    rhs = c**r * newton_endomorphisms(arr)[r]
-    return float(np.max(np.abs(lhs - rhs)))
+    _check_order(r, arr.shape[-1])
+    c = np.asarray(c, dtype=float)[..., None, None]
+    lhs = newton_endomorphisms(c * arr)[..., r, :, :]
+    rhs = c**r * newton_endomorphisms(arr)[..., r, :, :]
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))[()]

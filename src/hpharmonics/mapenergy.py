@@ -25,9 +25,9 @@ import numpy as np
 
 from .invariants import (
     MAX_DIM,
+    _newton_chain,
     elementary_invariants_minors,
     elementary_invariants_newton,
-    newton_endomorphisms,
 )
 
 
@@ -111,12 +111,17 @@ class PointData:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Distortion operator, invariants, volume density, and Newton tensors."""
+    """Distortion operator, invariants, volume density, and Newton tensors.
+
+    ``alpha`` is (m, m), ``eps`` the (m+1,) invariants (e_0, ..., e_m) of
+    alpha, and ``newton`` the (m+1, m, m) Newton endomorphisms
+    chi_0, ..., chi_m of alpha.
+    """
 
     alpha: np.ndarray
     eps: np.ndarray
     volume_density: float
-    newton: list[np.ndarray] = field(repr=False)
+    newton: np.ndarray = field(repr=False)
 
 
 def pullback_metric(point: PointData) -> np.ndarray:
@@ -176,7 +181,7 @@ def density_report(point: PointData) -> DensityReport:
         alpha=alpha,
         eps=eps,
         volume_density=volume_density,
-        newton=newton_endomorphisms(alpha),
+        newton=_newton_chain(alpha, eps),
     )
 
 

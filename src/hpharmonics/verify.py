@@ -76,8 +76,9 @@ class PropertyResult:
         return text
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _rel(a, b):
+    # |a - b| relative to max(1, |a|, |b|), elementwise.
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def _random_unit(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -162,12 +163,10 @@ def check_invariant_oracles(rng: np.random.Generator, trials: int) -> PropertyRe
     """Principal-minor sums against the Newton-Girard recursion, dims 2..6."""
     worst = 0.0
     for m in range(2, 7):
-        for _ in range(trials):
-            a = rng.uniform(-1.0, 1.0, size=(m, m))
-            minors = invariants.elementary_invariants_minors(a)
-            newton = invariants.elementary_invariants_newton(a)
-            for r in range(m + 1):
-                worst = max(worst, _rel(minors[r], newton[r]))
+        a = rng.uniform(-1.0, 1.0, size=(trials, m, m))
+        minors = invariants.elementary_invariants_minors(a)
+        newton = invariants.elementary_invariants_newton(a)
+        worst = max(worst, float(np.max(_rel(minors, newton))))
     return PropertyResult("invariant_oracle_equivalence", worst <= 1e-10, worst, 1e-10)
 
 
@@ -175,9 +174,8 @@ def check_cayley_hamilton(rng: np.random.Generator, trials: int) -> PropertyResu
     """Vanishing of the top Newton endomorphism, dims 2..6."""
     worst = 0.0
     for m in range(2, 7):
-        for _ in range(trials):
-            a = rng.uniform(-1.0, 1.0, size=(m, m))
-            worst = max(worst, invariants.cayley_hamilton_residual(a))
+        a = rng.uniform(-1.0, 1.0, size=(trials, m, m))
+        worst = max(worst, float(np.max(invariants.cayley_hamilton_residual(a))))
     return PropertyResult("cayley_hamilton", worst <= 1e-9, worst, 1e-9)
 
 
@@ -185,13 +183,12 @@ def check_newton_trace(rng: np.random.Generator, trials: int) -> PropertyResult:
     """trace(A chi_{r-1}) = r e_r for all r, dims 2..6."""
     worst = 0.0
     for m in range(2, 7):
-        for _ in range(trials):
-            a = rng.uniform(-1.0, 1.0, size=(m, m))
-            eps = invariants.elementary_invariants_newton(a)
-            chis = invariants.newton_endomorphisms(a)
-            for r in range(1, m + 1):
-                lhs = float(np.trace(a @ chis[r - 1]))
-                worst = max(worst, _rel(lhs, r * eps[r]))
+        a = rng.uniform(-1.0, 1.0, size=(trials, m, m))
+        eps = invariants.elementary_invariants_newton(a)
+        chis = invariants.newton_endomorphisms(a)
+        for r in range(1, m + 1):
+            lhs = np.trace(a @ chis[:, r - 1], axis1=-2, axis2=-1)
+            worst = max(worst, float(np.max(_rel(lhs, r * eps[:, r]))))
     return PropertyResult("newton_trace_identity", worst <= 1e-10, worst, 1e-10)
 
 
@@ -199,13 +196,16 @@ def check_shift_scaling(rng: np.random.Generator, trials: int) -> PropertyResult
     """Shift identities under A -> I + A and homogeneity under A -> cA."""
     worst = 0.0
     for m in range(2, 7):
-        for _ in range(trials):
-            a = rng.uniform(-1.0, 1.0, size=(m, m))
-            c = rng.uniform(-2.0, 2.0)
-            scale = max(1.0, float(np.max(np.abs(a))))
-            for r in range(1, m + 1):
-                worst = max(worst, invariants.check_shift_identity(a, r) / scale)
-                worst = max(worst, invariants.check_scaling_identity(a, r, c) / scale)
+        # Each trial draws A, then c: one row of m*m + 1 uniforms on [-1, 1).
+        # Doubling is exact, so 2 * uniform(-1, 1) is bitwise uniform(-2, 2).
+        draws = rng.uniform(-1.0, 1.0, size=(trials, m * m + 1))
+        a = draws[:, :-1].reshape(trials, m, m)
+        c = 2.0 * draws[:, -1]
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        for r in range(1, m + 1):
+            shift = invariants.check_shift_identity(a, r) / scale
+            scaling = invariants.check_scaling_identity(a, r, c) / scale
+            worst = max(worst, float(np.max(shift)), float(np.max(scaling)))
     return PropertyResult("shift_scaling_identities", worst <= 1e-9, worst, 1e-9)
 
 
@@ -214,15 +214,15 @@ def check_derivative_fd(rng: np.random.Generator, trials: int) -> PropertyResult
     step = 1e-5
     worst = 0.0
     for m in range(2, 7):
-        for _ in range(trials):
-            a = rng.uniform(-1.0, 1.0, size=(m, m))
-            b = rng.uniform(-1.0, 1.0, size=(m, m))
-            for r in range(1, m + 1):
-                exact = invariants.invariant_derivative(a, b, r)
-                plus = invariants.elementary_invariants_newton(a + step * b)[r]
-                minus = invariants.elementary_invariants_newton(a - step * b)[r]
-                fd = (plus - minus) / (2.0 * step)
-                worst = max(worst, abs(exact - fd))
+        # Each trial draws A, then the direction B.
+        draws = rng.uniform(-1.0, 1.0, size=(trials, 2, m, m))
+        a, b = draws[:, 0], draws[:, 1]
+        plus = invariants.elementary_invariants_newton(a + step * b)
+        minus = invariants.elementary_invariants_newton(a - step * b)
+        fd = (plus - minus) / (2.0 * step)
+        for r in range(1, m + 1):
+            exact = invariants.invariant_derivative(a, b, r)
+            worst = max(worst, float(np.max(np.abs(exact - fd[:, r]))))
     return PropertyResult("derivative_finite_difference", worst <= 1e-6, worst, 1e-6)
 
 

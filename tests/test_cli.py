@@ -399,3 +399,33 @@ def test_density_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_overflow_prints_no_numpy_warnings(capsys):
+    # The reports already show null where a value leaves the float range: a
+    # fresh interpreter prints nothing on stderr, and stdout is the report.
+    cases = (
+        ["check", "--lambda", "1e120,0,0", "--sigma", "1,1,0", "--r", "2", "--kind", "map", "--json"],
+        ["classify", "--lambda", "2e100,1e100,1e100"],
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outputs = []
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hpharmonics", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stderr == ""
+        code, out, _ = _run(capsys, argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        outputs.append(out)
+    block = _strict_json(outputs[0])["predicates"]
+    assert [block[k] for k in ("vertical_tension", "horizontal_tension", "vertical_energy")] == [
+        None, None, None
+    ]
+    assert block["twisted_2_skyrmion"] is True
+    lines = outputs[1].splitlines()
+    assert lines[0] == "algebra class    : su2"
+    assert lines[3] == "ricci            : [2e+200, 0.0, 0.0]"
+    assert lines[7] == "H1               : Circle(2,3) U PolarPair(1)"
+    assert lines[11] == "Z2               : Circle(2,3)"
