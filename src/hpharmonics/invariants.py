@@ -27,6 +27,7 @@ one scalar residual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -64,6 +65,15 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+@functools.lru_cache(maxsize=None)  # at most 36 (m, r) pairs under MAX_DIM = 8
+def _subsets(m: int, r: int) -> np.ndarray:
+    # The r-element subsets of range(m) in lexicographic order, one per row;
+    # read-only, since every call for this (m, r) shares the array.
+    idx = np.array(list(itertools.combinations(range(m), r)))
+    idx.flags.writeable = False
+    return idx
+
+
 def elementary_invariants_minors(a) -> np.ndarray:
     """Elementary invariants via brute-force principal-minor sums.
 
@@ -77,7 +87,7 @@ def elementary_invariants_minors(a) -> np.ndarray:
     values = np.empty(arr.shape[:-2] + (m + 1,))
     values[..., 0] = 1.0
     for r in range(1, m + 1):
-        idx = np.array(list(itertools.combinations(range(m), r)))
+        idx = _subsets(m, r)
         dets = np.linalg.det(arr[..., idx[:, :, None], idx[:, None, :]])
         # Running sum over the subsets in lexicographic order.
         values[..., r] = np.cumsum(dets, axis=-1)[..., -1]

@@ -221,12 +221,18 @@ def wedge_norm_sq(md: MilnorData, sigma) -> float:
     Closed form |sigma|^2 |Ric(sigma)|^2 / 4; the Gram-determinant sum over
     frame pairs gives the same number (oracle in the test battery).
     """
-    return _wedge_norm_sq(md, _triple(sigma, "sigma"))
+    arr = _triple(sigma, "sigma")
+    return _wedge_norm_sq(arr, _ricci_sq(md, arr))
 
 
-def _wedge_norm_sq(md: MilnorData, arr: np.ndarray) -> float:
+def _ricci_sq(md: MilnorData, arr: np.ndarray) -> float:
+    # |Ric(sigma)|^2, shared by the degree-2 tension and bending density.
     ric = md.ricci * arr
-    return 0.25 * float(arr @ arr) * float(ric @ ric)
+    return float(ric @ ric)
+
+
+def _wedge_norm_sq(arr: np.ndarray, ricci_sq: float) -> float:
+    return 0.25 * float(arr @ arr) * ricci_sq
 
 
 def second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
@@ -284,7 +290,8 @@ def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int) -> list:
     e1 = float(mu_sq.sum()) - s1_sq
     parts = [(e1 - mu_sq, 1.0)]
     if degree == 2:
-        parts.append((mu_sq**2 - e1 * mu_sq + _wedge_norm_sq(md, arr), e1 - s1_sq))
+        wedge = _wedge_norm_sq(arr, _ricci_sq(md, arr))
+        parts.append((mu_sq**2 - e1 * mu_sq + wedge, e1 - s1_sq))
     return parts
 
 
@@ -413,12 +420,12 @@ def _tension_t1(md: MilnorData, arr: np.ndarray) -> np.ndarray:
 def tension_t2(md: MilnorData, sigma) -> np.ndarray:
     """Degree-2 vertical tension of a unit field,
     -(|Ric(sigma)|^2 sigma + Ric^2(sigma)) / 4."""
-    return _tension_t2(md, _unit_triple(sigma))
+    arr = _unit_triple(sigma)
+    return _tension_t2(md, arr, _ricci_sq(md, arr))
 
 
-def _tension_t2(md: MilnorData, arr: np.ndarray) -> np.ndarray:
-    ric = md.ricci * arr
-    return -0.25 * (float(ric @ ric) * arr + md.ricci**2 * arr)
+def _tension_t2(md: MilnorData, arr: np.ndarray, ricci_sq: float) -> np.ndarray:
+    return -0.25 * (ricci_sq * arr + md.ricci**2 * arr)
 
 
 def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
@@ -581,7 +588,8 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         vertical, energy = _tension_t1(md, arr), float(_grad_norm_sq(md.mu, arr))
         parallel, harmonic_unit = in_z1(md, arr), h1
     elif r == 2:
-        vertical, energy = _tension_t2(md, arr), _wedge_norm_sq(md, arr)
+        ricci_sq = _ricci_sq(md, arr)
+        vertical, energy = _tension_t2(md, arr, ricci_sq), _wedge_norm_sq(arr, ricci_sq)
         parallel, harmonic_unit = in_z2(md, arr), in_h2(md, arr)
     else:
         # Degree-3 bending density vanishes identically: the covariant

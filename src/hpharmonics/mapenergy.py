@@ -14,21 +14,29 @@ conformally weight -2r in G, which for m = 2r makes e_r * sqrt(det G)
 invariant under G -> rho^2 G, and in that dimension e_r majorises
 binom(m, r) times the volume density with equality exactly at r-conformal
 points.
+
+Every quantity is read from one diagonalisation per point, the Cholesky
+reduction of the symmetric-definite pair (P, G) (Golub & Van Loan, section
+8.7): with G = L L^T, the whitened pullback B = L^{-1} P L^{-T} is symmetric
+positive semi-definite and alpha = L^{-T} B L^T.  With B = Q diag(w) Q^T,
+
+    e_r(alpha) = e_r(w),    chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T,
+
+and each e_r is built by the product recursion e <- e + w_i * shift(e).
+B is positive semi-definite, so every term is >= 0 up to roundoff and
+nothing cancels, however ill-conditioned G is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import comb, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .invariants import (
-    MAX_DIM,
-    _newton_chain,
-    elementary_invariants_minors,
-    elementary_invariants_newton,
-)
+from .invariants import MAX_DIM, elementary_invariants_minors
 
 
 #: Relative tolerance of :func:`r_conformal_check`.
@@ -48,10 +56,10 @@ def _check_metric(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidMetricError(f"{name} must be square, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InvalidMetricError(f"{name} has non-finite entries")
-    sym_tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
-    if np.max(np.abs(g - g.T)) > sym_tol:
+    sym_tol = 1e-12 * max(1.0, float(abs(g).max()))
+    if abs(g - g.T).max() > sym_tol:
         raise InvalidMetricError(f"{name} is not symmetric")
     sym = 0.5 * (g + g.T)
     try:
@@ -84,7 +92,7 @@ class PointData:
         jac = np.asarray(self.jacobian, dtype=float)
         if jac.ndim != 2:
             raise ValueError(f"jacobian must be 2-D, got shape {jac.shape}")
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise ValueError("jacobian has non-finite entries")
         g, low = _check_metric(self.domain_metric, "domain metric")
         h, _ = _check_metric(self.codomain_metric, "codomain metric")
@@ -107,6 +115,48 @@ class PointData:
     @property
     def n(self) -> int:
         return self.jacobian.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> _Spectrum:
+        # The one diagonalisation every density quantity of the point reads.
+        # cached_property stores into the instance __dict__, which the frozen
+        # dataclass leaves writable.
+        inv_low = np.linalg.inv(self._domain_factor)
+        low_p = inv_low @ pullback_metric(self)
+        b = low_p @ inv_low.T
+        b = 0.5 * (b + b.T)
+        if not np.isfinite(b).all():
+            raise ValueError("the whitened pullback L^-1 J^T H J L^-T overflows the float range")
+        w, q = np.linalg.eigh(b)
+        # Column 0 of ``values`` is w; column i + 1 is w with w_i set to 0,
+        # whose invariants e_r(w without w_i) weight the Newton tensors.
+        values = np.where(np.eye(self.m, self.m + 1, k=1, dtype=bool), 0.0, w[:, None])
+        e = _product_invariants(values)
+        spec = _Spectrum(inv_low, low_p, b, w, q, e[:, 0], e[:, 1:])
+        # Every caller shares the two arrays that leave the module.
+        w.flags.writeable = spec.eps.flags.writeable = False
+        return spec
+
+
+class _Spectrum(NamedTuple):
+    inv_low: np.ndarray  # L^{-1}
+    low_p: np.ndarray  # L^{-1} P
+    whitened: np.ndarray  # B = L^{-1} P L^{-T}
+    w: np.ndarray  # ascending eigenvalues of B
+    q: np.ndarray  # orthonormal eigenvectors of B, as columns
+    eps: np.ndarray  # (m+1,) e_r(w)
+    leave_one_out: np.ndarray  # (m+1, m): [r, i] is e_r(w without w_i)
+
+
+def _product_invariants(values: np.ndarray) -> np.ndarray:
+    # Elementary symmetric functions (e_0, ..., e_m) of each column of the
+    # (m, k) ``values``, as (m+1, k): multiply out prod_j (1 + v_j t) one
+    # factor at a time, e <- e + v_j * shift(e).
+    e = np.zeros((values.shape[0] + 1, values.shape[1]))
+    e[0] = 1.0
+    for row in values:
+        e[1:] += row * e[:-1]
+    return e
 
 
 @dataclass(frozen=True)
@@ -135,18 +185,11 @@ def cauchy_green(point: PointData) -> np.ndarray:
 
     Self-adjoint with respect to G (i.e. G @ alpha is symmetric) and
     positive semi-definite; its eigenvalues are the squared principal
-    stretches of the map at the point.
+    stretches of the map at the point.  Solved directly from (G, P), apart
+    from the whitening that :func:`density_report` reads, so the battery
+    can check that path against it.
     """
     return np.linalg.solve(point.domain_metric, pullback_metric(point))
-
-
-def _whitened_pullback(point: PointData) -> np.ndarray:
-    # Cholesky reduction of the symmetric-definite pair (P, G) (Golub & Van
-    # Loan, section 8.7): with G = L L^T, B = L^{-1} P L^{-T} is symmetric
-    # positive semi-definite and similar to alpha = G^{-1} P.
-    inv_low = np.linalg.inv(point._domain_factor)
-    b = inv_low @ pullback_metric(point) @ inv_low.T
-    return 0.5 * (b + b.T)
 
 
 def stretch_eigenvalues(point: PointData) -> np.ndarray:
@@ -156,7 +199,7 @@ def stretch_eigenvalues(point: PointData) -> np.ndarray:
     B = L^{-1} P L^{-T} (G = L L^T), which preserves symmetry instead of
     balancing the non-symmetric product G^{-1} J^T H J.
     """
-    return np.linalg.eigvalsh(_whitened_pullback(point))
+    return point._spectrum.w
 
 
 def gram_invariants(point: PointData) -> np.ndarray:
@@ -164,24 +207,28 @@ def gram_invariants(point: PointData) -> np.ndarray:
     pullback Gram matrix expressed in a G-orthonormal frame.
 
     Sums principal r x r minors of the same whitened pullback
-    B = L^{-1} P L^{-T} that :func:`stretch_eigenvalues` diagonalises;
-    entirely independent of the Newton-Girard path used by
-    :func:`density_report`.
+    B = L^{-1} P L^{-T} that :func:`density_report` diagonalises; it shares
+    the whitening with that path but neither its eigendecomposition nor
+    its product recursion.
     """
-    return elementary_invariants_minors(_whitened_pullback(point))
+    return elementary_invariants_minors(point._spectrum.whitened)
 
 
 def density_report(point: PointData) -> DensityReport:
     """All pointwise density data of the map: alpha, its invariant vector,
     the volume density sqrt(e_m), and the Newton endomorphisms of alpha."""
-    alpha = cauchy_green(point)
-    eps = elementary_invariants_newton(alpha)
-    volume_density = sqrt(max(float(eps[point.m]), 0.0))
+    spec = point._spectrum
+    # chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T for every r at
+    # once; chi_m vanishes exactly, since each e_m(w without w_i) is 0.
+    left = spec.inv_low.T @ spec.q
+    right = (point._domain_factor @ spec.q).T
+    newton = (left * spec.leave_one_out[:, None, :]) @ right
+    newton[0] = np.eye(point.m)
     return DensityReport(
-        alpha=alpha,
-        eps=eps,
-        volume_density=volume_density,
-        newton=_newton_chain(alpha, eps),
+        alpha=spec.inv_low.T @ spec.low_p,
+        eps=spec.eps,
+        volume_density=sqrt(max(float(spec.eps[point.m]), 0.0)),
+        newton=newton,
     )
 
 
@@ -194,7 +241,7 @@ def r_conformal_check(point: PointData, r: int) -> bool:
     """
     if not 1 <= r <= point.m:
         raise ValueError(f"order r={r} outside 1..{point.m}")
-    ev = stretch_eigenvalues(point)
+    ev = point._spectrum.w
     top = float(ev[-1])
     if top <= 0.0:
         return True
@@ -214,9 +261,9 @@ def conformal_scaling_residual(point: PointData, rho: float, r: int) -> float:
         raise ValueError(f"scale factor must be positive, got {rho}")
     if not 1 <= r <= point.m:
         raise ValueError(f"order r={r} outside 1..{point.m}")
-    base = elementary_invariants_newton(cauchy_green(point))[r]
+    base = point._spectrum.eps[r]
     scaled_point = replace(point, domain_metric=rho**2 * point.domain_metric)
-    scaled = elementary_invariants_newton(cauchy_green(scaled_point))[r]
+    scaled = scaled_point._spectrum.eps[r]
     return abs(scaled * rho ** (2 * r) - base)
 
 
@@ -232,6 +279,6 @@ def majorisation_gap(point: PointData) -> float:
             f"majorisation needs an even domain dimension, got m={m}"
         )
     r = m // 2
-    eps = elementary_invariants_newton(cauchy_green(point))
+    eps = point._spectrum.eps
     volume_density = sqrt(max(float(eps[m]), 0.0))
     return float(eps[r]) - comb(m, r) * volume_density

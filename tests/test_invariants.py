@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -62,6 +63,21 @@ def test_minors_match_newton_random(m):
         newton = elementary_invariants_newton(a)
         scale = max(1.0, float(np.max(np.abs(minors))))
         np.testing.assert_allclose(minors, newton, atol=1e-10 * scale, rtol=1e-10)
+
+
+def test_minors_equal_subset_loop():
+    # The subset index arrays are built once per (m, r) and reused; every
+    # call, first or repeated, sums the same determinants in lexicographic
+    # subset order, bit for bit.
+    rng = np.random.default_rng(77)
+    for m in range(1, 7):
+        for _ in range(2):
+            a = rng.uniform(-1.0, 1.0, size=(m, m))
+            expected = [1.0]
+            for r in range(1, m + 1):
+                dets = [np.linalg.det(a[np.ix_(s, s)]) for s in combinations(range(m), r)]
+                expected.append(sum(dets[1:], dets[0]))
+            np.testing.assert_array_equal(elementary_invariants_minors(a), expected)
 
 
 def test_newton_endomorphisms_diagonal():

@@ -1,9 +1,11 @@
-from math import comb
+from fractions import Fraction
+from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 import pytest
 
-from hpharmonics.invariants import elementary_invariants_newton
+from hpharmonics.invariants import elementary_invariants_newton, newton_endomorphisms
 from hpharmonics.mapenergy import (
     InvalidMetricError,
     PointData,
@@ -85,6 +87,66 @@ def test_domain_metric_factored_once(monkeypatch):
     gram_invariants(point)
     r_conformal_check(point, 2)
     assert len(factored) == 2
+
+
+def test_ill_conditioned_metric_exact_invariants():
+    # G = Q diag(g) Q^T with cond(G) = 1e8, J = Q^T and H = diag(p): the
+    # squared stretches are exactly p/g, so e_r(alpha) = e_r(p/g), summed in
+    # rationals from the same floats.  Newton-Girard on G^{-1} P gets e_4
+    # wrong by about its own size here.
+    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(4, 4)))
+    g = np.array([1e-4, 3e-2, 5e1, 1e4])
+    p = np.array([0.5, 0.25, 4.0, 2.0])
+    eps = density_report(_point(q.T, dom=(q * g) @ q.T, cod=np.diag(p))).eps
+    stretches = [Fraction(a) / Fraction(b) for a, b in zip(p, g)]
+    for r in range(5):
+        exact = sum((prod(c) for c in combinations(stretches, r)), Fraction(0))
+        assert abs(Fraction(eps[r]) - exact) <= Fraction(1, 10**7) * exact
+
+
+def test_one_eigendecomposition_per_point(monkeypatch):
+    # Every density quantity of a point reads one cached diagonalisation of
+    # the whitened pullback; only the rho^2 G point of the scaling residual
+    # diagonalises again.
+    point = _random_point(np.random.default_rng(7), 4, 5)
+    calls = []
+    true_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return true_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    point = PointData(point.jacobian, point.domain_metric, point.codomain_metric)
+    density_report(point)
+    r_conformal_check(point, 2)
+    majorisation_gap(point)
+    stretch_eigenvalues(point)
+    gram_invariants(point)
+    assert len(calls) == 1
+    conformal_scaling_residual(point, 1.7, 2)
+    assert len(calls) == 2
+    # The cached arrays are shared by every caller, so none may be written.
+    with pytest.raises(ValueError):
+        stretch_eigenvalues(point)[0] = 1.0
+
+
+def test_report_newton_tensors():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        m = int(rng.integers(2, 7))
+        point = _random_point(rng, m, m + 1)
+        report = density_report(point)
+        chi = report.newton
+        assert chi.shape == (m + 1, m, m)
+        np.testing.assert_array_equal(chi[0], np.eye(m))
+        assert not chi[m].any()
+        scale = max(1.0, float(np.max(report.eps)))
+        for r in range(1, m + 1):
+            trace = np.trace(report.alpha @ chi[r - 1])
+            assert abs(trace - r * report.eps[r]) <= 1e-10 * scale
+        oracle = newton_endomorphisms(cauchy_green(point))
+        assert float(np.max(np.abs(chi - oracle))) <= 1e-10 * scale
 
 
 def test_rank_zero_map():
@@ -174,7 +236,8 @@ def test_majorisation_rejects_odd_dimension():
 def test_scaling_residual_trivial_and_exact():
     rng = np.random.default_rng(23)
     point = _random_point(rng, 4, 5)
-    assert conformal_scaling_residual(point, 1.0, 2) == 0.0
+    for r in range(1, 5):
+        assert conformal_scaling_residual(point, 1.0, r) == 0.0
     eps2 = elementary_invariants_newton(cauchy_green(point))[2]
     assert conformal_scaling_residual(point, 1.7, 2) <= 1e-10 * eps2
 
@@ -247,6 +310,12 @@ def test_invalid_inputs():
             domain_metric=np.eye(9),
             codomain_metric=np.eye(3),
         )
+    # J^T H J overflows: every density quantity refuses instead of
+    # returning nan.
+    huge = _point(np.diag([1e200, 1.0]))
+    for call in (density_report, stretch_eigenvalues, lambda pt: r_conformal_check(pt, 1)):
+        with pytest.raises(ValueError, match="overflows"), np.errstate(all="ignore"):
+            call(huge)
     rng = np.random.default_rng(1)
     point = _random_point(rng, 3, 3)
     with pytest.raises(ValueError):
