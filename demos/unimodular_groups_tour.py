@@ -32,7 +32,7 @@ header = f"{'lambda':>14} {'class':>8} {'flat':>5} {'ricci':>20} {'H1':>22} {'Z2
 print(header)
 for rep in REPRESENTATIVES:
     md = classify_algebra(rep)
-    sets = classify_sets(rep)
+    sets = classify_sets(md)
     lam = ",".join(f"{v:g}" for v in rep)
     ricci = ",".join(f"{v:g}" for v in md.ricci)
     print(

@@ -39,7 +39,8 @@ def dumps_report(doc, indent: int = 0) -> str:
 
     The standard encoder offers no control over float formatting, and 17
     digits guarantee lossless round-trips, so this walks the (small, fixed)
-    report structure directly.  Key order is preserved.
+    report structure directly.  Key order is preserved, and a non-finite
+    float is written as null.
     """
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -63,6 +64,8 @@ def dumps_report(doc, indent: int = 0) -> str:
         return str(int(doc))
     if isinstance(doc, (float, np.floating)):
         value = float(doc)
+        if not math.isfinite(value):  # JSON has no inf or nan
+            return "null"
         if value == 0.0:  # drop the sign of zero so round-trips are stable
             value = 0.0
         return format(value, ".17g")
@@ -129,16 +132,14 @@ def _load_density_payload(args) -> mapenergy.PointData:
 # ---------------------------------------------------------------------------
 
 
-def _algebra_report(
-    lam_input, sc: lie3.StructureConstants, md: lie3.MilnorData, sets: dict
-) -> dict:
+def _algebra_report(lam_input, md: lie3.MilnorData, sets: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "input": {"lambda": _vec(lam_input)},
         "normalized": {
             "lambda": _vec(md.lam),
-            "permutation": [int(i) + 1 for i in sc.permutation],
-            "sign_flipped": sc.sign_flipped,
+            "permutation": [int(i) + 1 for i in md.permutation],
+            "sign_flipped": md.sign_flipped,
         },
         "algebra_class": md.algebra_class,
         "mu": _vec(md.mu),
@@ -164,10 +165,9 @@ def _print_classify_table(report: dict, sets: dict) -> None:
 
 def cmd_classify(args) -> int:
     lam_input = _parse_triple(args.lam, "--lambda")
-    sc = lie3.StructureConstants.normalize(lam_input)
-    md = lie3.classify_algebra(sc)
+    md = lie3.classify_algebra(lam_input)
     sets = lie3.classify_sets(md)
-    report = _algebra_report(lam_input, sc, md, sets)
+    report = _algebra_report(lam_input, md, sets)
     if args.json:
         print(dumps_report(report))
     else:
@@ -184,12 +184,11 @@ def cmd_check(args) -> int:
     norm = float(np.linalg.norm(scaled))
     if norm == 0.0:
         raise ValueError("--sigma must be nonzero")
-    sc = lie3.StructureConstants.normalize(lam_input)
-    md = lie3.classify_algebra(sc)
-    sigma = sc.permute(scaled) / norm
+    md = lie3.classify_algebra(lam_input)
+    sigma = md.permute(scaled) / norm
     predicates = lie3.check_predicates(md, sigma, args.r, coupling=args.coupling)
 
-    report = _algebra_report(lam_input, sc, md, lie3.classify_sets(md))
+    report = _algebra_report(lam_input, md, lie3.classify_sets(md))
     report["input"]["sigma"] = _vec(sigma_input)
     report["input"]["r"] = args.r
     report["input"]["kind"] = args.kind

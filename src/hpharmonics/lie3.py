@@ -98,29 +98,58 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StructureConstants:
-    """Normalized principal structure constants of a unimodular metric Lie algebra.
+class MilnorData:
+    """Normalized principal structure constants and the geometry they fix.
 
-    Stored descending with no fewer positive than negative entries; the sign
-    flip is an orientation reversal and leaves every predicate unchanged.
-    ``permutation`` records how input slots map to normalized slots, so that
-    frame coefficients given in the caller's order can follow along.
+    ``lam`` is stored descending with no fewer positive than negative
+    entries; the sign flip is an orientation reversal and leaves every
+    predicate unchanged.  ``permutation`` records how input slots map to
+    normalized slots, so that frame coefficients given in the caller's order
+    can follow along.  The connection coefficients ``mu``, principal Ricci
+    curvatures ``ricci`` and sectional curvatures ``sectional`` follow from
+    ``lam`` by the formulas in the module docstring; the sign pattern of
+    ``lam`` selects one of the six unimodular classes, and the Ricci kernel
+    dimension is always 0, 2 or 3.
     """
 
-    values: tuple[float, float, float]
-    permutation: tuple[int, int, int] = (0, 1, 2)
-    sign_flipped: bool = False
+    lam: np.ndarray
+    mu: np.ndarray
+    ricci: np.ndarray
+    sectional: np.ndarray  # (K23, K13, K12)
+    algebra_class: str
+    flat: bool
+    ricci_kernel_dim: int
+    permutation: tuple[int, int, int]
+    sign_flipped: bool
 
     @classmethod
-    def normalize(cls, raw) -> "StructureConstants":
+    def normalize(cls, raw) -> "MilnorData":
+        """Validate, flip and sort a raw triple and derive its geometry."""
         vals = _triple(raw, "structure constants").tolist()
         npos, nneg = _sign_counts(vals)
         flipped = nneg > npos
         if flipped:
             vals = [-v for v in vals]
         order = sorted(range(3), key=lambda i: -vals[i])  # stable: ties keep input order
+        lam = [vals[i] for i in order]
+        half_sum = 0.5 * sum(lam)
+        m0, m1, m2 = (half_sum - v for v in lam)
+        r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+        k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
+        zeros = sum(_zero_mask((r0, r1, r2)))
+        assert zeros != 1, "a single vanishing principal Ricci curvature is impossible"
+        triples = (lam, (m0, m1, m2), (r0, r1, r2), (k23, k13, k12))
+        lam, mu, ricci, sectional = map(np.array, triples)
+        for arr in (lam, mu, ricci, sectional):
+            arr.setflags(write=False)
         return cls(
-            values=tuple(vals[i] for i in order),
+            lam=lam,
+            mu=mu,
+            ricci=ricci,
+            sectional=sectional,
+            algebra_class=_CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)],
+            flat=zeros == 3,
+            ricci_kernel_dim=zeros,
             permutation=tuple(order),
             sign_flipped=flipped,
         )
@@ -131,58 +160,15 @@ class StructureConstants:
         return arr[list(self.permutation)]
 
 
-@dataclass(frozen=True)
-class MilnorData:
-    """Derived frame quantities of a normalized structure-constant triple."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-    ricci: np.ndarray
-    sectional: np.ndarray  # (K23, K13, K12)
-    algebra_class: str
-    flat: bool
-    ricci_kernel_dim: int
+#: The earlier name of :class:`MilnorData`, bound to the same class.
+StructureConstants = MilnorData
 
 
-def classify_algebra(sc) -> MilnorData:
-    """Classify a structure-constant triple and derive its curvature data.
-
-    Accepts a :class:`StructureConstants` or a raw triple (normalized on the
-    fly); a :class:`MilnorData` is returned unchanged, so callers derive each
-    geometry once.  The sign pattern of the normalized constants selects one
-    of the six unimodular classes; the connection coefficients, principal
-    Ricci and sectional curvatures follow from the formulas in the module
-    docstring.  The Ricci kernel dimension is always 0, 2 or 3.
-    """
-    if isinstance(sc, MilnorData):
-        return sc
-    if not isinstance(sc, StructureConstants):
-        sc = StructureConstants.normalize(sc)
-    npos, nneg = _sign_counts(sc.values)
-    try:
-        algebra_class = _CLASS_BY_SIGNS[(npos, nneg)]
-    except KeyError:  # pragma: no cover - excluded by the sign convention
-        raise ValueError(f"sign pattern ({npos}, {nneg}) violates normalization")
-
-    half_sum = 0.5 * sum(sc.values)
-    m0, m1, m2 = (half_sum - v for v in sc.values)
-    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
-    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
-    zeros = sum(_zero_mask((r0, r1, r2)))
-    assert zeros != 1, "a single vanishing principal Ricci curvature is impossible"
-    triples = (sc.values, (m0, m1, m2), (r0, r1, r2), (k23, k13, k12))
-    lam, mu, ricci, sectional = map(np.array, triples)
-    for arr in (lam, mu, ricci, sectional):
-        arr.setflags(write=False)
-    return MilnorData(
-        lam=lam,
-        mu=mu,
-        ricci=ricci,
-        sectional=sectional,
-        algebra_class=algebra_class,
-        flat=zeros == 3,
-        ricci_kernel_dim=zeros,
-    )
+def classify_algebra(x) -> MilnorData:
+    """The :class:`MilnorData` of a raw structure-constant triple; a
+    :class:`MilnorData` is returned unchanged, so callers derive each
+    geometry once."""
+    return x if isinstance(x, MilnorData) else MilnorData.normalize(x)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ nothing cancels, however ill-conditioned G is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, sqrt
 from typing import NamedTuple
@@ -121,24 +121,11 @@ class PointData:
         # The one diagonalisation every density quantity of the point reads.
         # cached_property stores into the instance __dict__, which the frozen
         # dataclass leaves writable.
-        inv_low = np.linalg.inv(self._domain_factor)
-        low_p = inv_low @ pullback_metric(self)
-        b = low_p @ inv_low.T
-        b = 0.5 * (b + b.T)
-        if not np.isfinite(b).all():
-            raise ValueError("the whitened pullback L^-1 J^T H J L^-T overflows the float range")
-        w, q = np.linalg.eigh(b)
-        # Column 0 of ``values`` is w; column i + 1 is w with w_i set to 0,
-        # whose invariants e_r(w without w_i) weight the Newton tensors.
-        values = np.where(np.eye(self.m, self.m + 1, k=1, dtype=bool), 0.0, w[:, None])
-        e = _product_invariants(values)
-        spec = _Spectrum(inv_low, low_p, b, w, q, e[:, 0], e[:, 1:])
-        # Every caller shares the two arrays that leave the module.
-        w.flags.writeable = spec.eps.flags.writeable = False
-        return spec
+        return _diagonalise(self._domain_factor, pullback_metric(self))
 
 
 class _Spectrum(NamedTuple):
+    pullback: np.ndarray  # P = J^T H J
     inv_low: np.ndarray  # L^{-1}
     low_p: np.ndarray  # L^{-1} P
     whitened: np.ndarray  # B = L^{-1} P L^{-T}
@@ -146,6 +133,26 @@ class _Spectrum(NamedTuple):
     q: np.ndarray  # orthonormal eigenvectors of B, as columns
     eps: np.ndarray  # (m+1,) e_r(w)
     leave_one_out: np.ndarray  # (m+1, m): [r, i] is e_r(w without w_i)
+
+
+def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
+    # Whiten P by the Cholesky factor L of the domain metric, diagonalise
+    # B = L^{-1} P L^{-T} and build its invariants by the product recursion.
+    inv_low = np.linalg.inv(low)
+    low_p = inv_low @ pullback
+    b = low_p @ inv_low.T
+    b = 0.5 * (b + b.T)
+    if not np.isfinite(b).all():
+        raise ValueError("the whitened pullback L^-1 J^T H J L^-T overflows the float range")
+    w, q = np.linalg.eigh(b)
+    # Column 0 of ``values`` is w; column i + 1 is w with w_i set to 0,
+    # whose invariants e_r(w without w_i) weight the Newton tensors.
+    values = np.where(np.eye(len(w), len(w) + 1, k=1, dtype=bool), 0.0, w[:, None])
+    e = _product_invariants(values)
+    spec = _Spectrum(pullback, inv_low, low_p, b, w, q, e[:, 0], e[:, 1:])
+    # Every caller shares the two arrays that leave the module.
+    w.flags.writeable = spec.eps.flags.writeable = False
+    return spec
 
 
 def _product_invariants(values: np.ndarray) -> np.ndarray:
@@ -261,10 +268,11 @@ def conformal_scaling_residual(point: PointData, rho: float, r: int) -> float:
         raise ValueError(f"scale factor must be positive, got {rho}")
     if not 1 <= r <= point.m:
         raise ValueError(f"order r={r} outside 1..{point.m}")
-    base = point._spectrum.eps[r]
-    scaled_point = replace(point, domain_metric=rho**2 * point.domain_metric)
-    scaled = scaled_point._spectrum.eps[r]
-    return abs(scaled * rho ** (2 * r) - base)
+    spec = point._spectrum
+    # Only the domain metric changes: factor rho^2 G, reuse P.
+    _, low = _check_metric(rho**2 * point.domain_metric, "domain metric")
+    scaled = _diagonalise(low, spec.pullback).eps[r]
+    return abs(scaled * rho ** (2 * r) - spec.eps[r])
 
 
 def majorisation_gap(point: PointData) -> float:

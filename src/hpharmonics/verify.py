@@ -109,7 +109,7 @@ def _random_point(rng: np.random.Generator, m: int, n: int) -> mapenergy.PointDa
     )
 
 
-def _random_structure(rng: np.random.Generator) -> lie3.StructureConstants:
+def _random_structure(rng: np.random.Generator) -> lie3.MilnorData:
     # Mix generic draws with every listed representative (scaled) so the
     # degenerate branches are exercised.
     if rng.uniform() < 0.5:
@@ -117,17 +117,16 @@ def _random_structure(rng: np.random.Generator) -> lie3.StructureConstants:
     else:
         base = np.asarray(CLASS_REPRESENTATIVES[rng.integers(len(CLASS_REPRESENTATIVES))])
         raw = base * rng.uniform(0.4, 1.4)
-    return lie3.StructureConstants.normalize(raw)
+    return lie3.MilnorData.normalize(raw)
 
 
 def _unit_scale_milnor(rng: np.random.Generator) -> lie3.MilnorData:
     # Structure constants rescaled so max |mu| <= 1 (unit-scale inputs for
     # finite-difference comparisons).
-    sc = _random_structure(rng)
-    md = lie3.classify_algebra(sc)
+    md = _random_structure(rng)
     top = float(np.max(np.abs(md.mu)))
     if top > 1.0:
-        md = lie3.classify_algebra(np.asarray(sc.values) / top)
+        md = lie3.MilnorData.normalize(md.lam / top)
     return md
 
 
@@ -360,7 +359,7 @@ def check_wedge_gram(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form squared wedge against the Gram-determinant frame sum."""
     worst = 0.0
     for _ in range(trials):
-        md = lie3.classify_algebra(_random_structure(rng))
+        md = _random_structure(rng)
         sigma = rng.uniform(-1.5, 1.5, size=3)
         closed = lie3.wedge_norm_sq(md, sigma)
         gram = lie3.vertical_cauchy_green(md, sigma)
@@ -374,7 +373,7 @@ def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyR
     frame sum over an arbitrary invariant tensor."""
     worst = 0.0
     for _ in range(trials):
-        md = lie3.classify_algebra(_random_structure(rng))
+        md = _random_structure(rng)
         sigma = _random_unit(rng)
         s1 = md.mu * sigma
         s2 = md.mu * s1
@@ -411,7 +410,7 @@ def check_sphere_multiplier(rng: np.random.Generator, trials: int) -> PropertyRe
     """<T_r(sigma), sigma> = -r * (degree-r bending density) on the harmonic loci."""
     worst = 0.0
     for _ in range(trials):
-        md = lie3.classify_algebra(_random_structure(rng))
+        md = _random_structure(rng)
         sets = lie3.classify_sets(md)
         for r, tension_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
             sigma = _sample_descriptor_member(rng, sets[f"H{r}"])
@@ -525,7 +524,7 @@ def check_skyrmion_coincidence(rng: np.random.Generator, trials: int) -> Propert
     samples_per = 1000
     bad = 0
     for _ in range(trials):
-        md = lie3.classify_algebra(_random_structure(rng))
+        md = _random_structure(rng)
         coupling = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         samples = _field_samples(rng, samples_per, samples_per // 4)
         direct = lie3.is_eigendirection(md.mu**2 - 0.25 * coupling * md.ricci**2, samples)
@@ -581,9 +580,8 @@ def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResu
         r = int(rng.integers(1, 4))
         reports = []
         for lam, s_sign in ((raw, 1.0), (raw, -1.0), (-raw, 1.0)):
-            sc = lie3.StructureConstants.normalize(lam)
-            md = lie3.classify_algebra(sc)
-            sigma = s_sign * sc.permute(sigma_raw)
+            md = lie3.MilnorData.normalize(lam)
+            sigma = s_sign * md.permute(sigma_raw)
             reports.append(lie3.check_predicates(md, sigma, r))
         base = reports[0]
         for other in reports[1:]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hpharmonics.lie3 as lie3
-from hpharmonics import cli
+from hpharmonics import cli, mapenergy
 
 
 def _run(capsys, argv):
@@ -229,6 +229,55 @@ def test_check_sigma_follows_input_order(capsys):
     np.testing.assert_allclose(doc["predicates"]["sigma_unit"], [1.0, 0.0, 0.0])
 
 
+def test_reports_echo_normalization(capsys):
+    # (0,-1,-1) has more negative than positive entries, so it is flipped to
+    # (0,1,1), and the tie 1 = 1 keeps input order: (1,1,0) from slots 2,3,1.
+    code, out, _ = _run(capsys, ["classify", "--lambda=0,-1,-1", "--json"])
+    assert code == 0
+    assert _strict_json(out)["normalized"] == {
+        "lambda": [1, 1, 0],
+        "permutation": [2, 3, 1],
+        "sign_flipped": True,
+    }
+    code, out, _ = _run(
+        capsys,
+        ["check", "--lambda=0,-1,-1", "--sigma", "0,1,0", "--r", "1", "--kind", "map", "--json"],
+    )
+    assert code == 0
+    assert _strict_json(out)["predicates"]["sigma_unit"] == [1, 0, 0]
+
+
+def test_json_is_strict_once_values_overflow(capsys):
+    # Each report writes null where a value leaves the float range, never a
+    # bare inf or nan token, and the verdicts stand.
+    big = "1e100,0,0,0;0,1e100,0,0;0,0,1e100,0;0,0,0,1e100"
+    eye = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    code, out, _ = _run(
+        capsys, ["density", "--J", big, "--G", eye, "--H", eye, "--r", "2", "--json"]
+    )
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["eps"][:2] == [1, 4e200]
+    assert doc["eps"][2:] == [None, None, None]
+    assert doc["volume_density"] is None
+    assert doc["majorisation_gap"] is None
+    code, out, _ = _run(capsys, ["classify", "--lambda=1e200,1e200,-1e200", "--json"])
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["algebra_class"] == "sl2"
+    assert doc["ricci"] == [None, None, None]
+    assert doc["sectional"] == [None, None, None]
+    code, out, _ = _run(
+        capsys,
+        ["check", "--lambda=1e200,1e200,-1e200", "--sigma", "1,0,0", "--r", "1", "--kind", "map",
+         "--json"],
+    )
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["ricci"] == [None, None, None]
+    assert doc["predicates"]["r_harmonic_map"] is True
+
+
 def test_classify_and_check_derive_geometry_once(monkeypatch, capsys):
     derived = []
     true_classify = lie3.classify_algebra
@@ -302,6 +351,26 @@ def test_density_majorisation_example(capsys):
     doc = _strict_json(out)
     assert doc["majorisation_gap"] == pytest.approx(3.0)
     assert doc["conformal_invariance"]["residual"] <= 1e-10 * doc["eps"][2]
+
+
+def test_density_validates_each_metric_once(monkeypatch, capsys):
+    # At m = 2r the report also checks rho^2 G for its conformal residual:
+    # G, H and rho^2 G are validated and factored once each.
+    calls = []
+    true_check = mapenergy._check_metric
+
+    def counting(g, name):
+        calls.append(name)
+        return true_check(g, name)
+
+    monkeypatch.setattr(mapenergy, "_check_metric", counting)
+    eye = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    code, _, _ = _run(
+        capsys,
+        ["density", "--J", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,2", "--G", eye, "--H", eye, "--r", "2"],
+    )
+    assert code == 0
+    assert calls == ["domain metric", "codomain metric", "domain metric"]
 
 
 def test_density_file_payload(tmp_path, capsys):

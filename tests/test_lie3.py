@@ -48,16 +48,16 @@ def _unit(rng):
 
 def test_normalize_sorts_descending():
     sc = StructureConstants.normalize((0.0, 1.0, -1.0))
-    assert sc.values == (1.0, 0.0, -1.0)
+    assert tuple(sc.lam) == (1.0, 0.0, -1.0)
     np.testing.assert_allclose(sc.permute((10.0, 20.0, 30.0)), [20.0, 10.0, 30.0])
 
 
 def test_normalize_flips_sign_when_negatives_dominate():
     sc = StructureConstants.normalize((1.0, -1.0, -1.0))
-    assert sc.values == (1.0, 1.0, -1.0)
+    assert tuple(sc.lam) == (1.0, 1.0, -1.0)
     assert sc.sign_flipped
     sc = StructureConstants.normalize((0.0, 0.0, -1.0))
-    assert sc.values == (1.0, 0.0, 0.0)
+    assert tuple(sc.lam) == (1.0, 0.0, 0.0)
     assert classify_algebra(sc).algebra_class == "nil"
 
 
@@ -66,6 +66,33 @@ def test_normalize_rejects_bad_input():
         StructureConstants.normalize((1.0, np.nan, 0.0))
     with pytest.raises(ValueError):
         StructureConstants.normalize((1.0, 2.0))
+
+
+def test_check_op_derives_geometry_once(monkeypatch):
+    # The library work of one `check`: normalize, classify, loci, permute,
+    # predicates; the normalized structure is derived once and passed on.
+    assert StructureConstants is lie3.MilnorData
+    calls = []
+    true_normalize = lie3.MilnorData.normalize.__func__
+
+    def counting(cls, raw):
+        calls.append(raw)
+        return true_normalize(cls, raw)
+
+    monkeypatch.setattr(lie3.MilnorData, "normalize", classmethod(counting))
+    for lam, sigma, r in (
+        ((0.0, -1.0, -1.0), (0.0, 1.0, 0.0), 1),
+        ((2.0, 1.0, -1.0), (0.6, 0.0, 0.8), 2),
+        ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), 3),
+    ):
+        calls.clear()
+        sc = StructureConstants.normalize(lam)
+        md = classify_algebra(sc)
+        classify_sets(sc)
+        unit = sc.permute(sigma) / float(np.linalg.norm(sigma))
+        check_predicates(md, unit, r)
+        assert md is sc
+        assert len(calls) == 1, lam
 
 
 def test_classify_flat_e2():
