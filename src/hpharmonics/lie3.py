@@ -17,7 +17,9 @@ expressions in mu, rho, and a.  The diagonal map a_i -> mu_i * a_i (the
 Milnor map) and its iterates are the basic building blocks.
 
 Everything here is a pure function of these triples; frame-level sums over
-the basis serve as brute-force oracles for the closed forms.
+the basis serve as brute-force oracles for the closed forms.  Every function
+broadcasts over leading axes of (..., 3) inputs, each row computed exactly as
+alone; a single triple is a batch of one that returns Python scalars.
 """
 
 from __future__ import annotations
@@ -31,15 +33,22 @@ from .invariants import elementary_invariants_newton
 
 _TINY = 1e-300
 _EYE3 = np.eye(3)
-# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3).
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+_DIAG = np.arange(3)
+# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3);
+# one take gathers the entries k+1 then k+2, the other k+2 then k+1.
+_NEXT_PREV = np.array([1, 2, 0, 2, 0, 1])
+_PREV_NEXT = np.array([2, 0, 1, 1, 2, 0])
+_NEXT, _PREV = _NEXT_PREV[:3], _NEXT_PREV[3:]
 
 #: Tolerance policy of every verdict: a quantity counts as zero when it is
 #: at most ``TOL`` times its scale (see :func:`_negligible`).
 TOL = 1e-9
 #: Step of the central difference in :func:`first_variation_fd`.
 _FD_STEP = 1e-5
+
+#: Ricci kernel dimension by the number of vanishing mu_i: rho_i = 2 mu_j mu_k
+#: vanishes for both i != k when mu_k does, and every rho_i when two mu do.
+_KERNEL_BY_ZERO_MU = (0, 2, 3, 3)
 
 #: Algebra class labels keyed by (number of positive, number of negative)
 #: structure constants after sign normalization.
@@ -59,22 +68,33 @@ class PreconditionError(ValueError):
 
 def _triple(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (3,):
+    if arr.ndim == 0 or arr.shape[-1] != 3:
         raise ValueError(f"{name} must be a triple, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on 3 entries
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
 
-def _negligible(magnitude, scale: float):
-    """Whether ``magnitude`` (scalar or array) is zero relative to ``scale``."""
-    return magnitude <= TOL * max(scale, _TINY)
+def _negligible(magnitude, scale=1.0):
+    """Whether ``magnitude`` (scalar or array) is zero relative to ``scale``;
+    against a zero scale only an exact zero is negligible."""
+    return magnitude <= TOL * scale
+
+
+# Dot products over the last axis; np.vecdot evaluates each row as a single
+# 3-vector product would, so stacks and single triples agree bit for bit.
+_dot = np.vecdot
+
+
+def _norm(v):
+    return np.sqrt(_dot(v, v))
 
 
 def _unit_triple(sigma) -> np.ndarray:
     arr = _triple(sigma, "sigma")
-    if abs(float(arr @ arr) - 1.0) > 2.0 * TOL:
-        raise ValueError(f"sigma must be a unit vector, |sigma|^2 = {arr @ arr}")
+    norm_sq = _dot(arr, arr)
+    if np.count_nonzero(abs(norm_sq - 1.0) > 2.0 * TOL):
+        raise ValueError(f"sigma must be a unit vector, |sigma|^2 = {norm_sq}")
     return arr
 
 
@@ -85,16 +105,44 @@ def _zero_mask(values) -> list[bool]:
     return [_negligible(m, top) for m in mags]
 
 
-def _sign_counts(values) -> tuple[int, int]:
-    # Numbers of positive and negative entries that are not negligible.
-    kept = [v for v, zero in zip(values, _zero_mask(values)) if not zero]
-    return sum(v > 0 for v in kept), sum(v < 0 for v in kept)
+def _scalar(value):
+    # One triple in, one number out: the 0-d result as a Python scalar.
+    return value.item() if value.ndim == 0 else value
+
+
+def _geometry(lam: list) -> list:
+    # lam, mu, rho and K = (K23, K13, K12) of sorted structure constants,
+    # as one flat list of 12 floats.
+    half_sum = 0.5 * sum(lam)
+    m0, m1, m2 = (half_sum - v for v in lam)
+    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
+    return [*lam, m0, m1, m2, r0, r1, r2, k23, k13, k12]
+
+
+def _normalize_row(vals: list) -> tuple:
+    # One raw triple of floats, flipped and sorted: lam, mu, rho, K and the
+    # unit-scale mu and rho (of lam / 2^e, 2^e ~ max |lam_i|, exact) as 18
+    # floats, then the class, kernel dimension, order and flip, all decided
+    # on the unit scale.
+    e = math.frexp(max(map(abs, vals)))[1]
+    unit = [math.ldexp(v, -e) for v in vals]
+    kept = [v for v, zero in zip(unit, _zero_mask(unit)) if not zero]
+    npos, nneg = sum(v > 0 for v in kept), sum(v < 0 for v in kept)
+    sign = -1.0 if nneg > npos else 1.0
+    order = sorted(range(3), key=lambda i: -sign * vals[i])  # stable: ties keep input order
+    numbers = _geometry([sign * vals[i] for i in order])
+    numbers += _geometry([sign * unit[i] for i in order])[3:9]
+    kernel = _KERNEL_BY_ZERO_MU[sum(_zero_mask(numbers[12:15]))]
+    label = _CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
+    return numbers, label, kernel, tuple(order), sign < 0.0
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Cross product over the last axis of (..., 3) arrays: numpy's products
     # and differences without its axis bookkeeping, costly on 3-vectors.
-    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+    products = a.take(_NEXT_PREV, -1) * b.take(_PREV_NEXT, -1)
+    return products[..., :3] - products[..., 3:]
 
 
 @dataclass(frozen=True)
@@ -108,8 +156,13 @@ class MilnorData:
     can follow along.  The connection coefficients ``mu``, principal Ricci
     curvatures ``ricci`` and sectional curvatures ``sectional`` follow from
     ``lam`` by the formulas in the module docstring; the sign pattern of
-    ``lam`` selects one of the six unimodular classes, and the Ricci kernel
-    dimension is always 0, 2 or 3.
+    ``lam`` selects one of the six unimodular classes.  The Ricci kernel
+    dimension is 0, 2 or 3 as none, one or two of the mu_i vanish.
+
+    ``unit_mu`` and ``unit_ricci`` are mu and rho of lam / 2^e, 2^e ~ max
+    |lam_i|: the class, flatness, kernel and loci are decided on them, so no
+    verdict depends on the scale of ``lam``.  A stack of triples gives arrays
+    for every field; a single triple a str, bools, an int and a tuple.
     """
 
     lam: np.ndarray
@@ -121,43 +174,43 @@ class MilnorData:
     ricci_kernel_dim: int
     permutation: tuple[int, int, int]
     sign_flipped: bool
+    unit_mu: np.ndarray
+    unit_ricci: np.ndarray
 
     @classmethod
     def normalize(cls, raw) -> "MilnorData":
-        """Validate, flip and sort a raw triple and derive its geometry."""
-        vals = _triple(raw, "structure constants").tolist()
-        npos, nneg = _sign_counts(vals)
-        flipped = nneg > npos
-        if flipped:
-            vals = [-v for v in vals]
-        order = sorted(range(3), key=lambda i: -vals[i])  # stable: ties keep input order
-        lam = [vals[i] for i in order]
-        half_sum = 0.5 * sum(lam)
-        m0, m1, m2 = (half_sum - v for v in lam)
-        r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
-        k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
-        zeros = sum(_zero_mask((r0, r1, r2)))
-        assert zeros != 1, "a single vanishing principal Ricci curvature is impossible"
-        triples = (lam, (m0, m1, m2), (r0, r1, r2), (k23, k13, k12))
-        lam, mu, ricci, sectional = map(np.array, triples)
-        for arr in (lam, mu, ricci, sectional):
-            arr.setflags(write=False)
+        """Validate, flip and sort raw triples (a (..., 3) array) and derive
+        their geometry."""
+        vals = _triple(raw, "structure constants")
+        lead = vals.shape[:-1]
+        rows = [_normalize_row(row) for row in vals.reshape(-1, 3).tolist()]
+        numbers = np.array([row[0] for row in rows]).reshape(lead + (6, 3))
+        numbers.setflags(write=False)
+        # The per-row facts: scalars for one triple, arrays for a stack.
+        label, kernel, order, flipped = rows[0][1:] if not lead else (
+            np.array(column).reshape(lead + np.shape(column[0]))
+            for column in zip(*(row[1:] for row in rows))
+        )
         return cls(
-            lam=lam,
-            mu=mu,
-            ricci=ricci,
-            sectional=sectional,
-            algebra_class=_CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)],
-            flat=zeros == 3,
-            ricci_kernel_dim=zeros,
-            permutation=tuple(order),
+            lam=numbers[..., 0, :],
+            mu=numbers[..., 1, :],
+            ricci=numbers[..., 2, :],
+            sectional=numbers[..., 3, :],
+            algebra_class=label,
+            flat=kernel == 3,
+            ricci_kernel_dim=kernel,
+            permutation=order,
             sign_flipped=flipped,
+            unit_mu=numbers[..., 4, :],
+            unit_ricci=numbers[..., 5, :],
         )
 
     def permute(self, components) -> np.ndarray:
-        """Reorder a coefficient triple from input order to normalized order."""
+        """Reorder coefficient triples from input order to normalized order."""
         arr = _triple(components, "components")
-        return arr[list(self.permutation)]
+        if isinstance(self.permutation, tuple):
+            return arr[..., list(self.permutation)]
+        return np.take_along_axis(*np.broadcast_arrays(arr, self.permutation), -1)
 
 
 #: The earlier name of :class:`MilnorData`, bound to the same class.
@@ -165,7 +218,7 @@ StructureConstants = MilnorData
 
 
 def classify_algebra(x) -> MilnorData:
-    """The :class:`MilnorData` of a raw structure-constant triple; a
+    """The :class:`MilnorData` of raw structure-constant triples; a
     :class:`MilnorData` is returned unchanged, so callers derive each
     geometry once."""
     return x if isinstance(x, MilnorData) else MilnorData.normalize(x)
@@ -190,35 +243,43 @@ def covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
     return _cross(md.mu * _triple(phi, "phi"), _triple(sigma, "sigma"))
 
 
-def grad_norm_sq(md: MilnorData, sigma) -> float:
+def grad_norm_sq(md: MilnorData, sigma):
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
-    return float(_grad_norm_sq(md.mu, _triple(sigma, "sigma")))
+    return _scalar(_grad_norm_sq(md.mu**2, _triple(sigma, "sigma")))
 
 
-def _grad_norm_sq(mu: np.ndarray, arr: np.ndarray):
+def _grad_norm_sq(mu_sq: np.ndarray, arr: np.ndarray):
     # sum_i a_i^2 (mu_j^2 + mu_k^2): no term is negative, so nothing cancels.
-    m0, m1, m2 = (mu**2).tolist()
-    return (arr * arr) @ np.array([m1 + m2, m0 + m2, m0 + m1])
+    # in_z1 evaluates it on mu rescaled to max |mu_i| = 1.
+    pairs = mu_sq.take(_NEXT_PREV, -1)
+    return _dot(arr * arr, pairs[..., :3] + pairs[..., 3:])
 
 
-def wedge_norm_sq(md: MilnorData, sigma) -> float:
+def wedge_norm_sq(md: MilnorData, sigma):
     """Squared wedge of the covariant derivative with itself.
 
     Closed form |sigma|^2 |Ric(sigma)|^2 / 4; the Gram-determinant sum over
     frame pairs gives the same number (oracle in the test battery).
     """
-    arr = _triple(sigma, "sigma")
-    return _wedge_norm_sq(arr, _ricci_sq(md, arr))
+    return _scalar(_vertical(md, _triple(sigma, "sigma"), 2)[1])
 
 
-def _ricci_sq(md: MilnorData, arr: np.ndarray) -> float:
-    # |Ric(sigma)|^2, shared by the degree-2 tension and bending density.
+def _vertical(md: MilnorData, arr: np.ndarray, r: int):
+    # Degree-r (1 or 2) vertical tension and bending density of validated
+    # coefficients: t1 = sigma^(2) - |M|^2 sigma with e1 = |nabla sigma|^2,
+    # t2 = -(|Ric sigma|^2 sigma + Ric^2 sigma)/4 with e2 = |sigma|^2 |Ric sigma|^2/4.
+    if r == 1:
+        mu_sq = md.mu**2
+        return mu_sq * arr - mu_sq.sum(-1)[..., None] * arr, _grad_norm_sq(mu_sq, arr)
+    ricci_sq, wedge = _ricci_terms(md, arr)
+    return -0.25 * (ricci_sq[..., None] * arr + md.ricci**2 * arr), wedge
+
+
+def _ricci_terms(md: MilnorData, arr: np.ndarray):
+    # |Ric sigma|^2 and the degree-2 density e2 = |sigma|^2 |Ric sigma|^2 / 4.
     ric = md.ricci * arr
-    return float(ric @ ric)
-
-
-def _wedge_norm_sq(arr: np.ndarray, ricci_sq: float) -> float:
-    return 0.25 * float(arr @ arr) * ricci_sq
+    ricci_sq = _dot(ric, ric)
+    return ricci_sq, 0.25 * _dot(arr, arr) * ricci_sq
 
 
 def second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
@@ -227,7 +288,11 @@ def second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
     q = _triple(psi, "psi")
     q1 = md.mu * q
     arr = _triple(sigma, "sigma")
-    return float(p1 @ arr) * q1 - float(p1 @ q1) * arr - _cross(md.mu * _cross(p1, q), arr)
+    return (
+        _dot(p1, arr)[..., None] * q1
+        - _dot(p1, q1)[..., None] * arr
+        - _cross(md.mu * _cross(p1, q), arr)
+    )
 
 
 def riemann_action(md: MilnorData, i: int, j: int, sigma) -> np.ndarray:
@@ -247,8 +312,9 @@ def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
     of phi -> phi^(2) - <phi, sigma^(1)> sigma^(1) in Milnor-iterate
     notation.
     """
-    deriv = md.mu[:, None] * _cross(_EYE3, _triple(sigma, "sigma"))
-    return deriv @ deriv.T
+    arr = _triple(sigma, "sigma")[..., None, :]
+    deriv = md.mu[..., :, None] * _cross(_EYE3, arr)
+    return deriv @ np.swapaxes(deriv, -1, -2)
 
 
 def vertical_invariants(md: MilnorData, sigma) -> np.ndarray:
@@ -272,17 +338,17 @@ def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int) -> list:
     # as (delta, c), i.e. diag(delta) + c * s1 s1^T; degree 2 needs H1.
     mu_sq = md.mu**2
     s1 = md.mu * arr
-    s1_sq = float(s1 @ s1)
-    e1 = float(mu_sq.sum()) - s1_sq
-    parts = [(e1 - mu_sq, 1.0)]
+    s1_sq = _dot(s1, s1)
+    e1 = mu_sq.sum(-1) - s1_sq
+    parts = [(e1[..., None] - mu_sq, 1.0)]
     if degree == 2:
-        wedge = _wedge_norm_sq(arr, _ricci_sq(md, arr))
-        parts.append((mu_sq**2 - e1 * mu_sq + wedge, e1 - s1_sq))
+        wedge = _ricci_terms(md, arr)[1]
+        parts.append((mu_sq**2 - e1[..., None] * mu_sq + wedge[..., None], e1 - s1_sq))
     return parts
 
 
 def _require_h1(md: MilnorData, arr: np.ndarray) -> None:
-    if not in_h1(md, arr):
+    if np.count_nonzero(~in_h1(md, arr)):
         raise PreconditionError(
             "sigma is not an eigenvector of the squared Milnor map; "
             "the degree-2 Newton tensor closed form does not apply"
@@ -292,18 +358,16 @@ def _require_h1(md: MilnorData, arr: np.ndarray) -> None:
 def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
     delta, c = _newton_parts(md, arr, degree)[-1]
     s1 = md.mu * arr
-    return np.diag(delta) + c * np.outer(s1, s1)
+    out = np.zeros(delta.shape + (3,))
+    out[..., _DIAG, _DIAG] = delta
+    return out + np.asarray(c)[..., None, None] * (s1[..., :, None] * s1[..., None, :])
 
 
 def _unit_diagonal(diag_values) -> np.ndarray:
-    # The diagonal divided by its largest |entry|, so that squared residuals
+    # Each diagonal divided by its largest |entry|, so that squared residuals
     # neither overflow nor underflow; the relative test is unchanged.
     d = np.asarray(diag_values, dtype=float)
-    return d / max(float(np.abs(d).max()), _TINY)
-
-
-def _norm(v):
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
+    return d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY)
 
 
 def is_eigendirection(diag_values, sigma):
@@ -311,15 +375,14 @@ def is_eigendirection(diag_values, sigma):
 
     Tests the component of diag(d) sigma orthogonal to sigma for being
     negligible against the largest |d_i|, on d scaled to max |d_i| = 1.
-    Broadcasts over leading axes of ``sigma`` for batch use.
+    Broadcasts over leading axes of ``diag_values`` and ``sigma``.
     """
     arr = np.asarray(sigma, dtype=float)
     v = arr * _unit_diagonal(diag_values)
-    dots = np.einsum("...i,...i->...", v, arr)
-    return _negligible(_norm(v - dots[..., None] * arr), 1.0)
+    return _negligible(_norm(v - _dot(v, arr)[..., None] * arr))
 
 
-# One rule per locus; each broadcasts over leading axes of ``sigma``.
+# One rule per locus; each broadcasts over leading axes of ``md`` and ``sigma``.
 
 
 def in_h1(md: MilnorData, sigma):
@@ -336,16 +399,16 @@ def in_z1(md: MilnorData, sigma):
     """Whether ``sigma`` is parallel (Z1): |nabla sigma| is negligible
     against max |mu_i|, on mu scaled to max |mu_i| = 1."""
     arr = np.asarray(sigma, dtype=float)
-    return _negligible(np.sqrt(_grad_norm_sq(_unit_diagonal(md.mu), arr)), 1.0)
+    return _negligible(np.sqrt(_grad_norm_sq(_unit_diagonal(md.mu) ** 2, arr)))
 
 
 def in_z2(md: MilnorData, sigma):
     """Whether ``sigma`` lies in the Ricci kernel (Z2): |Ric(sigma)| is
     negligible against max |rho_i|, on rho scaled to max |rho_i| = 1."""
-    return _negligible(_norm(np.asarray(sigma, dtype=float) * _unit_diagonal(md.ricci)), 1.0)
+    return _negligible(_norm(np.asarray(sigma, dtype=float) * _unit_diagonal(md.ricci)))
 
 
-def in_skyrmion_locus(md: MilnorData, sigma, coupling: float):
+def in_skyrmion_locus(md: MilnorData, sigma, coupling):
     """Whether ``sigma`` is a twisted 2-skyrmion: an eigenvector of
     diag(d), d_i = mu_i^2 - (coupling/4) rho_i^2, for a positive coupling.
 
@@ -354,7 +417,7 @@ def in_skyrmion_locus(md: MilnorData, sigma, coupling: float):
     when the same two entries of mu^2 do: the locus is H1 (:func:`in_h1`).
     Deciding it on d itself would mix degrees 2 and 4 in lambda.
     """
-    if not (math.isfinite(coupling) and coupling > 0.0):
+    if not all(0.0 < c < math.inf for c in np.ravel(coupling).tolist()):
         raise ValueError(f"coupling must be positive, got {coupling}")
     return in_h1(md, sigma)
 
@@ -380,11 +443,10 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
     geodesic; multiples of the identity contribute nothing.
     """
     t = np.asarray(tensor, dtype=float)
-    if t.shape != (3, 3):
+    if t.shape[-2:] != (3, 3):
         raise ValueError(f"tensor must be 3x3, got shape {t.shape}")
-    m0, m1, m2 = md.mu.tolist()
-    (_, t01, t02), (t10, _, t12), (t20, t21, _) = t.tolist()
-    return np.array([m1 * t21 - m2 * t12, m2 * t02 - m0 * t20, m0 * t10 - m1 * t01])
+    mu = md.mu
+    return mu.take(_NEXT, -1) * t[..., _PREV, _NEXT] - mu.take(_PREV, -1) * t[..., _NEXT, _PREV]
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +457,13 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
 def tension_t1(md: MilnorData, sigma) -> np.ndarray:
     """Degree-1 vertical tension, sigma^(2) - |M|^2 sigma (the rough
     Laplacian of an invariant field, with sign convention trace nabla^2)."""
-    return _tension_t1(md, _triple(sigma, "sigma"))
-
-
-def _tension_t1(md: MilnorData, arr: np.ndarray) -> np.ndarray:
-    mu_sq = md.mu**2
-    return mu_sq * arr - float(mu_sq.sum()) * arr
+    return _vertical(md, _triple(sigma, "sigma"), 1)[0]
 
 
 def tension_t2(md: MilnorData, sigma) -> np.ndarray:
     """Degree-2 vertical tension of a unit field,
     -(|Ric(sigma)|^2 sigma + Ric^2(sigma)) / 4."""
-    arr = _unit_triple(sigma)
-    return _tension_t2(md, arr, _ricci_sq(md, arr))
-
-
-def _tension_t2(md: MilnorData, arr: np.ndarray, ricci_sq: float) -> np.ndarray:
-    return -0.25 * (ricci_sq * arr + md.ricci**2 * arr)
+    return _vertical(md, _unit_triple(sigma), 2)[0]
 
 
 def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
@@ -431,14 +483,13 @@ def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
         nu = vertical_newton_1(md, arr)
     else:
         raise ValueError(f"assembled tension supports r in (1, 2), got {r}")
-    out = np.zeros(3)
+    out = 0.0
     for i in range(3):
-        out += second_covariant(md, _EYE3[i], nu[:, i], arr)
-    out += covariant_derivative(md, divergence_invariant_tensor(md, nu), arr)
-    return out
+        out = out + second_covariant(md, _EYE3[i], nu[..., :, i], arr)
+    return out + covariant_derivative(md, divergence_invariant_tensor(md, nu), arr)
 
 
-def first_variation_fd(md: MilnorData, sigma, zeta, r: int) -> float:
+def first_variation_fd(md: MilnorData, sigma, zeta, r: int):
     """First-variation residual of the degree-r bending density.
 
     Varies sigma along the sphere as (sigma + t*zeta)/|sigma + t*zeta| for a
@@ -448,7 +499,7 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int) -> float:
     """
     arr = _unit_triple(sigma)
     z = _triple(zeta, "zeta")
-    if not _negligible(abs(float(z @ arr)), 1.0 + float(np.linalg.norm(z))):
+    if not _negligible(np.abs(_dot(z, arr)), 1.0 + _norm(z)).all():
         raise ValueError("zeta must be orthogonal to sigma")
     if r == 1:
         tension = tension_t1(md, arr)
@@ -457,13 +508,13 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int) -> float:
     else:
         raise ValueError(f"first variation supports r in (1, 2), got {r}")
 
-    def half_density(t: float) -> float:
+    def half_density(t: float):
         moved = arr + t * z
-        moved = moved / np.linalg.norm(moved)
-        return 0.5 * float(vertical_invariants(md, moved)[r])
+        moved = moved / _norm(moved)[..., None]
+        return 0.5 * vertical_invariants(md, moved)[..., r]
 
     fd = (half_density(_FD_STEP) - half_density(-_FD_STEP)) / (2.0 * _FD_STEP)
-    return abs(fd + float(tension @ z))
+    return _scalar(np.abs(fd + _dot(tension, z)))
 
 
 def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
@@ -492,25 +543,27 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
 def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     # nu = diag(delta) + c s1 s1^T (s1 = mu*sigma, s2 = mu*s1).  With R as in
     # riemann_action, the diagonal part gives (K o sigma) x (delta o s1); the
-    # rank-one part gives c (s2 x s1 + R(sigma, s2 x sigma) s1).  mu and K are
-    # taken in units of t = 2^e ~ max |mu|, an exact rescaling, so that no
-    # intermediate outgrows delta or c and a zero result stays zero.
-    if r == 1:
-        delta, c = 1.0, 0.0
-    else:
-        (delta, c), *second = _newton_parts(md, arr, r - 1)
-        delta = delta + (2.0 if r == 2 else 1.0)
-        for delta2, c2 in second:
-            delta, c = delta + delta2, c + c2
-    e = math.frexp(float(np.abs(md.mu).max()))[1]
+    # rank-one part gives c (s2 x s1 + R(sigma, s2 x sigma) s1), skipped where
+    # c = 0.  mu and K are taken in units of t = 2^e ~ max |mu|, an exact
+    # rescaling, so that no intermediate outgrows delta or c and a zero
+    # result stays zero.  check_predicates reads it without the refusals.
+    e = np.frexp(np.abs(md.mu).max(-1, keepdims=True))[1]
     mu, sectional = np.ldexp(md.mu, -e), np.ldexp(md.sectional, -2 * e)
     s1 = mu * arr
+    if r == 1:
+        return np.ldexp(_cross(sectional * arr, s1), 3 * e)
+    (delta, c), *second = _newton_parts(md, arr, r - 1)
+    delta = delta + (2.0 if r == 2 else 1.0)
+    for delta2, c2 in second:
+        delta, c = delta + delta2, c + c2
+    c = np.asarray(c)[..., None]
     out = _cross(sectional * arr, delta * s1)
-    if c:
-        s2 = mu * s1
-        bend = _cross(s1, sectional * _cross(arr, _cross(s2, arr)))
-        out = out + c * (_cross(s2, s1) + np.ldexp(bend, 2 * e))
-    return np.ldexp(out, 3 * e)
+    s2 = mu * s1
+    bend = _cross(s1, sectional * _cross(arr, _cross(s2, arr)))
+    bent = out + c * (_cross(s2, s1) + np.ldexp(bend, 2 * e))
+    if r == 3:  # c = 1 at r = 2
+        bent = np.where(c == 0.0, out, bent)
+    return np.ldexp(bent, 3 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +573,8 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredicateReport:
-    """Harmonicity predicates of one unit field at one degree."""
+    """Harmonicity predicates of one unit field, or of a stack of them, at
+    one degree."""
 
     r: int
     coupling: float
@@ -533,13 +587,16 @@ class PredicateReport:
     vertical_energy: float | None
 
 
-def _finite_or_none(value):
-    # A reported quantity outside the float range is reported as None.
-    return value if value is not None and np.isfinite(value).all() else None
+def _reported(value: np.ndarray, vector: bool):
+    # Rows outside the float range: nan in a stack, None for a single field.
+    finite = np.isfinite(value).all(-1) if vector else np.isfinite(value)
+    if finite.ndim == 0:
+        return None if not finite else value if vector else float(value)
+    return np.where(finite[..., None] if vector else finite, value, np.nan)
 
 
 def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> PredicateReport:
-    """Evaluate the harmonicity predicates of a unit invariant field.
+    """Evaluate the harmonicity predicates of unit invariant fields.
 
     ``r_parallel`` tests vanishing of the degree-r bending density (degree 1:
     the covariant derivative itself, i.e. :func:`in_z1`, degree 2:
@@ -560,41 +617,50 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     e2 = :func:`wedge_norm_sq`, e3 = 0) and the horizontal tension of
     :func:`horizontal_tension`, which is None off H1 at r = 3.  Any of the
     three that leaves the float range is reported as None.
+
+    On stacks every verdict is a bool array, and a row that a single field
+    would report as None is nan.
     """
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
     # The skyrmion locus is H1; this call also validates the coupling.
-    h1 = bool(in_skyrmion_locus(md, arr, coupling))
+    h1 = in_skyrmion_locus(md, arr, coupling)
 
     # Vanishing is always thresholded on quantities linear in the offending
     # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
     # has the same width as descriptor membership and eigenvector residuals.
-    if r == 1:
-        vertical, energy = _tension_t1(md, arr), float(_grad_norm_sq(md.mu, arr))
-        parallel, harmonic_unit = in_z1(md, arr), h1
-    elif r == 2:
-        ricci_sq = _ricci_sq(md, arr)
-        vertical, energy = _tension_t2(md, arr, ricci_sq), _wedge_norm_sq(arr, ricci_sq)
-        parallel, harmonic_unit = in_z2(md, arr), in_h2(md, arr)
+    if r < 3:
+        vertical, energy = _vertical(md, arr, r)
+        if r == 1:
+            parallel, harmonic_unit = in_z1(md, arr), h1
+        else:
+            parallel, harmonic_unit = in_z2(md, arr), in_h2(md, arr)
+        harmonic_map = is_eigendirection(md.lam, arr)
+        horizontal = _horizontal_tension(md, arr, r)
     else:
         # Degree-3 bending density vanishes identically: the covariant
-        # derivative of a unit field takes values in a 2-plane.
-        vertical, energy = np.zeros(3), 0.0
-        parallel = harmonic_unit = True
-    harmonic_map = h1 if r == 3 else bool(is_eigendirection(md.lam, arr))
-    horizontal = _horizontal_tension(md, arr, r) if r < 3 or h1 else None
+        # derivative of a unit field takes values in a 2-plane.  The degree-3
+        # horizontal closed form holds on H1 only; other rows are not
+        # evaluated and are reported as None (nan in a stack).
+        energy = np.zeros(np.shape(h1))
+        vertical = np.zeros(energy.shape + (3,))
+        parallel = harmonic_unit = h1 | True  # every field, in the shape of h1
+        harmonic_map, horizontal = h1, vertical + np.nan
+        if np.count_nonzero(h1):
+            on = np.asarray(h1)[..., None]
+            horizontal = np.where(on, _horizontal_tension(md, arr * on, 3), horizontal)
 
     return PredicateReport(
         r=r,
         coupling=coupling,
-        r_parallel=bool(parallel),
-        r_harmonic_unit=bool(harmonic_unit),
-        twisted_2_skyrmion=h1,
-        r_harmonic_map=harmonic_map,
-        vertical_tension=_finite_or_none(vertical),
-        horizontal_tension=_finite_or_none(horizontal),
-        vertical_energy=_finite_or_none(energy),
+        r_parallel=_scalar(parallel),
+        r_harmonic_unit=_scalar(harmonic_unit),
+        twisted_2_skyrmion=_scalar(h1),
+        r_harmonic_map=_scalar(harmonic_map),
+        vertical_tension=_reported(vertical, True),
+        horizontal_tension=_reported(horizontal, True),
+        vertical_energy=_reported(energy, False),
     )
 
 
@@ -607,7 +673,8 @@ class SubsetDescriptor:
 
     Kinds: the empty set, the whole sphere, the polar set {+-e1, +-e2, +-e3},
     a polar pair {+-e_k}, the equatorial circle in the (e_i, e_j)-plane, or a
-    union of the above.  Indices are 1-based.
+    union of the above.  Indices are 1-based.  The factories return interned
+    constants for every set that :func:`classify_sets` can emit.
     """
 
     kind: str
@@ -642,27 +709,27 @@ class SubsetDescriptor:
 
     @staticmethod
     def empty() -> "SubsetDescriptor":
-        return SubsetDescriptor("Empty")
+        return _INTERNED["Empty", (), ()]
 
     @staticmethod
     def sphere() -> "SubsetDescriptor":
-        return SubsetDescriptor("Sphere")
+        return _INTERNED["Sphere", (), ()]
 
     @staticmethod
     def polar_set() -> "SubsetDescriptor":
-        return SubsetDescriptor("PolarSet")
+        return _INTERNED["PolarSet", (), ()]
 
     @staticmethod
     def polar_pair(k: int) -> "SubsetDescriptor":
-        return SubsetDescriptor("PolarPair", indices=(k,))
+        return _INTERNED.get(("PolarPair", (k,), ())) or SubsetDescriptor("PolarPair", (k,))
 
     @staticmethod
     def circle(i: int, j: int) -> "SubsetDescriptor":
-        return SubsetDescriptor("Circle", indices=(i, j))
+        return _INTERNED.get(("Circle", (i, j), ())) or SubsetDescriptor("Circle", (i, j))
 
     @staticmethod
     def union(*members: "SubsetDescriptor") -> "SubsetDescriptor":
-        return SubsetDescriptor("Union", members=tuple(members))
+        return _INTERNED.get(("Union", (), members)) or SubsetDescriptor("Union", members=members)
 
     # -- queries -------------------------------------------------------------
 
@@ -673,10 +740,10 @@ class SubsetDescriptor:
         if self.kind == "PolarPair":
             k = self.indices[0] - 1
             others = [i for i in range(3) if i != k]
-            out = np.all(_negligible(np.abs(arr[..., others]), 1.0), axis=-1)
+            out = _negligible(np.abs(arr[..., others])).all(-1)
         elif self.kind == "Circle":
             k = ({1, 2, 3} - set(self.indices)).pop() - 1
-            out = _negligible(np.abs(arr[..., k]), 1.0)
+            out = _negligible(np.abs(arr[..., k]))
         else:  # Empty, Sphere, or the union of the members
             out = np.full(arr.shape[:-1], self.kind == "Sphere")
             members = self.members
@@ -703,6 +770,17 @@ class SubsetDescriptor:
         if self.kind == "Union":
             return " U ".join(str(m) for m in self.members)
         return self.kind
+
+
+_PAIRS = [SubsetDescriptor("PolarPair", (k,)) for k in (1, 2, 3)]
+_CIRCLES = [SubsetDescriptor("Circle", ij) for ij in ((2, 3), (1, 3), (1, 2))]
+#: The interned descriptors, keyed by their fields: every set classify_sets
+#: emits, a circle with the pole it misses included.
+_INTERNED = {
+    (d.kind, d.indices, d.members): d
+    for d in [SubsetDescriptor(kind) for kind in ("Empty", "Sphere", "PolarSet")]
+    + _PAIRS + _CIRCLES + [SubsetDescriptor("Union", members=m) for m in zip(_CIRCLES, _PAIRS)]
+}
 
 
 def _eigendirection_descriptor(values: np.ndarray) -> SubsetDescriptor:
@@ -738,15 +816,20 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
     * H3 = Z3 -- the whole sphere (degree-3 bending vanishes identically);
     * Z1 -- parallel fields: the sphere when all mu vanish, the polar pair
       of the only non-vanishing mu when exactly one survives, else empty;
-    * Z2 -- the unit part of the Ricci kernel: sphere, a coordinate circle,
-      or empty (kernel dimension 3, 2, 0).
+    * Z2 -- the unit part of the Ricci kernel: the sphere when two mu
+      vanish, the circle orthogonal to the only vanishing mu, else empty
+      (kernel dimension 3, 2, 0).
 
-    The loci satisfy H_r = H_{r-1} union Z_r for r = 2, 3.  Accepts what
-    :func:`classify_algebra` accepts, including its :class:`MilnorData`.
+    The loci satisfy H_r = H_{r-1} union Z_r for r = 2, 3.  Each is decided
+    on the exactly rescaled ``unit_mu`` and ``unit_ricci``.  Accepts one
+    triple in any form :func:`classify_algebra` accepts, including its
+    :class:`MilnorData`.
     """
     md = classify_algebra(sc)
+    if md.lam.ndim != 1:
+        raise ValueError(f"classify_sets takes one triple, got shape {md.lam.shape}")
 
-    mu_zero = _zero_mask(md.mu.tolist())
+    mu_zero = _zero_mask(md.unit_mu.tolist())
     if sum(mu_zero) == 3:
         z1 = SubsetDescriptor.sphere()
     elif sum(mu_zero) == 2:
@@ -757,14 +840,14 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
     if md.ricci_kernel_dim == 3:
         z2 = SubsetDescriptor.sphere()
     elif md.ricci_kernel_dim == 2:
-        i, j = (k + 1 for k, zero in enumerate(_zero_mask(md.ricci.tolist())) if zero)
+        i, j = (k + 1 for k, zero in enumerate(mu_zero) if not zero)
         z2 = SubsetDescriptor.circle(i, j)
     else:
         z2 = SubsetDescriptor.empty()
 
     return {
-        "H1": _eigendirection_descriptor(md.mu**2),
-        "H2": _eigendirection_descriptor(md.ricci**2),
+        "H1": _eigendirection_descriptor(md.unit_mu**2),
+        "H2": _eigendirection_descriptor(md.unit_ricci**2),
         "H3": SubsetDescriptor.sphere(),
         "Z1": z1,
         "Z2": z2,

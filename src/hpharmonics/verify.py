@@ -81,6 +81,11 @@ def _rel(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    # Euclidean norms over the last axis, each as np.linalg.norm of its row.
+    return np.sqrt(np.vecdot(v, v))
+
+
 def _random_unit(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     shape = (3,) if n is None else (n, 3)
     v = rng.normal(size=shape)
@@ -109,25 +114,20 @@ def _random_point(rng: np.random.Generator, m: int, n: int) -> mapenergy.PointDa
     )
 
 
-def _random_structure(rng: np.random.Generator) -> lie3.MilnorData:
+def _random_lambda(rng: np.random.Generator) -> np.ndarray:
     # Mix generic draws with every listed representative (scaled) so the
     # degenerate branches are exercised.
     if rng.uniform() < 0.5:
-        raw = rng.uniform(-1.5, 1.5, size=3)
-    else:
-        base = np.asarray(CLASS_REPRESENTATIVES[rng.integers(len(CLASS_REPRESENTATIVES))])
-        raw = base * rng.uniform(0.4, 1.4)
-    return lie3.MilnorData.normalize(raw)
+        return rng.uniform(-1.5, 1.5, size=3)
+    base = np.asarray(CLASS_REPRESENTATIVES[rng.integers(len(CLASS_REPRESENTATIVES))])
+    return base * rng.uniform(0.4, 1.4)
 
 
-def _unit_scale_milnor(rng: np.random.Generator) -> lie3.MilnorData:
-    # Structure constants rescaled so max |mu| <= 1 (unit-scale inputs for
-    # finite-difference comparisons).
-    md = _random_structure(rng)
-    top = float(np.max(np.abs(md.mu)))
-    if top > 1.0:
-        md = lie3.MilnorData.normalize(md.lam / top)
-    return md
+def _worst_gap(a: np.ndarray, b: np.ndarray) -> float:
+    # Worst max |a - b| over rows of (..., 3) stacks, each relative to
+    # max(1, max |a|, max |b|) of its row.
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(-1), np.abs(b).max(-1)))
+    return float(np.max(np.abs(a - b).max(-1) / scale))
 
 
 def _field_samples(rng: np.random.Generator, n: int, structured: int) -> np.ndarray:
@@ -357,68 +357,74 @@ def check_rank_zeroes(rng: np.random.Generator, trials: int) -> PropertyResult:
 
 def check_wedge_gram(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form squared wedge against the Gram-determinant frame sum."""
-    worst = 0.0
-    for _ in range(trials):
-        md = _random_structure(rng)
-        sigma = rng.uniform(-1.5, 1.5, size=3)
-        closed = lie3.wedge_norm_sq(md, sigma)
-        gram = lie3.vertical_cauchy_green(md, sigma)
-        oracle = float(invariants.elementary_invariants_minors(gram)[2])
-        worst = max(worst, _rel(closed, oracle))
+    draws = [(_random_lambda(rng), rng.uniform(-1.5, 1.5, size=3)) for _ in range(trials)]
+    lam, sigma = (np.array(column) for column in zip(*draws))
+    md = lie3.MilnorData.normalize(lam)
+    closed = lie3.wedge_norm_sq(md, sigma)
+    gram = lie3.vertical_cauchy_green(md, sigma)
+    oracle = invariants.elementary_invariants_minors(gram)[:, 2]
+    worst = float(np.max(_rel(closed, oracle)))
     return PropertyResult("wedge_gram_oracle", worst <= 1e-11, worst, 1e-11)
 
 
 def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Divergence closed forms of both vertical Newton tensors against the
     frame sum over an arbitrary invariant tensor."""
-    worst = 0.0
-    for _ in range(trials):
-        md = _random_structure(rng)
-        sigma = _random_unit(rng)
-        s1 = md.mu * sigma
-        s2 = md.mu * s1
-        div1 = lie3.divergence_invariant_tensor(md, lie3.vertical_newton_1(md, sigma))
-        closed1 = np.cross(s2, s1)
-        scale = max(1.0, float(np.max(np.abs(div1))), float(np.max(np.abs(closed1))))
-        worst = max(worst, float(np.max(np.abs(div1 - closed1))) / scale)
-        if bool(lie3.in_h1(md, sigma)):
-            div2 = lie3.divergence_invariant_tensor(md, lie3.vertical_newton_2(md, sigma))
-            e1 = lie3.grad_norm_sq(md, sigma)
-            closed2 = (e1 - float(s1 @ s1)) * closed1
-            scale = max(1.0, float(np.max(np.abs(div2))), float(np.max(np.abs(closed2))))
-            worst = max(worst, float(np.max(np.abs(div2 - closed2))) / scale)
+    draws = [(_random_lambda(rng), _random_unit(rng)) for _ in range(trials)]
+    lam, sigma = (np.array(column) for column in zip(*draws))
+    md = lie3.MilnorData.normalize(lam)
+    s1 = md.mu * sigma
+    closed1 = np.cross(md.mu * s1, s1)
+    div1 = lie3.divergence_invariant_tensor(md, lie3.vertical_newton_1(md, sigma))
+    worst = _worst_gap(div1, closed1)
+    # The degree-2 closed form holds on H1 only.
+    on = lie3.in_h1(md, sigma)
+    if on.any():
+        md, sigma, s1 = lie3.MilnorData.normalize(lam[on]), sigma[on], s1[on]
+        div2 = lie3.divergence_invariant_tensor(md, lie3.vertical_newton_2(md, sigma))
+        e1 = lie3.grad_norm_sq(md, sigma)
+        closed2 = (e1 - np.vecdot(s1, s1))[:, None] * closed1[on]
+        worst = max(worst, _worst_gap(div2, closed2))
     return PropertyResult("divergence_oracles", worst <= 1e-12, worst, 1e-12)
 
 
 def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form tension fields against the assembled frame oracle, per class."""
+    draws = [
+        (np.asarray(rep) * rng.uniform(0.4, 1.4), _random_unit(rng))
+        for rep in ONE_PER_CLASS
+        for _ in range(trials)
+    ]
+    lam, sigma = (np.array(column) for column in zip(*draws))
+    md = lie3.MilnorData.normalize(lam)
     worst = 0.0
-    for rep in ONE_PER_CLASS:
-        for _ in range(trials):
-            scale_factor = rng.uniform(0.4, 1.4)
-            md = lie3.classify_algebra(np.asarray(rep) * scale_factor)
-            sigma = _random_unit(rng)
-            for r, closed_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
-                closed = closed_fn(md, sigma)
-                assembled = lie3.tension_assembled(md, sigma, r)
-                scale = max(1.0, float(np.max(np.abs(closed))))
-                worst = max(worst, float(np.max(np.abs(closed - assembled))) / scale)
+    for r, closed_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
+        closed = closed_fn(md, sigma)
+        assembled = lie3.tension_assembled(md, sigma, r)
+        scale = np.maximum(1.0, np.abs(closed).max(-1))
+        worst = max(worst, float(np.max(np.abs(closed - assembled).max(-1) / scale)))
     return PropertyResult("tension_oracles", worst <= 1e-10, worst, 1e-10)
 
 
 def check_sphere_multiplier(rng: np.random.Generator, trials: int) -> PropertyResult:
     """<T_r(sigma), sigma> = -r * (degree-r bending density) on the harmonic loci."""
-    worst = 0.0
+    draws: dict[int, list] = {1: [], 2: []}
     for _ in range(trials):
-        md = _random_structure(rng)
-        sets = lie3.classify_sets(md)
-        for r, tension_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
+        lam = _random_lambda(rng)
+        sets = lie3.classify_sets(lam)
+        for r in (1, 2):
             sigma = _sample_descriptor_member(rng, sets[f"H{r}"])
-            if sigma is None:
-                continue
-            eps_r = float(lie3.vertical_invariants(md, sigma)[r])
-            value = float(tension_fn(md, sigma) @ sigma) + r * eps_r
-            worst = max(worst, abs(value))
+            if sigma is not None:
+                draws[r].append((lam, sigma))
+    worst = 0.0
+    for r, tension_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
+        if not draws[r]:
+            continue
+        lam, sigma = (np.array(column) for column in zip(*draws[r]))
+        md = lie3.MilnorData.normalize(lam)
+        eps_r = lie3.vertical_invariants(md, sigma)[:, r]
+        value = np.vecdot(tension_fn(md, sigma), sigma) + r * eps_r
+        worst = max(worst, float(np.max(np.abs(value))))
     return PropertyResult("sphere_bundle_multiplier", worst <= 1e-10, worst, 1e-10)
 
 
@@ -449,14 +455,14 @@ def _sample_descriptor_member(
 def check_first_variation(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Tension fields against finite differences of the bending densities
     along sphere-constrained variations."""
-    worst = 0.0
-    for _ in range(trials):
-        md = _unit_scale_milnor(rng)
-        sigma = _random_unit(rng)
-        zeta = rng.normal(size=3)
-        zeta -= float(zeta @ sigma) * sigma
-        for r in (1, 2):
-            worst = max(worst, lie3.first_variation_fd(md, sigma, zeta, r))
+    draws = [(_random_lambda(rng), _random_unit(rng), rng.normal(size=3)) for _ in range(trials)]
+    lam, sigma, zeta = (np.array(column) for column in zip(*draws))
+    # Structure constants rescaled so max |mu| <= 1 (unit-scale inputs for
+    # finite-difference comparisons).
+    md = lie3.MilnorData.normalize(lam)
+    md = lie3.MilnorData.normalize(md.lam / np.maximum(np.abs(md.mu).max(-1, keepdims=True), 1.0))
+    zeta -= np.vecdot(zeta, sigma)[:, None] * sigma
+    worst = max(float(np.max(lie3.first_variation_fd(md, sigma, zeta, r))) for r in (1, 2))
     return PropertyResult("first_variation_fd", worst <= 1e-6, worst, 1e-6)
 
 
@@ -523,11 +529,23 @@ def check_skyrmion_coincidence(rng: np.random.Generator, trials: int) -> Propert
     diag(mu^2 - (coupling/4) rho^2) on these unit-scale draws."""
     samples_per = 1000
     bad = 0
-    for _ in range(trials):
-        md = _random_structure(rng)
-        coupling = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        samples = _field_samples(rng, samples_per, samples_per // 4)
-        direct = lie3.is_eigendirection(md.mu**2 - 0.25 * coupling * md.ricci**2, samples)
+    # Ten draws per stack: 10^4 fields keep the arrays small (one stack of
+    # all draws raised the battery's peak memory by a quarter).
+    for start in range(0, trials, 10):
+        draws = [
+            (
+                _random_lambda(rng),
+                float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))),
+                _field_samples(rng, samples_per, samples_per // 4),
+            )
+            for _ in range(min(10, trials - start))
+        ]
+        lam, coupling, samples = (np.array(column) for column in zip(*draws))
+        # One geometry and one coupling per draw, broadcast over its samples.
+        md = lie3.MilnorData.normalize(lam[:, None, :])
+        coupling = coupling[:, None]
+        d = md.mu**2 - 0.25 * coupling[..., None] * md.ricci**2
+        direct = lie3.is_eigendirection(d, samples)
         bad += int(np.sum(lie3.in_skyrmion_locus(md, samples, coupling) != direct))
     return PropertyResult(
         "skyrmion_h1_coincidence", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"
@@ -539,28 +557,24 @@ def check_harmonic_map_cases(rng: np.random.Generator, trials: int) -> PropertyR
     at every degree; in the subalgebra circle of the e11 geometry with
     l1 = -l3 the degree-1 and degree-2 horizontal tensions are nonzero
     while degree 3 vanishes identically."""
-    worst = 0.0
-    nonzero_ok = True
-    for rep in CLASS_REPRESENTATIVES:
-        md = lie3.classify_algebra(rep)
-        for k in range(3):
-            for sign in (1.0, -1.0):
-                sigma = sign * np.eye(3)[k]
-                for r in (1, 2, 3):
-                    worst = max(worst, float(np.linalg.norm(lie3.horizontal_tension(md, sigma, r))))
+    frames = np.array([sign * np.eye(3)[k] for k in range(3) for sign in (1.0, -1.0)])
+    md = lie3.MilnorData.normalize(np.repeat(CLASS_REPRESENTATIVES, len(frames), axis=0))
+    sigma = np.tile(frames, (len(CLASS_REPRESENTATIVES), 1))
+    worst = max(
+        float(np.max(_norm(lie3.horizontal_tension(md, sigma, r)))) for r in (1, 2, 3)
+    )
     md = lie3.classify_algebra((1.0, 0.0, -1.0))
-    for _ in range(trials):
-        t = rng.uniform(0.05, np.pi / 2 - 0.05)
-        sigma = np.array([np.cos(t), 0.0, np.sin(t)])
-        h1 = lie3.horizontal_tension(md, sigma, 1)
-        h2 = lie3.horizontal_tension(md, sigma, 2)
-        h3 = lie3.horizontal_tension(md, sigma, 3)
-        expected = 2.0 * sigma[0] * sigma[2] * np.array([0.0, 1.0, 0.0])
-        worst = max(worst, float(np.max(np.abs(h1 - expected))))
-        worst = max(worst, float(np.max(np.abs(h2 - expected))))
-        worst = max(worst, float(np.linalg.norm(h3)))
-        if np.linalg.norm(h1) <= 1e-3 or np.linalg.norm(h2) <= 1e-3:
-            nonzero_ok = False
+    t = [rng.uniform(0.05, np.pi / 2 - 0.05) for _ in range(trials)]
+    sigma = np.array([[np.cos(x), 0.0, np.sin(x)] for x in t])
+    h1, h2, h3 = (lie3.horizontal_tension(md, sigma, r) for r in (1, 2, 3))
+    expected = (2.0 * sigma[:, 0] * sigma[:, 2])[:, None] * np.array([0.0, 1.0, 0.0])
+    worst = max(
+        worst,
+        float(np.max(np.abs(h1 - expected))),
+        float(np.max(np.abs(h2 - expected))),
+        float(np.max(_norm(h3))),
+    )
+    nonzero_ok = bool(np.all((_norm(h1) > 1e-3) & (_norm(h2) > 1e-3)))
     return PropertyResult(
         "harmonic_map_horizontal",
         worst <= 1e-10 and nonzero_ok,
@@ -573,25 +587,21 @@ def check_harmonic_map_cases(rng: np.random.Generator, trials: int) -> PropertyR
 def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Predicates are invariant under sigma -> -sigma and under the
     orientation flip of the structure constants, after normalization."""
-    bad = 0
-    for _ in range(trials):
-        raw = rng.uniform(-1.5, 1.5, size=3)
-        sigma_raw = _random_unit(rng)
-        r = int(rng.integers(1, 4))
-        reports = []
-        for lam, s_sign in ((raw, 1.0), (raw, -1.0), (-raw, 1.0)):
-            md = lie3.MilnorData.normalize(lam)
-            sigma = s_sign * md.permute(sigma_raw)
-            reports.append(lie3.check_predicates(md, sigma, r))
-        base = reports[0]
-        for other in reports[1:]:
-            if (
-                base.r_parallel != other.r_parallel
-                or base.r_harmonic_unit != other.r_harmonic_unit
-                or base.twisted_2_skyrmion != other.twisted_2_skyrmion
-                or base.r_harmonic_map != other.r_harmonic_map
-            ):
-                bad += 1
+    draws = [
+        (rng.uniform(-1.5, 1.5, size=3), _random_unit(rng), int(rng.integers(1, 4)))
+        for _ in range(trials)
+    ]
+    raw, sigma_raw, degree = (np.array(column) for column in zip(*draws))
+    keys = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
+    verdicts = []
+    for lam, s_sign in ((raw, 1.0), (raw, -1.0), (-raw, 1.0)):
+        md = lie3.MilnorData.normalize(lam)
+        sigma = s_sign * md.permute(sigma_raw)
+        # Every degree on every field, then each field's own degree.
+        reports = [lie3.check_predicates(md, sigma, r) for r in (1, 2, 3)]
+        by_degree = np.array([[getattr(rep, key) for key in keys] for rep in reports])
+        verdicts.append(by_degree[degree - 1, :, np.arange(trials)])
+    bad = sum(int(np.sum(np.any(other != verdicts[0], axis=-1))) for other in verdicts[1:])
     return PropertyResult(
         "predicate_flip_invariance", bad == 0, float(bad), 0.0, detail=f"{bad} flips disagreed"
     )

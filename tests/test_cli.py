@@ -278,6 +278,32 @@ def test_json_is_strict_once_values_overflow(capsys):
     assert doc["predicates"]["r_harmonic_map"] is True
 
 
+@pytest.mark.parametrize(
+    "scaled, unit",
+    [("1e200,1e200,-1e200", "1,1,-1"), ("2e-170,1e-170,-1e-170", "2,1,-1")],
+)
+def test_classify_decides_sl2_on_the_unit_scale(capsys, scaled, unit):
+    # No sl2 metric is flat: class, flatness, Ricci kernel and every locus of
+    # a scaled triple are those of its unit-scale triple, in JSON and text.
+    verdicts = ("algebra_class", "flat", "ricci_kernel_dim", "sets")
+    docs = []
+    for lam in (scaled, unit):
+        code, out, _ = _run(capsys, ["classify", f"--lambda={lam}", "--json"])
+        assert code == 0
+        docs.append({key: _strict_json(out)[key] for key in verdicts})
+    assert docs[0] == docs[1]
+    assert docs[0]["flat"] is False
+    values = {"lambda (norm.)", "mu", "ricci", "sectional K"}  # reported at the input's scale
+    texts = []
+    for lam in (scaled, unit):
+        code, out, _ = _run(capsys, ["classify", f"--lambda={lam}"])
+        assert code == 0
+        labels = [line.split(":")[0].strip() for line in out.splitlines()]
+        texts.append([line for line, label in zip(out.splitlines(), labels) if label not in values])
+    assert texts[0] == texts[1]
+    assert "flat             : False" in texts[0]
+
+
 def test_classify_and_check_derive_geometry_once(monkeypatch, capsys):
     derived = []
     true_classify = lie3.classify_algebra

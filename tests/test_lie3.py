@@ -161,6 +161,15 @@ def test_ricci_kernel_never_one_dimensional():
         assert md.ricci_kernel_dim in (0, 2, 3)
 
 
+def test_near_flat_triple_has_a_kernel_dimension():
+    # mu = (-1.7e-13, 1.7e-13, 1): two mu are negligible, so the metric is
+    # flat within the tolerance.  Thresholding rho against its own largest
+    # entry left exactly one negligible entry and tripped an assertion.
+    md = classify_algebra((0.0, 1.0, 1.000000000000341))
+    assert md.flat and md.ricci_kernel_dim == 3
+    assert classify_sets(md)["Z2"].kind == "Sphere"
+
+
 def test_flat_iff_two_vanishing_mu():
     rng = np.random.default_rng(47)
     for _ in range(200):

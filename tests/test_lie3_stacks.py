@@ -1,0 +1,202 @@
+"""Stacks of triples in lie3: every function broadcasts over leading axes
+and must give, row by row, exactly what a call on that row alone gives."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hpharmonics import lie3, verify
+from hpharmonics.lie3 import MilnorData, SubsetDescriptor
+
+E = np.eye(3)
+
+
+# ---------------------------------------------------------------------------
+# stacked calls against row-by-row calls
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(np.asarray(values, dtype=float)).tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # PreconditionError included
+        return type(exc)
+
+
+def _assert_rows_match(fn, stacked_args, row_args):
+    """fn on the stack equals fn on each row, bit for bit; a stack refuses
+    exactly when some row refuses."""
+    stacked = _outcome(fn, *stacked_args)
+    rows = [_outcome(fn, *args) for args in row_args]
+    refused = [row for row in rows if isinstance(row, type)]
+    if isinstance(stacked, type):
+        assert refused, (fn.__name__, stacked)
+        return
+    assert not refused, (fn.__name__, refused)
+    assert _bits(stacked) == _bits(rows), fn.__name__
+
+
+_SCALES = st.one_of(
+    st.just(1.0),
+    st.integers(-60, 60).map(lambda k: 2.0**k),
+    st.floats(-120.0, 120.0).map(lambda u: 10.0**u),
+)
+# Generic draws, and class representatives scaled, permuted and flipped.
+_LAMBDAS = st.one_of(
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    st.tuples(
+        st.sampled_from(verify.CLASS_REPRESENTATIVES),
+        _SCALES,
+        st.permutations(range(3)),
+        st.sampled_from([1.0, -1.0]),
+    ).map(lambda t: tuple(np.asarray(t[0])[list(t[2])] * (t[1] * t[3]))),
+)
+_SIGMAS = st.one_of(
+    st.sampled_from([tuple(s * E[k]) for k in range(3) for s in (1.0, -1.0)]),
+    st.tuples(st.integers(0, 2), st.floats(0.0, 6.283)).map(
+        lambda t: tuple(np.roll([np.cos(t[1]), np.sin(t[1]), 0.0], t[0]))
+    ),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+
+
+_DRAWS = st.lists(
+    st.tuples(_LAMBDAS, _SIGMAS, st.sampled_from([0.05, 0.5, 20.0])), min_size=1, max_size=6
+)
+_PER_FIELD = (
+    lie3.grad_norm_sq,
+    lie3.wedge_norm_sq,
+    lie3.tension_t1,
+    lie3.tension_t2,
+    lie3.vertical_cauchy_green,
+    lie3.vertical_invariants,
+    lie3.vertical_newton_1,
+    lie3.vertical_newton_2,
+    lie3.in_h1,
+    lie3.in_h2,
+    lie3.in_z1,
+    lie3.in_z2,
+)
+
+
+@settings(max_examples=40)
+@given(_DRAWS)
+def test_stacked_calls_match_row_calls_bitwise(draws):
+    lam = np.array([d[0] for d in draws])
+    raw_sigma = np.array([d[1] for d in draws])
+    sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
+    coupling = np.array([d[2] for d in draws])
+    with np.errstate(all="ignore"):
+        md = MilnorData.normalize(lam)
+        rows = [MilnorData.normalize(row) for row in lam]
+
+        # normalize: every field, row by row.
+        for name in ("lam", "mu", "ricci", "sectional", "unit_mu", "unit_ricci"):
+            assert _bits(getattr(md, name)) == _bits([getattr(r, name) for r in rows]), name
+        for name in ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped"):
+            assert getattr(md, name).tolist() == [getattr(r, name) for r in rows], name
+        assert [tuple(p) for p in md.permutation.tolist()] == [r.permutation for r in rows]
+        permuted = md.permute(raw_sigma)
+        assert _bits(permuted) == _bits([r.permute(s) for r, s in zip(rows, raw_sigma)])
+
+        # Each case is a function and its stacked arguments; the call on row
+        # k takes row k of the geometry and of every array.
+        zeta = raw_sigma[::-1] - np.vecdot(raw_sigma[::-1], sigma)[:, None] * sigma
+        tensors = np.broadcast_to(np.outer(raw_sigma[0], sigma[-1]), (len(rows), 3, 3))
+        cases = [(fn, (md, sigma)) for fn in _PER_FIELD] + [
+            (lie3.is_eigendirection, (md.lam, sigma)),
+            (lie3.in_skyrmion_locus, (md, sigma, coupling)),
+            (lie3.covariant_derivative, (md, raw_sigma, sigma)),
+            (lie3.second_covariant, (md, raw_sigma, zeta, sigma)),
+            (lie3.riemann_action, (md, 1, 3, sigma)),
+            (lie3.milnor_iterate, (md, sigma, 2)),
+            (lie3.divergence_invariant_tensor, (md, tensors)),
+        ]
+        cases += [(lie3.tension_assembled, (md, sigma, r)) for r in (1, 2)]
+        cases += [(lie3.first_variation_fd, (md, sigma, zeta, r)) for r in (1, 2)]
+        cases += [(lie3.horizontal_tension, (md, sigma, r)) for r in (1, 2, 3)]
+        for fn, args in cases:
+            row_args = [
+                [rows[k] if a is md else a[k] if isinstance(a, np.ndarray) else a for a in args]
+                for k in range(len(rows))
+            ]
+            _assert_rows_match(fn, args, row_args)
+
+        # check_predicates: a row reported as None is nan in the stack.
+        verdicts = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
+        values = (("vertical_tension", [np.nan] * 3), ("horizontal_tension", [np.nan] * 3))
+        values += (("vertical_energy", np.nan),)
+        for r in (1, 2, 3):
+            report = lie3.check_predicates(md, sigma, r, coupling=0.5)
+            singles = [lie3.check_predicates(rw, s, r, coupling=0.5) for rw, s in zip(rows, sigma)]
+            for name in verdicts:
+                assert getattr(report, name).tolist() == [getattr(x, name) for x in singles]
+            for name, nan in values:
+                expected = [nan if getattr(x, name) is None else getattr(x, name) for x in singles]
+                assert _bits(getattr(report, name)) == _bits(expected), (name, r)
+
+
+def test_single_triples_keep_python_scalars():
+    md = MilnorData.normalize((2.0, 1.0, -1.0))
+    assert type(md.algebra_class) is str and type(md.flat) is bool
+    assert type(md.ricci_kernel_dim) is int and type(md.sign_flipped) is bool
+    assert md.permutation == (0, 1, 2)
+    report = lie3.check_predicates(md, E[1], 2)
+    assert all(
+        type(getattr(report, name)) is bool
+        for name in ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
+    )
+    assert type(report.vertical_energy) is float
+    assert type(lie3.grad_norm_sq(md, E[0])) is float
+    assert type(lie3.first_variation_fd(md, E[0], E[1], 1)) is float
+    assert lie3.check_predicates(md, np.array([0.6, 0.0, 0.8]), 3).horizontal_tension is None
+
+
+def test_stacks_broadcast_against_single_geometry():
+    # One geometry against many fields, and a (K, 1, 3) stack of geometries
+    # against (K, N, 3) fields, as the battery's skyrmion property uses.
+    rng = np.random.default_rng(7)
+    samples = rng.normal(size=(4, 5, 3))
+    samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
+    lam = rng.uniform(-1.5, 1.5, size=(4, 3))
+    md = MilnorData.normalize(lam[:, None, :])
+    assert md.mu.shape == (4, 1, 3) and md.flat.shape == (4, 1)
+    got = lie3.in_h1(md, samples)
+    for k in range(4):
+        single = MilnorData.normalize(lam[k])
+        assert got[k].tolist() == [bool(lie3.in_h1(single, s)) for s in samples[k]]
+        stacked = lie3.tension_t1(md, samples)[k]
+        np.testing.assert_array_equal(lie3.tension_t1(single, samples[k]), stacked)
+
+
+# ---------------------------------------------------------------------------
+# interned descriptors
+# ---------------------------------------------------------------------------
+
+
+def test_classify_sets_builds_no_descriptor(monkeypatch):
+    built = []
+    true_post_init = SubsetDescriptor.__post_init__
+
+    def counting(self):
+        built.append(self)
+        true_post_init(self)
+
+    monkeypatch.setattr(SubsetDescriptor, "__post_init__", counting)
+    for rep in verify.CLASS_REPRESENTATIVES + ((1e200, 1e200, -1e200), (2e-170, 1e-170, -1e-170)):
+        sets = lie3.classify_sets(rep)
+        assert not built, rep
+        assert sets["H3"] is SubsetDescriptor.sphere()
+    members = (SubsetDescriptor.circle(1, 3), SubsetDescriptor.polar_pair(2))
+    assert SubsetDescriptor.union(*members) is SubsetDescriptor.union(*members)
+    assert not built
+    # Sets classify_sets never emits are still built and validated.
+    SubsetDescriptor.union(SubsetDescriptor.circle(1, 2), SubsetDescriptor.polar_pair(1))
+    assert len(built) == 1
+    with pytest.raises(ValueError):
+        SubsetDescriptor.polar_pair(4)
