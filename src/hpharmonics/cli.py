@@ -110,21 +110,43 @@ def _parse_matrix(text: str, name: str) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _load_density_payload(args) -> mapenergy.PointData:
+def _point_arrays(doc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not isinstance(doc, dict):
+        raise ValueError('a point must be a JSON object {"J": ..., "G": ..., "H": ...}')
+    missing = [key for key in ("J", "G", "H") if key not in doc]
+    if missing:
+        raise ValueError(f"payload file is missing keys {missing}")
+    jac, dom, cod = (np.asarray(doc[k], dtype=float) for k in ("J", "G", "H"))
+    # One point: PointData would read a Jacobian with more axes as a stack
+    # (and then refuses metrics with more axes than it has).
+    if jac.ndim != 2:
+        raise ValueError(f"jacobian must be 2-D, got shape {jac.shape}")
+    return jac, dom, cod
+
+
+def _load_density_payload(args) -> list | tuple:
+    """The (J, G, H) arrays of the request: one triple, or a list of them
+    when ``--file`` holds a JSON list of points."""
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        missing = [key for key in ("J", "G", "H") if key not in doc]
-        if missing:
-            raise ValueError(f"payload file is missing keys {missing}")
-        jac, dom, cod = (np.asarray(doc[k], dtype=float) for k in ("J", "G", "H"))
-    else:
-        if args.J is None or args.G is None or args.H is None:
-            raise ValueError("provide either --file or all of --J, --G, --H")
-        jac = _parse_matrix(args.J, "--J")
-        dom = _parse_matrix(args.G, "--G")
-        cod = _parse_matrix(args.H, "--H")
-    return mapenergy.PointData(jacobian=jac, domain_metric=dom, codomain_metric=cod)
+        if not isinstance(doc, list):
+            return _point_arrays(doc)
+        if not doc:
+            raise ValueError("payload file holds an empty list of points")
+        points = []
+        for k, entry in enumerate(doc):
+            try:
+                points.append(_point_arrays(entry))
+            except ValueError as exc:
+                raise ValueError(f"point {k}: {exc}") from None
+        return points
+    if args.J is None or args.G is None or args.H is None:
+        raise ValueError("provide either --file or all of --J, --G, --H")
+    jac = _parse_matrix(args.J, "--J")
+    dom = _parse_matrix(args.G, "--G")
+    cod = _parse_matrix(args.H, "--H")
+    return jac, dom, cod
 
 
 # ---------------------------------------------------------------------------
@@ -226,46 +248,94 @@ def cmd_check(args) -> int:
     return 0 if verdict else 1
 
 
-def cmd_density(args) -> int:
-    point = _load_density_payload(args)
-    r = args.r
+def _density_docs(point: mapenergy.PointData, r: int) -> list[dict]:
+    # One report per point of the stack (a single point gives one), read
+    # from stacked calls.
     if not 1 <= r <= point.m:
         raise ValueError(f"--r must be in 1..{point.m}, got {r}")
-    report_data = mapenergy.density_report(point)
-    conformal = mapenergy.r_conformal_check(point, r)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "input": {
-            "J": _mat(point.jacobian),
-            "G": _mat(point.domain_metric),
-            "H": _mat(point.codomain_metric),
-            "r": r,
-        },
-        "alpha": _mat(report_data.alpha),
-        "eps": _vec(report_data.eps),
-        "volume_density": report_data.volume_density,
-        "newton": [_mat(nu) for nu in report_data.newton],
-        "r_conformal": bool(conformal),
-    }
+    lead = point.jacobian.ndim - 2
+
+    def rows(values) -> np.ndarray:
+        # A result over the stack's leading axes, one entry per point.
+        values = np.asarray(values)
+        return values.reshape((-1,) + values.shape[lead:])
+
+    report = mapenergy.density_report(point)
+    jac, dom, cod = rows(point.jacobian), rows(point.domain_metric), rows(point.codomain_metric)
+    alpha, eps, newton = rows(report.alpha), rows(report.eps), rows(report.newton)
+    volume = rows(report.volume_density)
+    conformal = rows(mapenergy.r_conformal_check(point, r))
+    probe_rho = 1.7
     if point.m == 2 * r:
-        doc["majorisation_gap"] = mapenergy.majorisation_gap(point)
-        probe_rho = 1.7
-        doc["conformal_invariance"] = {
-            "probe_rho": probe_rho,
-            "residual": mapenergy.conformal_scaling_residual(point, probe_rho, r),
+        gap = rows(mapenergy.majorisation_gap(point))
+        residual = rows(mapenergy.conformal_scaling_residual(point, probe_rho, r))
+    docs = []
+    for k in range(len(eps)):
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "input": {"J": _mat(jac[k]), "G": _mat(dom[k]), "H": _mat(cod[k]), "r": r},
+            "alpha": _mat(alpha[k]),
+            "eps": _vec(eps[k]),
+            "volume_density": float(volume[k]),
+            "newton": [_mat(nu) for nu in newton[k]],
+            "r_conformal": bool(conformal[k]),
         }
+        if point.m == 2 * r:
+            doc["majorisation_gap"] = float(gap[k])
+            doc["conformal_invariance"] = {"probe_rho": probe_rho, "residual": float(residual[k])}
+        docs.append(doc)
+    return docs
+
+
+def _density_list_docs(points: list, r: int) -> list[dict]:
+    # Points of one shape are evaluated as one stack; a refusal names the
+    # index of a point that is refused on its own.
+    groups: dict[tuple, list[int]] = {}
+    for k, arrays in enumerate(points):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(k)
+    docs: list = [None] * len(points)
+    for members in groups.values():
+        try:
+            stack = (np.array([points[k][i] for k in members]) for i in range(3))
+            rows = _density_docs(mapenergy.PointData(*stack), r)
+        except ValueError:
+            for k in members:
+                try:
+                    _density_docs(mapenergy.PointData(*points[k]), r)
+                except ValueError as exc:
+                    raise ValueError(f"point {k}: {exc}") from None
+            raise
+        for k, doc in zip(members, rows):
+            docs[k] = doc
+    return docs
+
+
+def _print_density(doc: dict) -> None:
+    print(f"eps             : {doc['eps']}")
+    print(f"volume density  : {doc['volume_density']}")
+    print(f"r-conformal     : {doc['r_conformal']} (r={doc['input']['r']})")
+    if "majorisation_gap" in doc:
+        print(f"majorisation gap: {doc['majorisation_gap']}")
+        block = doc["conformal_invariance"]
+        print(f"invariance resid: {block['residual']} (rho={block['probe_rho']})")
+
+
+def cmd_density(args) -> int:
+    payload = _load_density_payload(args)
+    if isinstance(payload, list):
+        docs = _density_list_docs(payload, args.r)
+        if args.json:
+            print(dumps_report(docs))
+        else:
+            for k, doc in enumerate(docs):
+                print(f"point {k}:")
+                _print_density(doc)
+        return 0
+    (doc,) = _density_docs(mapenergy.PointData(*payload), args.r)
     if args.json:
         print(dumps_report(doc))
     else:
-        print(f"eps             : {doc['eps']}")
-        print(f"volume density  : {doc['volume_density']}")
-        print(f"r-conformal     : {doc['r_conformal']} (r={r})")
-        if "majorisation_gap" in doc:
-            print(f"majorisation gap: {doc['majorisation_gap']}")
-            print(
-                "invariance resid: "
-                f"{doc['conformal_invariance']['residual']} (rho={probe_rho})"
-            )
+        _print_density(doc)
     return 0
 
 
@@ -301,7 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_density = sub.add_parser("density", help="pointwise map-energy report")
-    p_density.add_argument("--file", help='JSON file {"J": [[...]], "G": [[...]], "H": [[...]]}')
+    p_density.add_argument(
+        "--file",
+        help='JSON file {"J": [[...]], "G": [[...]], "H": [[...]]}, or a list of such '
+        "points, each reported in turn",
+    )
     p_density.add_argument("--J", metavar="a,b;c,d")
     p_density.add_argument("--G", metavar="a,b;c,d")
     p_density.add_argument("--H", metavar="a,b;c,d")

@@ -103,15 +103,27 @@ def _random_spd(rng: np.random.Generator, m: int) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def _random_point(rng: np.random.Generator, m: int, n: int) -> mapenergy.PointData:
+def _random_point(rng: np.random.Generator, m: int, n: int) -> tuple:
     # Jacobian scaled to keep the distortion operator O(1): the invariant
     # recursion works with alternating sums of power traces, whose relative
-    # accuracy degrades with the operator norm.
-    return mapenergy.PointData(
-        jacobian=rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n),
-        domain_metric=_random_spd(rng, m),
-        codomain_metric=_random_spd(rng, n),
+    # accuracy degrades with the operator norm.  Returned as the arrays
+    # (J, G, H), which the properties stack into one PointData per shape.
+    return (
+        rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n),
+        _random_spd(rng, m),
+        _random_spd(rng, n),
     )
+
+
+def _stacks(draws: list[tuple]):
+    """Group draws (J, G, H, *extra) by the shape of J, in first-seen order,
+    and yield each group as (PointData stack, *extra arrays)."""
+    groups: dict[tuple, list[tuple]] = {}
+    for draw in draws:
+        groups.setdefault(draw[0].shape, []).append(draw)
+    for rows in groups.values():
+        jac, dom, cod, *extra = (np.array(column) for column in zip(*rows))
+        yield (mapenergy.PointData(jac, dom, cod), *extra)
 
 
 def _random_lambda(rng: np.random.Generator) -> np.ndarray:
@@ -234,11 +246,13 @@ def check_cauchy_green_gram(rng: np.random.Generator, trials: int) -> PropertyRe
     """Invariants of the distortion operator, by Newton-Girard and by the
     production path of :func:`mapenergy.density_report`, against whitened
     Gram minors, plus positive semi-definiteness of the stretch spectrum."""
-    worst = 0.0
+    draws = []
     for _ in range(trials):
         m = int(rng.integers(2, 6))
         n = int(rng.integers(m, m + 4))
-        point = _random_point(rng, m, n)
+        draws.append(_random_point(rng, m, n))
+    worst = 0.0
+    for (point,) in _stacks(draws):
         oracle = mapenergy.gram_invariants(point)
         for eps in (
             invariants.elementary_invariants_newton(mapenergy.cauchy_green(point)),
@@ -258,76 +272,74 @@ def check_metric_homogeneity(rng: np.random.Generator, trials: int) -> PropertyR
     (typically the determinant) can be far below the vector's scale on
     near-rank-deficient draws without any loss of accuracy elsewhere.
     """
-    worst = 0.0
+    draws = []
     for _ in range(trials):
         m = int(rng.integers(2, 6))
-        point = _random_point(rng, m, m + 1)
+        jac, dom, cod = _random_point(rng, m, m + 1)
         c = rng.uniform(0.5, 2.0)
+        # c**2 in Python float arithmetic (C pow), as one draw alone took
+        # it: numpy's array power can differ from it in the last bit.
+        draws.append((jac, dom, cod, c, c**2))
+    worst = 0.0
+    for point, c, c_sq in _stacks(draws):
         scaled = mapenergy.PointData(
             jacobian=point.jacobian,
             domain_metric=point.domain_metric,
-            codomain_metric=c**2 * point.codomain_metric,
+            codomain_metric=c_sq[:, None, None] * point.codomain_metric,
         )
         eps = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))
         eps_scaled = invariants.elementary_invariants_newton(mapenergy.cauchy_green(scaled))
-        expected = eps * c ** (2 * np.arange(m + 1))
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        worst = max(worst, float(np.max(np.abs(eps_scaled - expected))) / scale)
+        expected = eps * c[:, None] ** (2 * np.arange(point.m + 1))
+        scale = np.maximum(1.0, np.max(np.abs(expected), axis=-1))
+        worst = max(worst, float(np.max(np.max(np.abs(eps_scaled - expected), axis=-1) / scale)))
     return PropertyResult("codomain_homogeneity", worst <= 1e-12, worst, 1e-12)
 
 
 def check_conformal_invariance(rng: np.random.Generator, trials: int) -> PropertyResult:
     """For m = 4, r = 2 the combination e_2 * rho^4 is invariant under
     G -> rho^2 G, relative to the density itself."""
-    worst = 0.0
+    draws = []
     for _ in range(trials):
-        point = _random_point(rng, 4, int(rng.integers(4, 7)))
-        rho = rng.uniform(0.5, 2.0)
-        base = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[2]
+        draws.append((*_random_point(rng, 4, int(rng.integers(4, 7))), rng.uniform(0.5, 2.0)))
+    worst = 0.0
+    for point, rho in _stacks(draws):
+        base = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[:, 2]
         residual = mapenergy.conformal_scaling_residual(point, rho, 2)
-        worst = max(worst, residual / max(base, 1e-300))
+        worst = max(worst, float(np.max(residual / np.maximum(base, 1e-300))))
     return PropertyResult("conformal_invariance", worst <= 1e-10, worst, 1e-10)
 
 
-def _conformal_point(rng: np.random.Generator, m: int) -> mapenergy.PointData:
+def _conformal_point(rng: np.random.Generator, m: int) -> tuple:
     # J = c * (orthonormal columns): equal squared stretches c^2.
     q, _ = np.linalg.qr(rng.normal(size=(m, m)))
     c = rng.uniform(0.5, 1.5)
-    return mapenergy.PointData(
-        jacobian=c * q, domain_metric=np.eye(m), codomain_metric=np.eye(m)
-    )
+    return c * q, np.eye(m), np.eye(m)
 
 
-def _deficient_point(rng: np.random.Generator, m: int, rank: int) -> mapenergy.PointData:
+def _deficient_point(rng: np.random.Generator, m: int, rank: int) -> tuple:
     left = rng.uniform(-1.0, 1.0, size=(m, rank))
     right = rng.uniform(-1.0, 1.0, size=(rank, m))
-    return mapenergy.PointData(
-        jacobian=left @ right,
-        domain_metric=_random_spd(rng, m),
-        codomain_metric=_random_spd(rng, m),
-    )
+    return left @ right, _random_spd(rng, m), _random_spd(rng, m)
 
 
 def check_majorisation(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Degree-(m/2) density majorises binom(m, m/2) times the volume density,
     with equality exactly at conformal points."""
+    m, r = 4, 2
+    conformal = [_conformal_point(rng, m) for _ in range(trials)]
+    generic = [_random_point(rng, m, int(rng.integers(4, 7))) for _ in range(trials)]
     worst = 0.0
     mismatches = 0
-    m, r = 4, 2
-    for _ in range(trials):
-        point = _conformal_point(rng, m)
-        gap = mapenergy.majorisation_gap(point)
-        eps_r = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[r]
-        worst = max(worst, -gap / max(eps_r, 1e-300))
-        if not (gap <= 1e-9 and mapenergy.r_conformal_check(point, r)):
-            mismatches += 1
-    for _ in range(trials):
-        point = _random_point(rng, m, int(rng.integers(4, 7)))
-        gap = mapenergy.majorisation_gap(point)
-        eps_r = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[r]
-        worst = max(worst, -gap / max(eps_r, 1e-300))
-        if (gap <= 1e-9) != mapenergy.r_conformal_check(point, r):
-            mismatches += 1
+    for draws, at_conformal in ((conformal, True), (generic, False)):
+        for (point,) in _stacks(draws):
+            gap = mapenergy.majorisation_gap(point)
+            eps_r = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[:, r]
+            worst = max(worst, float(np.max(-gap / np.maximum(eps_r, 1e-300))))
+            verdict = mapenergy.r_conformal_check(point, r)
+            if at_conformal:
+                mismatches += int(np.sum(~((gap <= 1e-9) & verdict)))
+            else:
+                mismatches += int(np.sum((gap <= 1e-9) != verdict))
     passed = worst <= 1e-10 and mismatches == 0
     return PropertyResult(
         "majorisation", passed, worst, 1e-10, detail=f"{mismatches} verdict mismatches"
@@ -336,17 +348,17 @@ def check_majorisation(rng: np.random.Generator, trials: int) -> PropertyResult:
 
 def check_rank_zeroes(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Degree-r density vanishes exactly when the differential rank is < r."""
-    bad = 0
+    draws = []
     for _ in range(trials):
         m = int(rng.integers(2, 6))
         rank = int(rng.integers(1, m))
-        point = _deficient_point(rng, m, rank)
+        draws.append((*_deficient_point(rng, m, rank), rank))
+    bad = 0
+    for point, rank in _stacks(draws):
         eps = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))
-        scale = max(1.0, float(np.max(np.abs(eps))))
-        for r in range(1, m + 1):
-            vanishes = abs(eps[r]) <= 1e-9 * scale
-            if vanishes != (rank < r):
-                bad += 1
+        scale = np.maximum(1.0, np.max(np.abs(eps), axis=-1))
+        vanishes = np.abs(eps[:, 1:]) <= 1e-9 * scale[:, None]
+        bad += int(np.sum(vanishes != (rank[:, None] < np.arange(1, point.m + 1))))
     return PropertyResult("rank_vanishing", bad == 0, float(bad), 0.0)
 
 

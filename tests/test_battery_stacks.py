@@ -1,16 +1,18 @@
-"""The battery's stacked lie3 properties against their per-trial loops.
+"""The battery's stacked lie3 and mapenergy properties against their
+per-trial loops.
 
-Each frame-oracle property draws its trials one at a time and evaluates
-them as one stack; it must return exactly the residual or count of the
-per-trial loop it replaced.
+Each frame-oracle and map-energy property draws its trials one at a time
+and evaluates them as stacks; it must return exactly the residual or count
+of the per-trial loop it replaced.
 """
 
 import numpy as np
 import pytest
 
-from hpharmonics import lie3, verify
-from hpharmonics.invariants import elementary_invariants_minors
+from hpharmonics import lie3, mapenergy, verify
+from hpharmonics.invariants import elementary_invariants_minors, elementary_invariants_newton
 from hpharmonics.lie3 import MilnorData
+from hpharmonics.mapenergy import PointData
 
 E = np.eye(3)
 
@@ -196,3 +198,126 @@ def test_stacked_lie3_properties_match_per_trial_loops(monkeypatch, check, loop,
         assert stacked == loop(np.random.default_rng(seed), trials), (seed, trials)
         if fault is not None or check in RESIDUAL_PROPERTIES:
             assert stacked > 0.0
+
+
+# ---------------------------------------------------------------------------
+# map-energy properties: one PointData per trial
+# ---------------------------------------------------------------------------
+
+
+def _eps(point):
+    return elementary_invariants_newton(mapenergy.cauchy_green(point))
+
+
+def _cauchy_green_gram_loop(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m, m + 4))
+        point = PointData(*verify._random_point(rng, m, n))
+        oracle = mapenergy.gram_invariants(point)
+        for eps in (_eps(point), mapenergy.density_report(point).eps):
+            worst = max(worst, float(np.max(verify._rel(eps, oracle))))
+        low = float(np.min(mapenergy.stretch_eigenvalues(point)))
+        worst = max(worst, max(0.0, -low) * 1e2)
+    return worst, ""
+
+
+def _metric_homogeneity_loop(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(2, 6))
+        point = PointData(*verify._random_point(rng, m, m + 1))
+        c = rng.uniform(0.5, 2.0)
+        scaled = PointData(point.jacobian, point.domain_metric, c**2 * point.codomain_metric)
+        expected = _eps(point) * c ** (2 * np.arange(m + 1))
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        worst = max(worst, float(np.max(np.abs(_eps(scaled) - expected))) / scale)
+    return worst, ""
+
+
+def _conformal_invariance_loop(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        point = PointData(*verify._random_point(rng, 4, int(rng.integers(4, 7))))
+        rho = rng.uniform(0.5, 2.0)
+        residual = mapenergy.conformal_scaling_residual(point, rho, 2)
+        worst = max(worst, residual / max(_eps(point)[2], 1e-300))
+    return worst, ""
+
+
+def _majorisation_loop(rng, trials):
+    worst = 0.0
+    mismatches = 0
+    conformal = [PointData(*verify._conformal_point(rng, 4)) for _ in range(trials)]
+    generic = [
+        PointData(*verify._random_point(rng, 4, int(rng.integers(4, 7)))) for _ in range(trials)
+    ]
+    for points, at_conformal in ((conformal, True), (generic, False)):
+        for point in points:
+            gap = mapenergy.majorisation_gap(point)
+            worst = max(worst, -gap / max(_eps(point)[2], 1e-300))
+            verdict = mapenergy.r_conformal_check(point, 2)
+            if at_conformal:
+                mismatches += not (gap <= 1e-9 and verdict)
+            else:
+                mismatches += (gap <= 1e-9) != verdict
+    return worst, f"{mismatches} verdict mismatches"
+
+
+def _rank_zeroes_loop(rng, trials):
+    bad = 0
+    for _ in range(trials):
+        m = int(rng.integers(2, 6))
+        rank = int(rng.integers(1, m))
+        eps = _eps(PointData(*verify._deficient_point(rng, m, rank)))
+        scale = max(1.0, float(np.max(np.abs(eps))))
+        bad += sum((abs(eps[r]) <= 1e-9 * scale) != (rank < r) for r in range(1, m + 1))
+    return float(bad), ""
+
+
+def _inverted_conformal_check(point, r):
+    # A planted fault: every r-conformality verdict inverted.
+    return np.logical_not(_TRUE_CONFORMAL_CHECK(point, r))
+
+
+def _shifted_cauchy_green(point):
+    # A planted fault: alpha + 1e-3 I, so no invariant vanishes.
+    return _TRUE_CAUCHY_GREEN(point) + 1e-3 * np.eye(point.m)
+
+
+_TRUE_CONFORMAL_CHECK = mapenergy.r_conformal_check
+_TRUE_CAUCHY_GREEN = mapenergy.cauchy_green
+
+
+@pytest.mark.parametrize(
+    "check, loop, fault",
+    [
+        (verify.check_cauchy_green_gram, _cauchy_green_gram_loop, None),
+        (verify.check_metric_homogeneity, _metric_homogeneity_loop, None),
+        (verify.check_conformal_invariance, _conformal_invariance_loop, None),
+        (verify.check_majorisation, _majorisation_loop, None),
+        (
+            verify.check_majorisation,
+            _majorisation_loop,
+            ("r_conformal_check", _inverted_conformal_check),
+        ),
+        (verify.check_rank_zeroes, _rank_zeroes_loop, None),
+        (verify.check_rank_zeroes, _rank_zeroes_loop, ("cauchy_green", _shifted_cauchy_green)),
+    ],
+)
+def test_stacked_mapenergy_properties_match_per_trial_loops(monkeypatch, check, loop, fault):
+    # Same draws in the same order: the stacked property returns exactly the
+    # residual and the count of the per-trial loop.  Counts are also
+    # compared under a planted fault, so that they are nonzero.
+    if fault is not None:
+        monkeypatch.setattr(mapenergy, *fault)
+    for seed, trials in ((3, 4), (5, 9), (8, 16)):
+        result = check(np.random.default_rng(seed), trials)
+        residual, detail = loop(np.random.default_rng(seed), trials)
+        assert (result.residual, result.detail) == (residual, detail), (seed, trials)
+        if fault is None:
+            assert result.passed
+        else:
+            assert result.residual > 0.0 or detail != "0 verdict mismatches"
+            assert not result.passed

@@ -414,6 +414,75 @@ def test_density_file_payload(tmp_path, capsys):
     assert "missing keys ['H']" in err
 
 
+def test_density_file_list_of_points(tmp_path, capsys):
+    # A list of points, of mixed shapes, is evaluated in stacks by shape;
+    # each point's report equals the single-object report of that point.
+    rng = np.random.default_rng(4)
+    points = []
+    for m, n in ((2, 2), (4, 5), (2, 2), (4, 4), (4, 5)):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        points.append(
+            {
+                "J": rng.uniform(-1.0, 1.0, size=(n, m)).tolist(),
+                "G": ((q * rng.uniform(0.5, 2.0, size=m)) @ q.T).round(12).tolist(),
+                "H": np.eye(n).tolist(),
+            }
+        )
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    code, out, _ = _run(capsys, ["density", "--file", str(path), "--r", "2", "--json"])
+    assert code == 0
+    docs = _strict_json(out)
+    code, text, _ = _run(capsys, ["density", "--file", str(path), "--r", "2"])
+    assert code == 0
+    assert len(docs) == len(points)
+    blocks = text.split("point ")[1:]
+    for k, point in enumerate(points):
+        single = tmp_path / f"point{k}.json"
+        single.write_text(json.dumps(point))
+        _, alone, _ = _run(capsys, ["density", "--file", str(single), "--r", "2", "--json"])
+        assert docs[k] == _strict_json(alone)
+        _, alone, _ = _run(capsys, ["density", "--file", str(single), "--r", "2"])
+        assert blocks[k] == f"{k}:\n" + alone
+
+
+def test_density_file_refuses_what_is_not_one_point(tmp_path, capsys):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / "point.json"
+    for payload, message in (
+        ({"J": [eye, eye], "G": [eye, eye], "H": [eye, eye]}, "jacobian must be 2-D"),
+        (7, "a point must be a JSON object"),
+    ):
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, ["density", "--file", str(path), "--r", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda pts: pts[1].update(J=[[1.0], [0.0]], G=[[1.0]]), "point 1: --r must be in 1..1, got 2"),
+        (lambda pts: pts[2].update(G=[[1.0, 0.0], [0.0, -1.0]]), "point 2: domain metric is not"),
+        (lambda pts: pts[2].pop("H"), "point 2: payload file is missing keys ['H']"),
+        (lambda pts: pts.__setitem__(1, [1.0]), "point 1: a point must be a JSON object"),
+        (lambda pts: pts[0].update(J=[1.0, 0.0]), "point 0: jacobian must be 2-D"),
+        (lambda pts: pts[1].update(J=[pts[1]["J"]]), "point 1: jacobian must be 2-D"),
+        (lambda pts: pts[1].update(G=[pts[1]["G"]]), "point 1: jacobian and metrics must share"),
+        (lambda pts: pts.clear(), "empty list"),
+    ],
+)
+def test_density_file_list_refusal_names_the_point(tmp_path, capsys, edit, message):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    points = [{"J": eye, "G": eye, "H": eye} for _ in range(3)]
+    edit(points)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    code, out, err = _run(capsys, ["density", "--file", str(path), "--r", "2", "--json"])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_density_rejects_non_spd_metric(capsys):
     code, _, err = _run(
         capsys,

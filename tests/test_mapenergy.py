@@ -327,3 +327,41 @@ def test_invalid_inputs():
             conformal_scaling_residual(point, 1.0, r)
     with pytest.raises(ValueError):
         r_conformal_check(point, 0)
+
+
+def test_complex_input_is_refused():
+    # A complex Jacobian or metric used to be cast to its real part, after
+    # a ComplexWarning, and return plausible-looking invariants.
+    eye = np.eye(2)
+    for args in ((np.ones((2, 2)) + 1j, eye, eye), (eye, eye + 0j, eye), (eye, eye, eye * 1j)):
+        with pytest.raises(ValueError, match="complex entries"):
+            PointData(*args)
+    with pytest.raises(ValueError, match="complex entries"):
+        conformal_scaling_residual(_point(eye), 1.5 + 0.5j, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho", [1e160, 1e200, np.float64(1e200), 1e-200])
+def test_extreme_scale_factor_is_refused_by_name(rho):
+    point = _point(np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match=r"^scale factor .* is out of range: rho\^2 and rho\^4"):
+        conformal_scaling_residual(point, rho, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "jac, dom", [(1e200 * np.eye(2), np.eye(2)), (np.eye(2), 1e-320 * np.eye(2))]
+)
+def test_overflowing_whitened_pullback_refuses_without_warning(jac, dom):
+    point = PointData(jac, dom, np.eye(2))
+    calls = (
+        density_report,
+        stretch_eigenvalues,
+        gram_invariants,
+        majorisation_gap,
+        lambda pt: r_conformal_check(pt, 1),
+        lambda pt: conformal_scaling_residual(pt, 1.5, 1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^the whitened pullback .* overflows the float range$"):
+            call(point)
