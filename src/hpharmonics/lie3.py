@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -160,9 +161,9 @@ class MilnorData:
     dimension is 0, 2 or 3 as none, one or two of the mu_i vanish.
 
     ``unit_mu`` and ``unit_ricci`` are mu and rho of lam / 2^e, 2^e ~ max
-    |lam_i|: the class, flatness, kernel and loci are decided on them, so no
-    verdict depends on the scale of ``lam``.  A stack of triples gives arrays
-    for every field; a single triple a str, bools, an int and a tuple.
+    |lam_i|: the class, flatness, kernel and every locus rule read them, so
+    no verdict depends on the scale of ``lam``.  A stack of triples gives
+    arrays for every field; a single triple a str, bools, an int and a tuple.
     """
 
     lam: np.ndarray
@@ -387,25 +388,27 @@ def is_eigendirection(diag_values, sigma):
 
 def in_h1(md: MilnorData, sigma):
     """Whether ``sigma`` is an eigenvector of the squared Milnor map (H1)."""
-    return is_eigendirection(md.mu**2, sigma)
+    return is_eigendirection(md.unit_mu**2, sigma)
 
 
 def in_h2(md: MilnorData, sigma):
-    """Whether ``sigma`` is an eigenvector of the squared Ricci map (H2)."""
-    return is_eigendirection(md.ricci**2, sigma)
+    """Whether ``sigma`` is an eigenvector of the squared Ricci map (H2):
+    rho_i^2 - rho_j^2 = 4 mu_k^2 (mu_j^2 - mu_i^2) for every permutation
+    (i, j, k), so H2 is H1 union Z2, without rho^2 of degree 4 in lambda."""
+    return in_h1(md, sigma) | in_z2(md, sigma)
 
 
 def in_z1(md: MilnorData, sigma):
     """Whether ``sigma`` is parallel (Z1): |nabla sigma| is negligible
-    against max |mu_i|, on mu scaled to max |mu_i| = 1."""
+    against max |mu_i|, on ``unit_mu`` scaled to max 1."""
     arr = np.asarray(sigma, dtype=float)
-    return _negligible(np.sqrt(_grad_norm_sq(_unit_diagonal(md.mu) ** 2, arr)))
+    return _negligible(np.sqrt(_grad_norm_sq(_unit_diagonal(md.unit_mu) ** 2, arr)))
 
 
 def in_z2(md: MilnorData, sigma):
     """Whether ``sigma`` lies in the Ricci kernel (Z2): |Ric(sigma)| is
-    negligible against max |rho_i|, on rho scaled to max |rho_i| = 1."""
-    return _negligible(_norm(np.asarray(sigma, dtype=float) * _unit_diagonal(md.ricci)))
+    negligible against max |rho_i|, on ``unit_ricci`` scaled to max 1."""
+    return _negligible(_norm(np.asarray(sigma, dtype=float) * _unit_diagonal(md.unit_ricci)))
 
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling):
@@ -534,7 +537,8 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
     if r == 3:
         _require_h1(md, arr)
-    out = _horizontal_tension(md, arr, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _horizontal_tension(md, arr, r)
     if not np.isfinite(out).all():
         raise ValueError(f"the degree-{r} horizontal tension overflows the float range")
     return out
@@ -630,26 +634,25 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     # Vanishing is always thresholded on quantities linear in the offending
     # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
     # has the same width as descriptor membership and eigenvector residuals.
-    if r < 3:
-        vertical, energy = _vertical(md, arr, r)
-        if r == 1:
-            parallel, harmonic_unit = in_z1(md, arr), h1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r < 3:
+            vertical, energy = _vertical(md, arr, r)
+            parallel = (in_z1 if r == 1 else in_z2)(md, arr)
+            harmonic_unit = h1 if r == 1 else h1 | parallel  # H2 = H1 union Z2
+            harmonic_map = is_eigendirection(md.lam, arr)
+            horizontal = _horizontal_tension(md, arr, r)
         else:
-            parallel, harmonic_unit = in_z2(md, arr), in_h2(md, arr)
-        harmonic_map = is_eigendirection(md.lam, arr)
-        horizontal = _horizontal_tension(md, arr, r)
-    else:
-        # Degree-3 bending density vanishes identically: the covariant
-        # derivative of a unit field takes values in a 2-plane.  The degree-3
-        # horizontal closed form holds on H1 only; other rows are not
-        # evaluated and are reported as None (nan in a stack).
-        energy = np.zeros(np.shape(h1))
-        vertical = np.zeros(energy.shape + (3,))
-        parallel = harmonic_unit = h1 | True  # every field, in the shape of h1
-        harmonic_map, horizontal = h1, vertical + np.nan
-        if np.count_nonzero(h1):
-            on = np.asarray(h1)[..., None]
-            horizontal = np.where(on, _horizontal_tension(md, arr * on, 3), horizontal)
+            # Degree-3 bending density vanishes identically: the covariant
+            # derivative of a unit field takes values in a 2-plane.  The
+            # degree-3 horizontal closed form holds on H1 only; other rows are
+            # not evaluated and are reported as None (nan in a stack).
+            energy = np.zeros(np.shape(h1))
+            vertical = np.zeros(energy.shape + (3,))
+            parallel = harmonic_unit = h1 | True  # every field, in the shape of h1
+            harmonic_map, horizontal = h1, vertical + np.nan
+            if np.count_nonzero(h1):
+                on = np.asarray(h1)[..., None]
+                horizontal = np.where(on, _horizontal_tension(md, arr * on, 3), horizontal)
 
     return PredicateReport(
         r=r,
@@ -746,10 +749,7 @@ class SubsetDescriptor:
             out = _negligible(np.abs(arr[..., k]))
         else:  # Empty, Sphere, or the union of the members
             out = np.full(arr.shape[:-1], self.kind == "Sphere")
-            members = self.members
-            if self.kind == "PolarSet":
-                members = tuple(SubsetDescriptor.polar_pair(k) for k in (1, 2, 3))
-            for member in members:
+            for member in _PAIRS if self.kind == "PolarSet" else self.members:
                 out = out | member.contains(arr)
         return bool(out) if arr.ndim == 1 else out
 
@@ -774,12 +774,14 @@ class SubsetDescriptor:
 
 _PAIRS = [SubsetDescriptor("PolarPair", (k,)) for k in (1, 2, 3)]
 _CIRCLES = [SubsetDescriptor("Circle", ij) for ij in ((2, 3), (1, 3), (1, 2))]
-#: The interned descriptors, keyed by their fields: every set classify_sets
-#: emits, a circle with the pole it misses included.
+#: Entry k: the circle that misses pole k + 1, with that pole.
+_CIRCLES_AND_POLES = [SubsetDescriptor("Union", members=m) for m in zip(_CIRCLES, _PAIRS)]
+#: The interned descriptors, keyed by their fields: every set classify_sets emits.
 _INTERNED = {
     (d.kind, d.indices, d.members): d
     for d in [SubsetDescriptor(kind) for kind in ("Empty", "Sphere", "PolarSet")]
-    + _PAIRS + _CIRCLES + [SubsetDescriptor("Union", members=m) for m in zip(_CIRCLES, _PAIRS)]
+    + _PAIRS + _CIRCLES + _CIRCLES_AND_POLES
+    + [SubsetDescriptor("Union", members=pair) for pair in combinations(_CIRCLES, 2)]
 }
 
 
@@ -789,19 +791,13 @@ def _eigendirection_descriptor(values: np.ndarray) -> SubsetDescriptor:
     # largest).  Near-degenerate triples resolve by transitive closure.
     vals = values.tolist()
     top = max(vals)
-    if top <= _TINY:
-        return SubsetDescriptor.sphere()
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    equal = [_negligible(abs(vals[i - 1] - vals[j - 1]), top) for i, j in pairs]
+    # Entry k compares the two entries other than k.
+    equal = [_negligible(abs(vals[i] - vals[j]), top) for i, j in ((1, 2), (0, 2), (0, 1))]
     count = sum(equal)
     if count >= 2:
         return SubsetDescriptor.sphere()
     if count == 1:
-        i, j = pairs[equal.index(True)]
-        k = ({1, 2, 3} - {i, j}).pop()
-        return SubsetDescriptor.union(
-            SubsetDescriptor.circle(i, j), SubsetDescriptor.polar_pair(k)
-        )
+        return _CIRCLES_AND_POLES[equal.index(True)]
     return SubsetDescriptor.polar_set()
 
 
@@ -812,7 +808,8 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
 
     * H1 -- unit eigenvectors of the squared Milnor map (harmonic unit
       fields), read off the multiplicities of mu_i^2;
-    * H2 -- unit eigenvectors of the squared Ricci map, read off rho_i^2;
+    * H2 -- unit eigenvectors of the squared Ricci map, built as H1 union
+      Z2 (:func:`in_h2`);
     * H3 = Z3 -- the whole sphere (degree-3 bending vanishes identically);
     * Z1 -- parallel fields: the sphere when all mu vanish, the polar pair
       of the only non-vanishing mu when exactly one survives, else empty;
@@ -821,35 +818,32 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
       (kernel dimension 3, 2, 0).
 
     The loci satisfy H_r = H_{r-1} union Z_r for r = 2, 3.  Each is decided
-    on the exactly rescaled ``unit_mu`` and ``unit_ricci``.  Accepts one
-    triple in any form :func:`classify_algebra` accepts, including its
-    :class:`MilnorData`.
+    on the exactly rescaled ``unit_mu``.  Accepts one triple in any form
+    :func:`classify_algebra` accepts, including its :class:`MilnorData`.
     """
     md = classify_algebra(sc)
     if md.lam.ndim != 1:
         raise ValueError(f"classify_sets takes one triple, got shape {md.lam.shape}")
 
     mu_zero = _zero_mask(md.unit_mu.tolist())
-    if sum(mu_zero) == 3:
-        z1 = SubsetDescriptor.sphere()
-    elif sum(mu_zero) == 2:
-        z1 = SubsetDescriptor.polar_pair(mu_zero.index(False) + 1)
+    zeros = sum(mu_zero)  # as in ricci_kernel_dim: 2 or 3 give 3, 1 gives 2, 0 gives 0
+    h1 = _eigendirection_descriptor(md.unit_mu**2)
+    empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
+    if zeros >= 2:  # flat: Z1 is the pole of the one surviving mu, or all
+        z1, z2, h2 = (_PAIRS[mu_zero.index(False)] if zeros == 2 else sphere), sphere, sphere
+    elif zeros == 1:  # Z2 is the circle that misses the pole of the zero mu
+        k = mu_zero.index(True)
+        z1, z2, h2 = empty, _CIRCLES[k], _CIRCLES_AND_POLES[k]
+        if h1 in _CIRCLES_AND_POLES and h1 != h2:  # H1 ties a mu^2 to the zero mu within TOL
+            h2 = SubsetDescriptor.union(*sorted((z2, h1.members[0]), key=_CIRCLES.index))
     else:
-        z1 = SubsetDescriptor.empty()
-
-    if md.ricci_kernel_dim == 3:
-        z2 = SubsetDescriptor.sphere()
-    elif md.ricci_kernel_dim == 2:
-        i, j = (k + 1 for k, zero in enumerate(mu_zero) if not zero)
-        z2 = SubsetDescriptor.circle(i, j)
-    else:
-        z2 = SubsetDescriptor.empty()
+        z1, z2, h2 = empty, empty, h1
 
     return {
-        "H1": _eigendirection_descriptor(md.unit_mu**2),
-        "H2": _eigendirection_descriptor(md.unit_ricci**2),
-        "H3": SubsetDescriptor.sphere(),
+        "H1": h1,
+        "H2": h2,
+        "H3": sphere,
         "Z1": z1,
         "Z2": z2,
-        "Z3": SubsetDescriptor.sphere(),
+        "Z3": sphere,
     }

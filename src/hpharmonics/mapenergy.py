@@ -78,6 +78,14 @@ def _real(a, name: str, error: type[ValueError] = ValueError) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
+def _finite(values, name: str, problem="overflows the float range", error=ValueError):
+    # ``values`` (..., k, m), refused naming the first row with a non-finite entry.
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=(-2, -1))
+        raise error(f"{name}{_row(finite)} {problem}")
+    return values
+
+
 def _scalars(values: np.ndarray):
     # A single point's result as a Python scalar, a stack's as its array.
     return values.item() if values.ndim == 0 else values
@@ -97,9 +105,7 @@ def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
     g = _real(g, name, InvalidMetricError)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise InvalidMetricError(f"{name} must be square, got shape {g.shape}")
-    if not np.isfinite(g).all():
-        finite = np.isfinite(g).all(axis=(-2, -1))
-        raise InvalidMetricError(f"{name}{_row(finite)} has non-finite entries")
+    _finite(g, name, "has non-finite entries", InvalidMetricError)
     asym = np.abs(g - g.mT)
     # Each row's tolerance is 1e-12 max(1, max |g|): a stack within 1e-12
     # passes without forming them.
@@ -152,9 +158,7 @@ class PointData:
         jac = _real(self.jacobian, "jacobian")
         if jac.ndim < 2:
             raise ValueError(f"jacobian must be 2-D, got shape {jac.shape}")
-        if not np.isfinite(jac).all():
-            finite = np.isfinite(jac).all(axis=(-2, -1))
-            raise ValueError(f"jacobian{_row(finite)} has non-finite entries")
+        _finite(jac, "jacobian", "has non-finite entries")
         g, low = _check_metric(self.domain_metric, "domain metric")
         h, _ = _check_metric(self.codomain_metric, "codomain metric")
         n, m = jac.shape[-2:]
@@ -188,7 +192,7 @@ class PointData:
         # cached_property stores into the instance __dict__, which the frozen
         # dataclass leaves writable.  An overflowing P is refused with B.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _diagonalise(self._domain_factor, pullback_metric(self))
+            return _diagonalise(self._domain_factor, _pullback(self))
 
 
 class _Spectrum(NamedTuple):
@@ -210,12 +214,7 @@ def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
     inv_low = np.linalg.inv(low)
     low_p = inv_low @ pullback
     b = low_p @ inv_low.mT
-    b = 0.5 * (b + b.mT)
-    if not np.isfinite(b).all():
-        finite = np.isfinite(b).all(axis=(-2, -1))
-        raise ValueError(
-            f"the whitened pullback L^-1 J^T H J L^-T{_row(finite)} overflows the float range"
-        )
+    b = _finite(0.5 * (b + b.mT), "the whitened pullback L^-1 J^T H J L^-T")
     w, q = np.linalg.eigh(b)
     # Column 0 of ``values`` is w; column i + 1 is w with w_i set to 0,
     # whose invariants e_r(w without w_i) weight the Newton tensors.
@@ -262,10 +261,16 @@ def _volume_density(eps: np.ndarray) -> np.ndarray:
 
 
 def pullback_metric(point: PointData) -> np.ndarray:
-    """Pullback Gram matrix P = J^T H J, symmetrized, shape (..., m, m)."""
+    """Pullback Gram matrix P = J^T H J, symmetrized, shape (..., m, m);
+    refused when it overflows the float range."""
+    return _finite(_pullback(point), "the pullback metric J^T H J")
+
+
+def _pullback(point: PointData) -> np.ndarray:
     jac = point.jacobian
-    p = jac.mT @ point.codomain_metric @ jac
-    return 0.5 * (p + p.mT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = jac.mT @ point.codomain_metric @ jac
+        return 0.5 * (p + p.mT)
 
 
 def cauchy_green(point: PointData) -> np.ndarray:
@@ -275,9 +280,10 @@ def cauchy_green(point: PointData) -> np.ndarray:
     positive semi-definite; its eigenvalues are the squared principal
     stretches of the map at the point.  Solved directly from (G, P), apart
     from the whitening that :func:`density_report` reads, so the battery
-    can check that path against it.
+    can check that path against it; refused when it overflows the float range.
     """
-    return np.linalg.solve(point.domain_metric, pullback_metric(point))
+    alpha = np.linalg.solve(point.domain_metric, _pullback(point))
+    return _finite(alpha, "the distortion operator G^-1 J^T H J")
 
 
 def stretch_eigenvalues(point: PointData) -> np.ndarray:

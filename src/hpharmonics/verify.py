@@ -499,8 +499,8 @@ def check_classification_golden(rng: np.random.Generator, trials: int) -> Proper
 
 
 def check_union_consistency(rng: np.random.Generator, trials: int) -> PropertyResult:
-    """H_r = H_{r-1} union Z_r for r = 2, 3 on sampled unit fields, checked
-    both through the descriptors and through the residual predicates."""
+    """H_r = H_{r-1} union Z_r for r = 2, 3 on sampled unit fields, through the
+    descriptors, and through the predicates against the eigenvectors of diag(rho^2)."""
     bad = 0
     for rep in CLASS_REPRESENTATIVES:
         md = lie3.classify_algebra(rep)
@@ -513,7 +513,7 @@ def check_union_consistency(rng: np.random.Generator, trials: int) -> PropertyRe
         # H3 is everything, so r = 3 reduces to H2 | Z3 == all.
         bad += int(np.sum(~(h2_m | sets["Z3"].contains(samples))))
         # Same law at the predicate level.
-        p2 = lie3.in_h2(md, samples)
+        p2 = lie3.is_eigendirection(md.ricci**2, samples)
         bad += int(np.sum(p2 != (lie3.in_h1(md, samples) | lie3.in_z2(md, samples))))
     return PropertyResult(
         "harmonic_union_consistency", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"

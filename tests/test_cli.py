@@ -304,6 +304,36 @@ def test_classify_decides_sl2_on_the_unit_scale(capsys, scaled, unit):
     assert "flat             : False" in texts[0]
 
 
+def test_check_decides_predicates_on_the_unit_scale(capsys):
+    # mu^2 and rho^2 of this sl2 triple leave the float range; the verdicts
+    # are those of (2, 1, -1): e2 is in H1, and e1 in the Ricci kernel.
+    lam = "--lambda=2e170,1e170,-1e170"
+    for sigma, r, line in (("0,1,0", "1", "r_harmonic_unit    : True"),
+                           ("1,0,0", "2", "r_parallel         : True")):
+        argv = ["check", lam, f"--sigma={sigma}", "--r", r, "--kind", "unit-section"]
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert line in out, argv
+
+
+@pytest.mark.parametrize(
+    "lam, h2",
+    [
+        # Near-flat: two mu negligible, so Z2 = H2 = Sphere at every scale.
+        ("0,1,1.000000000000341", "Sphere"),
+        ("0,1e170,1.000000000000341e170", "Sphere"),
+        ("0,1e-170,1.000000000000341e-170", "Sphere"),
+        # Two rho^2 within the tolerance band, but mu_2 is not negligible and
+        # no two mu^2 tie: H2 = H1 union Z2 = PolarSet.
+        ("1.1001336551940688,0.14421341896135775,-0.9559467023566952", "PolarSet"),
+    ],
+)
+def test_classify_h2_is_h1_union_z2(capsys, lam, h2):
+    code, out, _ = _run(capsys, ["classify", f"--lambda={lam}"])
+    assert code == 0
+    assert f"H2               : {h2}" in out
+
+
 def test_classify_and_check_derive_geometry_once(monkeypatch, capsys):
     derived = []
     true_classify = lie3.classify_algebra

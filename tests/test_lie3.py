@@ -623,7 +623,8 @@ def test_predicates_cross_validated_with_eigen_tests():
             assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
     # Near the ends of the float range for mu^2 (r = 1) and rho^2 (r = 2),
     # whose squared eigenvector residuals used to overflow or underflow.
-    # At 1e+-100 rho^2 itself leaves the range, so only r = 1 is pinned there.
+    # At 1e+-100 rho^2 itself leaves the range; the loci read unit_mu and
+    # unit_ricci, so both degrees are pinned there too.
     bases = [
         (1.0, 0.0, 0.0),
         (1.0, 0.0, -1.0),
@@ -640,17 +641,16 @@ def test_predicates_cross_validated_with_eigen_tests():
             v[i], v[j] = np.cos(t), np.sin(t)
             samples.append(v)
     for base in bases:
-        for scale, degrees in ((1e50, (1, 2)), (1e-50, (1, 2)), (1e100, (1,)), (1e-100, (1,))):
+        for scale in (1e50, 1e-50, 1e100, 1e-100):
             lam = np.asarray(base) * scale
             md = classify_algebra(lam)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sets = classify_sets(lam)
-                for sigma in samples:
-                    for r in degrees:
-                        report = check_predicates(md, sigma, r)
-                        where = (base, scale, r)
-                        assert report.r_harmonic_unit == sets[f"H{r}"].contains(sigma), where
-                        assert report.twisted_2_skyrmion == sets["H1"].contains(sigma), where
+            sets = classify_sets(lam)
+            for sigma in samples:
+                for r in (1, 2):
+                    report = check_predicates(md, sigma, r)
+                    where = (base, scale, r)
+                    assert report.r_harmonic_unit == sets[f"H{r}"].contains(sigma), where
+                    assert report.twisted_2_skyrmion == sets["H1"].contains(sigma), where
 
 
 def test_parallel_test_is_scale_safe():
@@ -662,12 +662,86 @@ def test_parallel_test_is_scale_safe():
     for base in bases + [(1.0, 1.0, 1.0)]:
         for scale in (1e-170, 1.0, 1e170):
             md = classify_algebra(np.asarray(base) * scale)
-            with np.errstate(over="ignore", invalid="ignore"):
-                z1 = classify_sets(md)["Z1"]
+            z1 = classify_sets(md)["Z1"]
             np.testing.assert_array_equal(in_z1(md, samples), z1.contains(samples), (base, scale))
     # mu^2 = 1e-340 underflows to 0: the residual used to call this parallel.
     md = classify_algebra((1e-170, 0.0, 0.0))
     assert not check_predicates(md, np.array([0.0, 0.6, 0.8]), 1).r_parallel
+
+
+def test_verdicts_are_invariant_under_power_of_two_scaling():
+    # lambda -> 2^k lambda is exact wherever it round-trips, so the class,
+    # flatness, kernel, every descriptor and every predicate verdict must be
+    # bit-equal to those at scale 1, on generic, representative and
+    # near-degenerate triples (near-flat, and a small mu whose rho^2 entries
+    # tie inside the tolerance band).
+    rng = np.random.default_rng(116)
+    near = [
+        (0.0, 1.0, 1.000000000000341),
+        (1.1001336551940688, 0.14421341896135775, -0.9559467023566952),
+        (2.0, 1.0, -1.0000001),
+        (1.0, 1.0 + 1e-12, -1.0),
+        (1e-12, 1.0, 1.0),
+        (1.000001e-6, 1.000000000001, 1.000001),
+    ]
+    bases = list(REPRESENTATIVES) + near + [tuple(rng.uniform(-1.5, 1.5, size=3)) for _ in range(8)]
+    samples = np.concatenate([rng.normal(size=(24, 3)), E, [[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]])
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+
+    def verdicts(lam):
+        md = classify_algebra(lam)
+        out = [md.algebra_class, md.flat, md.ricci_kernel_dim, classify_sets(md)]
+        for r in (1, 2, 3):
+            report = check_predicates(md, samples, r)
+            out += [
+                report.r_parallel.tolist(),
+                report.r_harmonic_unit.tolist(),
+                report.twisted_2_skyrmion.tolist(),
+                report.r_harmonic_map.tolist(),
+            ]
+        return out
+
+    checked = 0
+    for base in bases:
+        lam = np.asarray(base, dtype=float)
+        expected = verdicts(lam)
+        for k in (-1000, -600, -300, -100, -60, -1, 1, 60, 100, 300, 600, 900):
+            scaled = np.ldexp(lam, k)
+            if not np.array_equal(np.ldexp(scaled, -k), lam):
+                continue
+            assert verdicts(scaled) == expected, (base, k)
+            checked += 1
+    assert checked >= 11 * len(bases)
+
+
+@pytest.mark.parametrize(
+    "lam, h2, residual_z2",
+    [
+        # Two mu negligible: flat, though max |rho| is ~3e-13 of max mu^2.
+        ((0.0, 1.0, 1.000000000000341), "Sphere", False),
+        ((2.0, 1.0, -1.0000001), "PolarSet", True),  # two rho^2 tie within TOL, no mu^2 do
+        ((1.0, 0.0, -1.0), "Circle(1,3) U PolarPair(2)", True),
+        # mu = (5e-13, 5e-7, 0.5): mu_1 is negligible, and mu_1^2, mu_2^2 tie
+        # within TOL, so H1 pairs e3 with the (e1, e2)-circle.
+        ((1.000001e-6, 1.000000000001, 1.000001), "Circle(2,3) U Circle(1,2)", False),
+    ],
+)
+def test_h2_descriptor_is_the_union_of_h1_and_z2(lam, h2, residual_z2):
+    # Membership in the emitted H2 is membership in H1 or Z2.  in_h2 agrees
+    # where in_z2's residual, taken against max |rho|, finds the kernel that
+    # the negligible mu give; it does not where max |rho| is itself small.
+    md = classify_algebra(lam)
+    sets = classify_sets(md)
+    assert str(sets["H2"]) == h2
+    rng = np.random.default_rng(117)
+    t = rng.uniform(0.0, 2.0 * np.pi, size=20)
+    circle = np.stack([np.cos(t), np.sin(t), 0.0 * t], -1)  # in the (e1, e2)-plane
+    circles = [np.roll(circle, k, -1) for k in range(3)]
+    samples = np.concatenate([E, -E, rng.normal(size=(20, 3))] + circles)
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    union = sets["H1"].contains(samples) | sets["Z2"].contains(samples)
+    np.testing.assert_array_equal(sets["H2"].contains(samples), union)
+    assert np.array_equal(lie3.in_h2(md, samples), union) == residual_z2
 
 
 def test_check_predicates_validates_once(monkeypatch):
@@ -749,14 +823,13 @@ def test_horizontal_tension_refuses_overflow():
     assert in_h1(md, sigma)
     big = classify_algebra(np.array([2.0, 1.0, -1.0]) * 1e120)
     generic = np.array([0.6, 0.48, 0.64])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="degree-3 horizontal tension overflows"):
-            horizontal_tension(md, sigma, 3)
-        report = check_predicates(md, sigma, 3)
-        for r in (1, 2):
-            with pytest.raises(ValueError, match=f"degree-{r} horizontal tension overflows"):
-                horizontal_tension(big, generic, r)
-            assert check_predicates(big, generic, r).horizontal_tension is None
+    with pytest.raises(ValueError, match="degree-3 horizontal tension overflows"):
+        horizontal_tension(md, sigma, 3)
+    report = check_predicates(md, sigma, 3)
+    for r in (1, 2):
+        with pytest.raises(ValueError, match=f"degree-{r} horizontal tension overflows"):
+            horizontal_tension(big, generic, r)
+        assert check_predicates(big, generic, r).horizontal_tension is None
     assert report.horizontal_tension is None
     assert report.r_harmonic_map
     # A zero tension stays zero where its terms would overflow: flat e2.

@@ -15,6 +15,7 @@ from hpharmonics.mapenergy import (
     density_report,
     gram_invariants,
     majorisation_gap,
+    pullback_metric,
     r_conformal_check,
     stretch_eigenvalues,
 )
@@ -365,3 +366,19 @@ def test_overflowing_whitened_pullback_refuses_without_warning(jac, dom):
     for call in calls:
         with pytest.raises(ValueError, match="^the whitened pullback .* overflows the float range$"):
             call(point)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_direct_paths_refuse_overflow_by_row():
+    # P = J^T H J overflows in row 1 of the stack, and G^-1 P also in row 2
+    # (G = 1e-320 I): the direct paths refuse, naming the first bad row.
+    jac = np.array([np.eye(2), 1e200 * np.eye(2), np.eye(2)])
+    dom = np.array([np.eye(2), np.eye(2), 1e-320 * np.eye(2)])
+    stack = PointData(jac, dom, np.array([np.eye(2)] * 3))
+    with pytest.raises(ValueError, match=r"^the pullback metric J\^T H J row 1 overflows"):
+        pullback_metric(stack)
+    with pytest.raises(ValueError, match=r"^the distortion operator .* row 1 overflows"):
+        cauchy_green(stack)
+    with pytest.raises(ValueError, match=r"^the distortion operator G\^-1 J\^T H J overflows"):
+        cauchy_green(PointData(np.eye(2), 1e-320 * np.eye(2), np.eye(2)))
+    np.testing.assert_array_equal(pullback_metric(PointData(jac[2], dom[2], np.eye(2))), np.eye(2))
