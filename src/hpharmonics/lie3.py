@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -99,44 +100,42 @@ def _unit_triple(sigma) -> np.ndarray:
     return arr
 
 
-def _zero_mask(values) -> list[bool]:
-    # Which entries of a float triple are negligible against the largest.
-    mags = [abs(v) for v in values]
-    top = max(mags)
-    return [_negligible(m, top) for m in mags]
-
-
 def _scalar(value):
     # One triple in, one number out: the 0-d result as a Python scalar.
     return value.item() if value.ndim == 0 else value
-
-
-def _geometry(lam: list) -> list:
-    # lam, mu, rho and K = (K23, K13, K12) of sorted structure constants,
-    # as one flat list of 12 floats.
-    half_sum = 0.5 * sum(lam)
-    m0, m1, m2 = (half_sum - v for v in lam)
-    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
-    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
-    return [*lam, m0, m1, m2, r0, r1, r2, k23, k13, k12]
 
 
 def _normalize_row(vals: list) -> tuple:
     # One raw triple of floats, flipped and sorted: lam, mu, rho, K and the
     # unit-scale mu and rho (of lam / 2^e, 2^e ~ max |lam_i|, exact) as 18
     # floats, then the class, kernel dimension, order and flip, all decided
-    # on the unit scale.
-    e = math.frexp(max(map(abs, vals)))[1]
-    unit = [math.ldexp(v, -e) for v in vals]
-    kept = [v for v, zero in zip(unit, _zero_mask(unit)) if not zero]
-    npos, nneg = sum(v > 0 for v in kept), sum(v < 0 for v in kept)
-    sign = -1.0 if nneg > npos else 1.0
-    order = sorted(range(3), key=lambda i: -sign * vals[i])  # stable: ties keep input order
-    numbers = _geometry([sign * vals[i] for i in order])
-    numbers += _geometry([sign * unit[i] for i in order])[3:9]
-    kernel = _KERNEL_BY_ZERO_MU[sum(_zero_mask(numbers[12:15]))]
+    # on the unit scale.  Plain float arithmetic: every row of every stack runs
+    # it.  The half-sums use sum(), which compensates from Python 3.12 on.
+    a, b, c = vals
+    e = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    ua, ub, uc = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+    cut = TOL * max(abs(ua), abs(ub), abs(uc))  # entries within it count as zero
+    npos = (ua > cut) + (ub > cut) + (uc > cut)
+    nneg = (ua < -cut) + (ub < -cut) + (uc < -cut)
+    flip = nneg > npos
+    if flip:
+        a, b, c, ua, ub, uc = -a, -b, -c, -ua, -ub, -uc
+    # Descending by value, with each unit value and input slot; the sort is
+    # stable, so ties keep input order.
+    rows = sorted(((a, ua, 0), (b, ub, 1), (c, uc, 2)), key=itemgetter(0), reverse=True)
+    (l0, u0, i), (l1, u1, j), (l2, u2, k) = rows
+    half = 0.5 * sum((l0, l1, l2))
+    m0, m1, m2 = half - l0, half - l1, half - l2
+    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+    half = 0.5 * sum((u0, u1, u2))
+    n0, n1, n2 = half - u0, half - u1, half - u2
+    cut = TOL * max(abs(n0), abs(n1), abs(n2))
+    zeros = (abs(n0) <= cut) + (abs(n1) <= cut) + (abs(n2) <= cut)
+    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
+    numbers = [l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12]
+    numbers += [n0, n1, n2, 2.0 * (n1 * n2), 2.0 * (n0 * n2), 2.0 * (n0 * n1)]
     label = _CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
-    return numbers, label, kernel, tuple(order), sign < 0.0
+    return numbers, label, _KERNEL_BY_ZERO_MU[zeros], (i, j, k), flip
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -825,7 +824,8 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
     if md.lam.ndim != 1:
         raise ValueError(f"classify_sets takes one triple, got shape {md.lam.shape}")
 
-    mu_zero = _zero_mask(md.unit_mu.tolist())
+    mags = [abs(v) for v in md.unit_mu.tolist()]
+    mu_zero = [_negligible(m, max(mags)) for m in mags]
     zeros = sum(mu_zero)  # as in ricci_kernel_dim: 2 or 3 give 3, 1 gives 2, 0 gives 0
     h1 = _eigendirection_descriptor(md.unit_mu**2)
     empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()

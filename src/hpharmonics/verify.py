@@ -5,6 +5,10 @@ sequence, computes a worst-case residual over the requested number of
 trials, and compares it against a fixed tolerance.  The battery is
 deterministic: the same seed and trial count produce byte-identical
 results.
+
+Checks draw one trial at a time, in RNG order, and keep the draws raw
+(normal matrices, eigenvalues, unnormalised directions); then every numpy
+operation runs once per stack of draws: QR, metric assembly, normalisation.
 """
 
 from __future__ import annotations
@@ -86,44 +90,64 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _random_unit(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    shape = (3,) if n is None else (n, 3)
-    v = rng.normal(size=shape)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    while np.any(norms < 1e-8):
-        v = rng.normal(size=shape)
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / norms if n is not None else (v / norms).reshape(3)
+def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    # n unit vectors; the whole block is drawn again while a norm is < 1e-8.
+    v = rng.normal(size=(n, 3))
+    while np.any((norms := np.linalg.norm(v, axis=-1, keepdims=True)) < 1e-8):
+        v = rng.normal(size=(n, 3))
+    return v / norms
 
 
-def _random_spd(rng: np.random.Generator, m: int) -> np.ndarray:
-    # Well-scaled metric: random rotation with eigenvalues in [0.5, 2].
-    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-    g = (q * rng.uniform(0.5, 2.0, size=m)) @ q.T
-    return 0.5 * (g + g.T)
+def _direction(rng: np.random.Generator) -> np.ndarray:
+    # One raw normal triple, drawn again while its norm is < 1e-8.
+    v = rng.normal(size=3)
+    while np.linalg.norm(v, axis=-1) < 1e-8:
+        v = rng.normal(size=3)
+    return v
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    # Each direction of a (..., 3) stack divided by its norm.
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _random_spd(rng: np.random.Generator, m: int) -> tuple:
+    # Well-scaled metric, drawn raw for _spd: normal matrix, eigenvalues in [0.5, 2].
+    return rng.normal(size=(m, m)), rng.uniform(0.5, 2.0, size=m)
+
+
+def _spd(normal: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    # Q diag(w) Q^T for a stack of _random_spd draws, one QR for all.
+    q = np.linalg.qr(normal)[0]
+    g = (q * eigenvalues[..., None, :]) @ q.mT
+    return 0.5 * (g + g.mT)
+
+
+def _conformal(normal: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # c Q for a stack of _conformal_point draws, one QR for all.
+    return c[:, None, None] * np.linalg.qr(normal)[0]
 
 
 def _random_point(rng: np.random.Generator, m: int, n: int) -> tuple:
     # Jacobian scaled to keep the distortion operator O(1): the invariant
     # recursion works with alternating sums of power traces, whose relative
-    # accuracy degrades with the operator norm.  Returned as the arrays
-    # (J, G, H), which the properties stack into one PointData per shape.
+    # accuracy degrades with the operator norm.  G and H are drawn raw, for _stacks.
     return (
         rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n),
-        _random_spd(rng, m),
-        _random_spd(rng, n),
+        *_random_spd(rng, m),
+        *_random_spd(rng, n),
     )
 
 
 def _stacks(draws: list[tuple]):
-    """Group draws (J, G, H, *extra) by the shape of J, in first-seen order,
-    and yield each group as (PointData stack, *extra arrays)."""
+    """Group draws (J, *raw G, *raw H, *extra) by the shape of J, in first-seen
+    order, and yield each group as (PointData stack, *extra arrays)."""
     groups: dict[tuple, list[tuple]] = {}
     for draw in draws:
         groups.setdefault(draw[0].shape, []).append(draw)
     for rows in groups.values():
-        jac, dom, cod, *extra = (np.array(column) for column in zip(*rows))
-        yield (mapenergy.PointData(jac, dom, cod), *extra)
+        jac, dom, dom_eig, cod, cod_eig, *extra = (np.array(column) for column in zip(*rows))
+        yield (mapenergy.PointData(jac, _spd(dom, dom_eig), _spd(cod, cod_eig)), *extra)
 
 
 def _random_lambda(rng: np.random.Generator) -> np.ndarray:
@@ -275,11 +299,11 @@ def check_metric_homogeneity(rng: np.random.Generator, trials: int) -> PropertyR
     draws = []
     for _ in range(trials):
         m = int(rng.integers(2, 6))
-        jac, dom, cod = _random_point(rng, m, m + 1)
+        point = _random_point(rng, m, m + 1)
         c = rng.uniform(0.5, 2.0)
         # c**2 in Python float arithmetic (C pow), as one draw alone took
         # it: numpy's array power can differ from it in the last bit.
-        draws.append((jac, dom, cod, c, c**2))
+        draws.append((*point, c, c**2))
     worst = 0.0
     for point, c, c_sq in _stacks(draws):
         scaled = mapenergy.PointData(
@@ -310,16 +334,14 @@ def check_conformal_invariance(rng: np.random.Generator, trials: int) -> Propert
 
 
 def _conformal_point(rng: np.random.Generator, m: int) -> tuple:
-    # J = c * (orthonormal columns): equal squared stretches c^2.
-    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-    c = rng.uniform(0.5, 1.5)
-    return c * q, np.eye(m), np.eye(m)
+    # J = c * (orthonormal columns), G = H = I, drawn raw as (normal matrix, c).
+    return rng.normal(size=(m, m)), rng.uniform(0.5, 1.5)
 
 
 def _deficient_point(rng: np.random.Generator, m: int, rank: int) -> tuple:
     left = rng.uniform(-1.0, 1.0, size=(m, rank))
     right = rng.uniform(-1.0, 1.0, size=(rank, m))
-    return left @ right, _random_spd(rng, m), _random_spd(rng, m)
+    return left @ right, *_random_spd(rng, m), *_random_spd(rng, m)
 
 
 def check_majorisation(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -330,16 +352,19 @@ def check_majorisation(rng: np.random.Generator, trials: int) -> PropertyResult:
     generic = [_random_point(rng, m, int(rng.integers(4, 7))) for _ in range(trials)]
     worst = 0.0
     mismatches = 0
-    for draws, at_conformal in ((conformal, True), (generic, False)):
-        for (point,) in _stacks(draws):
-            gap = mapenergy.majorisation_gap(point)
-            eps_r = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[:, r]
-            worst = max(worst, float(np.max(-gap / np.maximum(eps_r, 1e-300))))
-            verdict = mapenergy.r_conformal_check(point, r)
-            if at_conformal:
-                mismatches += int(np.sum(~((gap <= 1e-9) & verdict)))
-            else:
-                mismatches += int(np.sum((gap <= 1e-9) != verdict))
+    normal, c = (np.array(column) for column in zip(*conformal))
+    eye = np.broadcast_to(np.eye(m), normal.shape)
+    stacks = [(mapenergy.PointData(_conformal(normal, c), eye, eye), True)]
+    stacks += [(point, False) for (point,) in _stacks(generic)]
+    for point, at_conformal in stacks:
+        gap = mapenergy.majorisation_gap(point)
+        eps_r = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[:, r]
+        worst = max(worst, float(np.max(-gap / np.maximum(eps_r, 1e-300))))
+        verdict = mapenergy.r_conformal_check(point, r)
+        if at_conformal:
+            mismatches += int(np.sum(~((gap <= 1e-9) & verdict)))
+        else:
+            mismatches += int(np.sum((gap <= 1e-9) != verdict))
     passed = worst <= 1e-10 and mismatches == 0
     return PropertyResult(
         "majorisation", passed, worst, 1e-10, detail=f"{mismatches} verdict mismatches"
@@ -382,9 +407,9 @@ def check_wedge_gram(rng: np.random.Generator, trials: int) -> PropertyResult:
 def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Divergence closed forms of both vertical Newton tensors against the
     frame sum over an arbitrary invariant tensor."""
-    draws = [(_random_lambda(rng), _random_unit(rng)) for _ in range(trials)]
+    draws = [(_random_lambda(rng), _direction(rng)) for _ in range(trials)]
     lam, sigma = (np.array(column) for column in zip(*draws))
-    md = lie3.MilnorData.normalize(lam)
+    md, sigma = lie3.MilnorData.normalize(lam), _unit(sigma)
     s1 = md.mu * sigma
     closed1 = np.cross(md.mu * s1, s1)
     div1 = lie3.divergence_invariant_tensor(md, lie3.vertical_newton_1(md, sigma))
@@ -403,12 +428,12 @@ def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyR
 def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form tension fields against the assembled frame oracle, per class."""
     draws = [
-        (np.asarray(rep) * rng.uniform(0.4, 1.4), _random_unit(rng))
+        (np.asarray(rep) * rng.uniform(0.4, 1.4), _direction(rng))
         for rep in ONE_PER_CLASS
         for _ in range(trials)
     ]
     lam, sigma = (np.array(column) for column in zip(*draws))
-    md = lie3.MilnorData.normalize(lam)
+    md, sigma = lie3.MilnorData.normalize(lam), _unit(sigma)
     worst = 0.0
     for r, closed_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
         closed = closed_fn(md, sigma)
@@ -445,8 +470,8 @@ def _sample_descriptor_member(
 ) -> np.ndarray | None:
     if desc.kind == "Empty":
         return None
-    if desc.kind == "Sphere":
-        return _random_unit(rng)
+    if desc.kind == "Sphere":  # normalised alone: stacked with poles and circle points
+        return _unit(_direction(rng))
     if desc.kind == "PolarPair":
         sign = -1.0 if rng.uniform() < 0.5 else 1.0
         return sign * np.eye(3)[desc.indices[0] - 1]
@@ -467,8 +492,9 @@ def _sample_descriptor_member(
 def check_first_variation(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Tension fields against finite differences of the bending densities
     along sphere-constrained variations."""
-    draws = [(_random_lambda(rng), _random_unit(rng), rng.normal(size=3)) for _ in range(trials)]
+    draws = [(_random_lambda(rng), _direction(rng), rng.normal(size=3)) for _ in range(trials)]
     lam, sigma, zeta = (np.array(column) for column in zip(*draws))
+    sigma = _unit(sigma)
     # Structure constants rescaled so max |mu| <= 1 (unit-scale inputs for
     # finite-difference comparisons).
     md = lie3.MilnorData.normalize(lam)
@@ -600,10 +626,11 @@ def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResu
     """Predicates are invariant under sigma -> -sigma and under the
     orientation flip of the structure constants, after normalization."""
     draws = [
-        (rng.uniform(-1.5, 1.5, size=3), _random_unit(rng), int(rng.integers(1, 4)))
+        (rng.uniform(-1.5, 1.5, size=3), _direction(rng), int(rng.integers(1, 4)))
         for _ in range(trials)
     ]
     raw, sigma_raw, degree = (np.array(column) for column in zip(*draws))
+    sigma_raw = _unit(sigma_raw)
     keys = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
     verdicts = []
     for lam, s_sign in ((raw, 1.0), (raw, -1.0), (-raw, 1.0)):
@@ -652,6 +679,8 @@ def run_battery(seed: int = 42, trials: int | None = None) -> list[PropertyResul
     per-dimension, per-class, or total depending on the check; see the
     individual docstrings).  Deterministic for a fixed (seed, trials).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(len(BATTERY))

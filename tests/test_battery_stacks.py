@@ -3,7 +3,9 @@ per-trial loops.
 
 Each frame-oracle and map-energy property draws its trials one at a time
 and evaluates them as stacks; it must return exactly the residual or count
-of the per-trial loop it replaced.
+of the per-trial loop it replaced.  The loops draw through local copies of
+the per-trial draw helpers (one QR per matrix, one norm per vector), so
+they do not share the battery's stacked assembly.
 """
 
 import numpy as np
@@ -30,6 +32,39 @@ def _random_structure(rng):
     return MilnorData.normalize(verify._random_lambda(rng))
 
 
+def _random_unit(rng):
+    # One unit vector, redrawn while its norm is below 1e-8.
+    v = rng.normal(size=(3,))
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    while np.any(norms < 1e-8):
+        v = rng.normal(size=(3,))
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return (v / norms).reshape(3)
+
+
+def _random_spd(rng, m):
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    g = (q * rng.uniform(0.5, 2.0, size=m)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def _random_point(rng, m, n):
+    jac = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n)
+    return PointData(jac, _random_spd(rng, m), _random_spd(rng, n))
+
+
+def _conformal_point(rng, m):
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    c = rng.uniform(0.5, 1.5)
+    return PointData(c * q, np.eye(m), np.eye(m))
+
+
+def _deficient_point(rng, m, rank):
+    left = rng.uniform(-1.0, 1.0, size=(m, rank))
+    right = rng.uniform(-1.0, 1.0, size=(rank, m))
+    return PointData(left @ right, _random_spd(rng, m), _random_spd(rng, m))
+
+
 def _wedge_gram_loop(rng, trials):
     worst = 0.0
     for _ in range(trials):
@@ -45,7 +80,7 @@ def _divergence_loop(rng, trials):
     worst = 0.0
     for _ in range(trials):
         md = _random_structure(rng)
-        sigma = verify._random_unit(rng)
+        sigma = _random_unit(rng)
         s1 = md.mu * sigma
         closed1 = np.cross(md.mu * s1, s1)
         div1 = lie3.divergence_invariant_tensor(md, lie3.vertical_newton_1(md, sigma))
@@ -62,7 +97,7 @@ def _tension_loop(rng, trials):
     for rep in verify.ONE_PER_CLASS:
         for _ in range(trials):
             md = lie3.classify_algebra(np.asarray(rep) * rng.uniform(0.4, 1.4))
-            sigma = verify._random_unit(rng)
+            sigma = _random_unit(rng)
             for r, closed_fn in ((1, lie3.tension_t1), (2, lie3.tension_t2)):
                 closed = closed_fn(md, sigma)
                 scale = max(1.0, float(np.max(np.abs(closed))))
@@ -92,7 +127,7 @@ def _first_variation_loop(rng, trials):
         top = float(np.max(np.abs(md.mu)))
         if top > 1.0:
             md = MilnorData.normalize(md.lam / top)
-        sigma = verify._random_unit(rng)
+        sigma = _random_unit(rng)
         zeta = rng.normal(size=3)
         zeta -= float(zeta @ sigma) * sigma
         for r in (1, 2):
@@ -137,7 +172,7 @@ def _flip_loop(rng, trials):
     keys = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
     for _ in range(trials):
         raw = rng.uniform(-1.5, 1.5, size=3)
-        sigma_raw = verify._random_unit(rng)
+        sigma_raw = _random_unit(rng)
         r = int(rng.integers(1, 4))
         reports = []
         for lam, s_sign in ((raw, 1.0), (raw, -1.0), (-raw, 1.0)):
@@ -214,7 +249,7 @@ def _cauchy_green_gram_loop(rng, trials):
     for _ in range(trials):
         m = int(rng.integers(2, 6))
         n = int(rng.integers(m, m + 4))
-        point = PointData(*verify._random_point(rng, m, n))
+        point = _random_point(rng, m, n)
         oracle = mapenergy.gram_invariants(point)
         for eps in (_eps(point), mapenergy.density_report(point).eps):
             worst = max(worst, float(np.max(verify._rel(eps, oracle))))
@@ -227,7 +262,7 @@ def _metric_homogeneity_loop(rng, trials):
     worst = 0.0
     for _ in range(trials):
         m = int(rng.integers(2, 6))
-        point = PointData(*verify._random_point(rng, m, m + 1))
+        point = _random_point(rng, m, m + 1)
         c = rng.uniform(0.5, 2.0)
         scaled = PointData(point.jacobian, point.domain_metric, c**2 * point.codomain_metric)
         expected = _eps(point) * c ** (2 * np.arange(m + 1))
@@ -239,7 +274,7 @@ def _metric_homogeneity_loop(rng, trials):
 def _conformal_invariance_loop(rng, trials):
     worst = 0.0
     for _ in range(trials):
-        point = PointData(*verify._random_point(rng, 4, int(rng.integers(4, 7))))
+        point = _random_point(rng, 4, int(rng.integers(4, 7)))
         rho = rng.uniform(0.5, 2.0)
         residual = mapenergy.conformal_scaling_residual(point, rho, 2)
         worst = max(worst, residual / max(_eps(point)[2], 1e-300))
@@ -249,10 +284,8 @@ def _conformal_invariance_loop(rng, trials):
 def _majorisation_loop(rng, trials):
     worst = 0.0
     mismatches = 0
-    conformal = [PointData(*verify._conformal_point(rng, 4)) for _ in range(trials)]
-    generic = [
-        PointData(*verify._random_point(rng, 4, int(rng.integers(4, 7)))) for _ in range(trials)
-    ]
+    conformal = [_conformal_point(rng, 4) for _ in range(trials)]
+    generic = [_random_point(rng, 4, int(rng.integers(4, 7))) for _ in range(trials)]
     for points, at_conformal in ((conformal, True), (generic, False)):
         for point in points:
             gap = mapenergy.majorisation_gap(point)
@@ -270,7 +303,7 @@ def _rank_zeroes_loop(rng, trials):
     for _ in range(trials):
         m = int(rng.integers(2, 6))
         rank = int(rng.integers(1, m))
-        eps = _eps(PointData(*verify._deficient_point(rng, m, rank)))
+        eps = _eps(_deficient_point(rng, m, rank))
         scale = max(1.0, float(np.max(np.abs(eps))))
         bad += sum((abs(eps[r]) <= 1e-9 * scale) != (rank < r) for r in range(1, m + 1))
     return float(bad), ""
@@ -321,3 +354,67 @@ def test_stacked_mapenergy_properties_match_per_trial_loops(monkeypatch, check, 
         else:
             assert result.residual > 0.0 or detail != "0 verdict mismatches"
             assert not result.passed
+
+
+# ---------------------------------------------------------------------------
+# raw draws assembled per stack against the per-trial helpers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("count", [1, 5])
+def test_stacked_draw_assembly_matches_per_matrix_forms(m, count):
+    # One QR and one Q diag(w) Q^T over the stack give, matrix by matrix,
+    # exactly the per-draw factorisation and assembly, a stack of one too.
+    raw = [verify._random_spd(np.random.default_rng([m, k]), m) for k in range(count)]
+    normal, eigenvalues = (np.array(column) for column in zip(*raw))
+    stacked = verify._spd(normal, eigenvalues)
+    for k in range(count):
+        np.testing.assert_array_equal(stacked[k], _random_spd(np.random.default_rng([m, k]), m))
+
+    points = [verify._random_point(np.random.default_rng([m, k]), m, m + 1) for k in range(count)]
+    ((point,),) = verify._stacks(points)
+    conformal = [verify._conformal_point(np.random.default_rng([m, k]), m) for k in range(count)]
+    normal, c = (np.array(column) for column in zip(*conformal))
+    scaled = verify._conformal(normal, c)
+    for k in range(count):
+        single = _random_point(np.random.default_rng([m, k]), m, m + 1)
+        for name in ("jacobian", "domain_metric", "codomain_metric"):
+            np.testing.assert_array_equal(getattr(point, name)[k], getattr(single, name))
+        single = _conformal_point(np.random.default_rng([m, k]), m)
+        np.testing.assert_array_equal(scaled[k], single.jacobian)
+
+
+class _StubGenerator:
+    """Serves the given normal triples in turn and counts the calls."""
+
+    def __init__(self, triples):
+        self.triples = [np.array(t, dtype=float) for t in triples]
+        self.calls = 0
+
+    def normal(self, size):
+        assert np.prod(size) == 3
+        self.calls += 1
+        return self.triples.pop(0).reshape(size)
+
+
+def test_raw_direction_rejects_as_the_per_trial_helper():
+    # A first triple with norm below 1e-8 is drawn again by both, and both
+    # return the same unit vector after the same number of draws.
+    triples = [(3e-9, -4e-9, 5e-9), (1e-8, 0.0, 0.0), (0.6, -0.0, 0.8)]
+    for start in range(len(triples)):
+        raw_rng, single_rng = _StubGenerator(triples[start:]), _StubGenerator(triples[start:])
+        raw = verify._direction(raw_rng)
+        single = _random_unit(single_rng)
+        assert raw_rng.calls == single_rng.calls == (2 if start == 0 else 1)
+        np.testing.assert_array_equal(verify._unit(raw[None])[0], single)
+        np.testing.assert_array_equal(verify._unit(raw), single)
+
+
+def test_stacked_directions_match_per_trial_normalisation():
+    # One norm over a stack of raw directions against one norm per vector.
+    rng = np.random.default_rng(11)
+    raw = np.array([verify._direction(rng) for _ in range(500)])
+    rng = np.random.default_rng(11)
+    expected = np.array([_random_unit(rng) for _ in range(500)])
+    np.testing.assert_array_equal(verify._unit(raw), expected)

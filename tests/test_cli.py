@@ -559,6 +559,13 @@ def test_verify_small_run_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    code, out, err = _run(capsys, ["verify", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_verify_deterministic_output(capsys):
     _, first, _ = _run(capsys, ["verify", "--seed", "7", "--trials", "2"])
     _, second, _ = _run(capsys, ["verify", "--seed", "7", "--trials", "2"])

@@ -1,9 +1,11 @@
 """Stacks of triples in lie3: every function broadcasts over leading axes
 and must give, row by row, exactly what a call on that row alone gives."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpharmonics import lie3, verify
@@ -139,6 +141,85 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
             for name, nan in values:
                 expected = [nan if getattr(x, name) is None else getattr(x, name) for x in singles]
                 assert _bits(getattr(report, name)) == _bits(expected), (name, r)
+
+
+# ---------------------------------------------------------------------------
+# the row kernel of MilnorData.normalize against its list-based form
+# ---------------------------------------------------------------------------
+
+
+def _reference_zero_mask(values):
+    mags = [abs(v) for v in values]
+    top = max(mags)
+    return [m <= lie3.TOL * top for m in mags]
+
+
+def _reference_geometry(lam):
+    half_sum = 0.5 * sum(lam)
+    m0, m1, m2 = (half_sum - v for v in lam)
+    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
+    return [*lam, m0, m1, m2, r0, r1, r2, k23, k13, k12]
+
+
+def _reference_normalize_row(vals):
+    # The list-based row kernel that the straight-line one replaced, kept
+    # frozen as its oracle.
+    e = math.frexp(max(map(abs, vals)))[1]
+    unit = [math.ldexp(v, -e) for v in vals]
+    kept = [v for v, zero in zip(unit, _reference_zero_mask(unit)) if not zero]
+    npos, nneg = sum(v > 0 for v in kept), sum(v < 0 for v in kept)
+    sign = -1.0 if nneg > npos else 1.0
+    order = sorted(range(3), key=lambda i: -sign * vals[i])
+    numbers = _reference_geometry([sign * vals[i] for i in order])
+    numbers += _reference_geometry([sign * unit[i] for i in order])[3:9]
+    kernel = lie3._KERNEL_BY_ZERO_MU[sum(_reference_zero_mask(numbers[12:15]))]
+    label = lie3._CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
+    return numbers, label, kernel, tuple(order), sign < 0.0
+
+
+_SIGNED = st.sampled_from([1.0, -1.0])
+_MAGNITUDES = st.tuples(st.floats(-300.0, 300.0), _SIGNED).map(lambda t: t[1] * 10.0 ** t[0])
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5), _MAGNITUDES)
+_ROWS = st.one_of(
+    _LAMBDAS,
+    st.tuples(_ENTRIES, _ENTRIES, _ENTRIES),
+    # Exact ties: three entries out of two values.
+    st.tuples(_ENTRIES, _ENTRIES).flatmap(lambda ab: st.tuples(*[st.sampled_from(ab)] * 3)),
+    # An entry, or a mu = (a + b - c) / 2, within a few TOL of zero.
+    st.tuples(_MAGNITUDES, st.floats(-1.5, 1.5), st.floats(-3.0, 3.0)).flatmap(
+        lambda t: st.permutations(
+            [t[0], t[0] * t[1], t[0] * t[2] * lie3.TOL]
+            if t[1] < 0.0
+            else [t[0], t[0] * t[1], t[0] * (1.0 + t[1]) * (1.0 + t[2] * lie3.TOL)]
+        )
+    ),
+    # The near-flat triple, scaled, permuted and flipped.
+    st.tuples(st.integers(-300, 300), st.permutations([0.0, 1.0, 1.000000000000341]), _SIGNED).map(
+        lambda t: [t[2] * 10.0 ** t[0] * v for v in t[1]]
+    ),
+)
+
+
+@settings(max_examples=600)
+@given(_ROWS)
+@example([0.0, 1.0, 1.000000000000341])
+@example([-0.0, 0.0, -0.0])
+@example([0.0, -0.0, -1e-300])
+@example([1.0, 1.0, 1.0])
+@example([-2.0, -2.0, 1.0])
+@example([1.0, 1e-9, -1e-9])
+@example([1e-300, -1e-300, 5e-301])
+@example([1e155, 1e155, -1e155])
+@example([1e300, -1e300, 3e299])
+def test_normalize_row_matches_the_list_form_bitwise(row):
+    row = [float(v) for v in row]
+    numbers, *facts = lie3._normalize_row(row)
+    expected, *expected_facts = _reference_normalize_row(row)
+    # Bit patterns, so that signed zeros, inf and nan compare exactly.
+    assert np.array(numbers).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+    assert facts == expected_facts
+    assert [type(fact) for fact in facts] == [type(fact) for fact in expected_facts]
 
 
 def test_single_triples_keep_python_scalars():
