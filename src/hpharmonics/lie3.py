@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations, product
 
 import numpy as np
 
 from .invariants import elementary_invariants_newton
 
 _TINY = 1e-300
+_H1, _MAP, _Z1, _Z2, _MU, _K = range(6)  # the rows of MilnorData.scaled
 _EYE3 = np.eye(3)
 _DIAG = np.arange(3)
 # Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3);
@@ -106,36 +106,68 @@ def _scalar(value):
 
 
 def _normalize_row(vals: list) -> tuple:
-    # One raw triple of floats, flipped and sorted: lam, mu, rho, K and the
-    # unit-scale mu and rho (of lam / 2^e, 2^e ~ max |lam_i|, exact) as 18
-    # floats, then the class, kernel dimension, order and flip, all decided
-    # on the unit scale.  Plain float arithmetic: every row of every stack runs
-    # it.  The half-sums use sum(), which compensates from Python 3.12 on.
+    # One raw triple of floats, flipped and sorted, and every fact of it that
+    # depends on lam alone (see MilnorData): lam, mu, rho, K, unit mu and rho
+    # and the rows of ``scaled`` as 36 floats, then the class, kernel
+    # dimension, order, flip, f and pattern.  Plain float arithmetic, which
+    # rounds as numpy does; the half-sums use sum(), which compensates from
+    # 3.12 on.  Conditional expressions pick what max() would, at a fraction
+    # of its cost; mu ascends, so max |mu_i| is max(-mu_1, mu_3).
     a, b, c = vals
-    e = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
-    ua, ub, uc = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
-    cut = TOL * max(abs(ua), abs(ub), abs(uc))  # entries within it count as zero
+    top, e = math.frexp(max(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
+    ua, ub, uc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    cut = TOL * top  # entries within it count as zero
     npos = (ua > cut) + (ub > cut) + (uc > cut)
     nneg = (ua < -cut) + (ub < -cut) + (uc < -cut)
     flip = nneg > npos
     if flip:
-        a, b, c, ua, ub, uc = -a, -b, -c, -ua, -ub, -uc
-    # Descending by value, with each unit value and input slot; the sort is
-    # stable, so ties keep input order.
-    rows = sorted(((a, ua, 0), (b, ub, 1), (c, uc, 2)), key=itemgetter(0), reverse=True)
-    (l0, u0, i), (l1, u1, j), (l2, u2, k) = rows
+        a, b, c, ua, ub, uc, npos, nneg = -a, -b, -c, -ua, -ub, -uc, nneg, npos
+    # Descending by value, with each unit value and input slot, by insertion:
+    # the sort is stable, so ties keep input order.
+    x, y, z = (a, ua, 0), (b, ub, 1), (c, uc, 2)
+    if b > a:
+        x, y = y, x
+    if c > y[0]:
+        y, z = z, y
+        if c > x[0]:
+            x, y = y, x
+    (l0, u0, i), (l1, u1, j), (l2, u2, k) = x, y, z
     half = 0.5 * sum((l0, l1, l2))
     m0, m1, m2 = half - l0, half - l1, half - l2
     r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
     half = 0.5 * sum((u0, u1, u2))
     n0, n1, n2 = half - u0, half - u1, half - u2
-    cut = TOL * max(abs(n0), abs(n1), abs(n2))
-    zeros = (abs(n0) <= cut) + (abs(n1) <= cut) + (abs(n2) <= cut)
-    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
-    numbers = [l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12]
-    numbers += [n0, n1, n2, 2.0 * (n1 * n2), 2.0 * (n0 * n2), 2.0 * (n0 * n1)]
-    label = _CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
-    return numbers, label, _KERNEL_BY_ZERO_MU[zeros], (i, j, k), flip
+    q0, q1, q2 = 2.0 * (n1 * n2), 2.0 * (n0 * n2), 2.0 * (n0 * n1)
+    top = -n0 if -n0 > n2 else n2
+    cut = TOL * top
+    z0, z1, z2 = -cut <= n0 <= cut, -cut <= n1 <= cut, -cut <= n2 <= cut
+    s0, s1, s2 = n0 * n0, n1 * n1, n2 * n2
+    cut = TOL * (top * top)  # max s_i
+    # The zero mask of unit mu, then its tie mask (flag k: the two s_i other
+    # than s_k coincide), read as one 6-bit number, first flag highest.
+    pattern = 32 * z0 + 16 * z1 + 8 * z2 + 4 * (-cut <= s1 - s2 <= cut)
+    pattern += 2 * (-cut <= s0 - s2 <= cut) + (-cut <= s0 - s1 <= cut)
+    # The largest |entry| of each diagonal of a locus rule, at least _TINY.
+    ds = top * top if top * top > _TINY else _TINY
+    dl = l0 if l0 > -l2 else -l2
+    dl = dl if dl > _TINY else _TINY
+    dn = top if top > _TINY else _TINY
+    a0, a1, a2 = abs(q0), abs(q1), abs(q2)
+    dq = a0 if a0 > a1 else a1
+    dq = a2 if a2 > dq else dq
+    dq = dq if dq > _TINY else _TINY
+    f = math.frexp(-m0 if -m0 > m2 else m2)[1]
+    ldexp = math.ldexp
+    numbers = [
+        l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12, n0, n1, n2, q0, q1, q2,
+        s0 / ds, s1 / ds, s2 / ds, l0 / dl, l1 / dl, l2 / dl,
+        (n0 / dn) * (n0 / dn), (n1 / dn) * (n1 / dn), (n2 / dn) * (n2 / dn),
+        q0 / dq, q1 / dq, q2 / dq, ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
+        ldexp(k23, -2 * f), ldexp(k13, -2 * f), ldexp(k12, -2 * f),
+    ]
+    kernel = _KERNEL_BY_ZERO_MU[z0 + z1 + z2]
+    return numbers, _CLASS_BY_SIGNS[npos, nneg], kernel, (i, j, k), flip, f, pattern
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,8 +193,13 @@ class MilnorData:
 
     ``unit_mu`` and ``unit_ricci`` are mu and rho of lam / 2^e, 2^e ~ max
     |lam_i|: the class, flatness, kernel and every locus rule read them, so
-    no verdict depends on the scale of ``lam``.  A stack of triples gives
-    arrays for every field; a single triple a str, bools, an int and a tuple.
+    no verdict depends on the scale of ``lam``.  The rules read the rows of
+    ``scaled``: the diagonals of the locus tests (unit_mu^2, lam, (unit_mu /
+    max |unit_mu_i|)^2, unit_ricci) over their largest |entry|, then mu / 2^f
+    and K / 2^2f, 2^f ~ max |mu_i| (f: ``mu_exponent``, with a trailing axis
+    of 1 in a stack).  ``mu_pattern`` has the zero mask of unit_mu and the tie
+    mask of its squares as bits, the key of :func:`classify_sets`.  A stack
+    gives arrays for every field; one triple a str, bools, ints and a tuple.
     """
 
     lam: np.ndarray
@@ -176,6 +213,9 @@ class MilnorData:
     sign_flipped: bool
     unit_mu: np.ndarray
     unit_ricci: np.ndarray
+    scaled: np.ndarray  # (..., 6, 3)
+    mu_exponent: int
+    mu_pattern: int
 
     @classmethod
     def normalize(cls, raw) -> "MilnorData":
@@ -184,10 +224,11 @@ class MilnorData:
         vals = _triple(raw, "structure constants")
         lead = vals.shape[:-1]
         rows = [_normalize_row(row) for row in vals.reshape(-1, 3).tolist()]
-        numbers = np.array([row[0] for row in rows]).reshape(lead + (6, 3))
+        numbers = np.fromiter(chain.from_iterable([row[0] for row in rows]), float, 36 * len(rows))
+        numbers = numbers.reshape(lead + (12, 3))
         numbers.setflags(write=False)
-        # The per-row facts: scalars for one triple, arrays for a stack.
-        label, kernel, order, flipped = rows[0][1:] if not lead else (
+        # The per-row facts: scalars for one triple, arrays only for a stack.
+        label, kernel, order, flipped, f, pattern = rows[0][1:] if not lead else (
             np.array(column).reshape(lead + np.shape(column[0]))
             for column in zip(*(row[1:] for row in rows))
         )
@@ -203,6 +244,9 @@ class MilnorData:
             sign_flipped=flipped,
             unit_mu=numbers[..., 4, :],
             unit_ricci=numbers[..., 5, :],
+            scaled=numbers[..., 6:, :],
+            mu_exponent=f if not lead else f[..., None],
+            mu_pattern=pattern,
         )
 
     def permute(self, components) -> np.ndarray:
@@ -363,13 +407,6 @@ def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
     return out + np.asarray(c)[..., None, None] * (s1[..., :, None] * s1[..., None, :])
 
 
-def _unit_diagonal(diag_values) -> np.ndarray:
-    # Each diagonal divided by its largest |entry|, so that squared residuals
-    # neither overflow nor underflow; the relative test is unchanged.
-    d = np.asarray(diag_values, dtype=float)
-    return d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY)
-
-
 def is_eigendirection(diag_values, sigma):
     """Whether unit ``sigma`` is an eigenvector of diag(``diag_values``).
 
@@ -377,8 +414,15 @@ def is_eigendirection(diag_values, sigma):
     negligible against the largest |d_i|, on d scaled to max |d_i| = 1.
     Broadcasts over leading axes of ``diag_values`` and ``sigma``.
     """
-    arr = np.asarray(sigma, dtype=float)
-    v = arr * _unit_diagonal(diag_values)
+    d = np.asarray(diag_values, dtype=float)
+    d = d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY)
+    return _eigen_test(d, np.asarray(sigma, dtype=float))
+
+
+def _eigen_test(unit_diagonal: np.ndarray, arr: np.ndarray):
+    # is_eigendirection on a diagonal over its largest |entry|: the squared
+    # residuals neither overflow nor underflow.
+    v = arr * unit_diagonal
     return _negligible(_norm(v - _dot(v, arr)[..., None] * arr))
 
 
@@ -387,7 +431,7 @@ def is_eigendirection(diag_values, sigma):
 
 def in_h1(md: MilnorData, sigma):
     """Whether ``sigma`` is an eigenvector of the squared Milnor map (H1)."""
-    return is_eigendirection(md.unit_mu**2, sigma)
+    return _eigen_test(md.scaled[..., _H1, :], np.asarray(sigma, dtype=float))
 
 
 def in_h2(md: MilnorData, sigma):
@@ -401,13 +445,13 @@ def in_z1(md: MilnorData, sigma):
     """Whether ``sigma`` is parallel (Z1): |nabla sigma| is negligible
     against max |mu_i|, on ``unit_mu`` scaled to max 1."""
     arr = np.asarray(sigma, dtype=float)
-    return _negligible(np.sqrt(_grad_norm_sq(_unit_diagonal(md.unit_mu) ** 2, arr)))
+    return _negligible(np.sqrt(_grad_norm_sq(md.scaled[..., _Z1, :], arr)))
 
 
 def in_z2(md: MilnorData, sigma):
     """Whether ``sigma`` lies in the Ricci kernel (Z2): |Ric(sigma)| is
     negligible against max |rho_i|, on ``unit_ricci`` scaled to max 1."""
-    return _negligible(_norm(np.asarray(sigma, dtype=float) * _unit_diagonal(md.unit_ricci)))
+    return _negligible(_norm(np.asarray(sigma, dtype=float) * md.scaled[..., _Z2, :]))
 
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling):
@@ -419,9 +463,13 @@ def in_skyrmion_locus(md: MilnorData, sigma, coupling):
     when the same two entries of mu^2 do: the locus is H1 (:func:`in_h1`).
     Deciding it on d itself would mix degrees 2 and 4 in lambda.
     """
+    _require_coupling(coupling)
+    return in_h1(md, sigma)
+
+
+def _require_coupling(coupling) -> None:
     if not all(0.0 < c < math.inf for c in np.ravel(coupling).tolist()):
         raise ValueError(f"coupling must be positive, got {coupling}")
-    return in_h1(md, sigma)
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -550,8 +598,7 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     # c = 0.  mu and K are taken in units of t = 2^e ~ max |mu|, an exact
     # rescaling, so that no intermediate outgrows delta or c and a zero
     # result stays zero.  check_predicates reads it without the refusals.
-    e = np.frexp(np.abs(md.mu).max(-1, keepdims=True))[1]
-    mu, sectional = np.ldexp(md.mu, -e), np.ldexp(md.sectional, -2 * e)
+    e, mu, sectional = md.mu_exponent, md.scaled[..., _MU, :], md.scaled[..., _K, :]
     s1 = mu * arr
     if r == 1:
         return np.ldexp(_cross(sectional * arr, s1), 3 * e)
@@ -627,8 +674,10 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
-    # The skyrmion locus is H1; this call also validates the coupling.
-    h1 = in_skyrmion_locus(md, arr, coupling)
+    _require_coupling(coupling)
+    # One eigen test decides H1 (also the skyrmion locus) and the map on lam.
+    tests = _eigen_test(md.scaled[..., _H1 : _MAP + 1, :], arr[..., None, :])
+    h1, harmonic_map = tests[..., 0], tests[..., 1]
 
     # Vanishing is always thresholded on quantities linear in the offending
     # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
@@ -638,7 +687,6 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
             vertical, energy = _vertical(md, arr, r)
             parallel = (in_z1 if r == 1 else in_z2)(md, arr)
             harmonic_unit = h1 if r == 1 else h1 | parallel  # H2 = H1 union Z2
-            harmonic_map = is_eigendirection(md.lam, arr)
             horizontal = _horizontal_tension(md, arr, r)
         else:
             # Degree-3 bending density vanishes identically: the covariant
@@ -784,20 +832,27 @@ _INTERNED = {
 }
 
 
-def _eigendirection_descriptor(values: np.ndarray) -> SubsetDescriptor:
-    # Unit eigenvectors of a diagonal map with non-negative entries `values`:
-    # determined by which entries coincide (relative tolerance against the
-    # largest).  Near-degenerate triples resolve by transitive closure.
-    vals = values.tolist()
-    top = max(vals)
-    # Entry k compares the two entries other than k.
-    equal = [_negligible(abs(vals[i] - vals[j]), top) for i, j in ((1, 2), (0, 2), (0, 1))]
-    count = sum(equal)
-    if count >= 2:
-        return SubsetDescriptor.sphere()
-    if count == 1:
-        return _CIRCLES_AND_POLES[equal.index(True)]
-    return SubsetDescriptor.polar_set()
+def _loci(zero: tuple, tie: tuple) -> dict[str, SubsetDescriptor]:
+    # The loci from the zero mask of unit mu and the tie mask of its squares;
+    # H1 is read off the ties, near-degenerate ones by transitive closure.
+    empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
+    ties, zeros = sum(tie), sum(zero)  # zeros as in ricci_kernel_dim
+    h1 = SubsetDescriptor.polar_set() if not ties else sphere if ties >= 2 else None
+    h1 = h1 or _CIRCLES_AND_POLES[tie.index(True)]
+    if zeros >= 2:  # flat: Z1 is the pole of the one surviving mu, or all
+        z1, z2, h2 = (_PAIRS[zero.index(False)] if zeros == 2 else sphere), sphere, sphere
+    elif zeros == 1:  # Z2 is the circle that misses the pole of the zero mu
+        k = zero.index(True)
+        z1, z2, h2 = empty, _CIRCLES[k], _CIRCLES_AND_POLES[k]
+        if h1 in _CIRCLES_AND_POLES and h1 != h2:  # H1 ties a mu^2 to the zero mu within TOL
+            h2 = SubsetDescriptor.union(*sorted((z2, h1.members[0]), key=_CIRCLES.index))
+    else:
+        z1, z2, h2 = empty, empty, h1
+    return {"H1": h1, "H2": h2, "H3": sphere, "Z1": z1, "Z2": z2, "Z3": sphere}
+
+
+#: The loci of classify_sets by MilnorData.mu_pattern, whose bits are the flags.
+_LOCI_BY_PATTERN = tuple(_loci(p[:3], p[3:]) for p in product((False, True), repeat=6))
 
 
 def classify_sets(sc) -> dict[str, SubsetDescriptor]:
@@ -823,27 +878,4 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
     md = classify_algebra(sc)
     if md.lam.ndim != 1:
         raise ValueError(f"classify_sets takes one triple, got shape {md.lam.shape}")
-
-    mags = [abs(v) for v in md.unit_mu.tolist()]
-    mu_zero = [_negligible(m, max(mags)) for m in mags]
-    zeros = sum(mu_zero)  # as in ricci_kernel_dim: 2 or 3 give 3, 1 gives 2, 0 gives 0
-    h1 = _eigendirection_descriptor(md.unit_mu**2)
-    empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
-    if zeros >= 2:  # flat: Z1 is the pole of the one surviving mu, or all
-        z1, z2, h2 = (_PAIRS[mu_zero.index(False)] if zeros == 2 else sphere), sphere, sphere
-    elif zeros == 1:  # Z2 is the circle that misses the pole of the zero mu
-        k = mu_zero.index(True)
-        z1, z2, h2 = empty, _CIRCLES[k], _CIRCLES_AND_POLES[k]
-        if h1 in _CIRCLES_AND_POLES and h1 != h2:  # H1 ties a mu^2 to the zero mu within TOL
-            h2 = SubsetDescriptor.union(*sorted((z2, h1.members[0]), key=_CIRCLES.index))
-    else:
-        z1, z2, h2 = empty, empty, h1
-
-    return {
-        "H1": h1,
-        "H2": h2,
-        "H3": sphere,
-        "Z1": z1,
-        "Z2": z2,
-        "Z3": sphere,
-    }
+    return dict(_LOCI_BY_PATTERN[md.mu_pattern])

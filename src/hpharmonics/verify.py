@@ -14,6 +14,7 @@ operation runs once per stack of draws: QR, metric assembly, normalisation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,6 +39,10 @@ CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = (
     (2.0, 2.0, 1.0),  # su2, l1 = l2
     (4.0, 1.0, 1.0),  # su2, l2 = l3, wider gap
 )
+
+# Read-only arrays that the draw helpers index.
+_REPRESENTATIVES, _EYE3 = np.array(CLASS_REPRESENTATIVES), np.eye(3)
+_REPRESENTATIVES.flags.writeable = _EYE3.flags.writeable = False
 
 #: Exactly one generic representative per algebra class.
 ONE_PER_CLASS: tuple[tuple[float, float, float], ...] = (
@@ -133,7 +138,7 @@ def _random_point(rng: np.random.Generator, m: int, n: int) -> tuple:
     # recursion works with alternating sums of power traces, whose relative
     # accuracy degrades with the operator norm.  G and H are drawn raw, for _stacks.
     return (
-        rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n),
+        rng.uniform(-1.0, 1.0, size=(n, m)) / math.sqrt(n),
         *_random_spd(rng, m),
         *_random_spd(rng, n),
     )
@@ -155,8 +160,7 @@ def _random_lambda(rng: np.random.Generator) -> np.ndarray:
     # degenerate branches are exercised.
     if rng.uniform() < 0.5:
         return rng.uniform(-1.5, 1.5, size=3)
-    base = np.asarray(CLASS_REPRESENTATIVES[rng.integers(len(CLASS_REPRESENTATIVES))])
-    return base * rng.uniform(0.4, 1.4)
+    return _REPRESENTATIVES[rng.integers(len(_REPRESENTATIVES))] * rng.uniform(0.4, 1.4)
 
 
 def _worst_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -474,10 +478,10 @@ def _sample_descriptor_member(
         return _unit(_direction(rng))
     if desc.kind == "PolarPair":
         sign = -1.0 if rng.uniform() < 0.5 else 1.0
-        return sign * np.eye(3)[desc.indices[0] - 1]
+        return sign * _EYE3[desc.indices[0] - 1]
     if desc.kind == "PolarSet":
         sign = -1.0 if rng.uniform() < 0.5 else 1.0
-        return sign * np.eye(3)[rng.integers(3)]
+        return sign * _EYE3[rng.integers(3)]
     if desc.kind == "Circle":
         t = rng.uniform(0.0, 2.0 * np.pi)
         i, j = desc.indices

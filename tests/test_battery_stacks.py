@@ -418,3 +418,35 @@ def test_stacked_directions_match_per_trial_normalisation():
     rng = np.random.default_rng(11)
     expected = np.array([_random_unit(rng) for _ in range(500)])
     np.testing.assert_array_equal(verify._unit(raw), expected)
+
+
+def _frozen_random_lambda(rng):
+    if rng.uniform() < 0.5:
+        return rng.uniform(-1.5, 1.5, size=3)
+    reps = verify.CLASS_REPRESENTATIVES
+    return np.asarray(reps[rng.integers(len(reps))]) * rng.uniform(0.4, 1.4)
+
+
+def _frozen_pole(rng, desc):
+    sign = -1.0 if rng.uniform() < 0.5 else 1.0
+    k = desc.indices[0] - 1 if desc.kind == "PolarPair" else rng.integers(3)
+    return sign * np.eye(3)[k]
+
+
+def test_draw_helpers_match_their_frozen_forms_bitwise():
+    # _random_lambda, the Jacobian of _random_point and the poles of
+    # _sample_descriptor_member against the forms they replaced: the same
+    # values, bit for bit, from the same generator calls.
+    ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(300):
+        assert verify._random_lambda(ours).tobytes() == _frozen_random_lambda(theirs).tobytes()
+    for m, n in ((2, 2), (3, 5), (6, 9)):
+        jac = verify._random_point(ours, m, n)[0]
+        assert jac.tobytes() == (theirs.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n)).tobytes()
+        for size in (m, n):  # the raw metrics that follow the Jacobian
+            verify._random_spd(theirs, size)
+    poles = [lie3.SubsetDescriptor.polar_pair(k) for k in (1, 2, 3)]
+    for desc in (poles + [lie3.SubsetDescriptor.polar_set()]) * 20:
+        pole = verify._sample_descriptor_member(ours, desc)
+        assert pole.tobytes() == _frozen_pole(theirs, desc).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state

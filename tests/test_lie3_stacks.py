@@ -148,6 +148,22 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
 # ---------------------------------------------------------------------------
 
 
+def _int_bits(values) -> list:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def _reference_unit_diagonal(diag_values):
+    d = np.asarray(diag_values, dtype=float)
+    return d / np.maximum(np.abs(d).max(-1, keepdims=True), 1e-300)
+
+
+def _reference_tie_mask(values):
+    # Entry k: the two entries other than k coincide against the largest.
+    vals = values.tolist()
+    top = max(vals)
+    return [abs(vals[i] - vals[j]) <= lie3.TOL * top for i, j in ((1, 2), (0, 2), (0, 1))]
+
+
 def _reference_zero_mask(values):
     mags = [abs(v) for v in values]
     top = max(mags)
@@ -212,14 +228,180 @@ _ROWS = st.one_of(
 @example([1e-300, -1e-300, 5e-301])
 @example([1e155, 1e155, -1e155])
 @example([1e300, -1e300, 3e299])
+@example([1.000001e-6, 1.000000000001, 1.000001])
+@example([1.0, -1e-10, -1.0])  # max |mu| = -mu_1 = 1 + 5e-11 > mu_3
 def test_normalize_row_matches_the_list_form_bitwise(row):
     row = [float(v) for v in row]
     numbers, *facts = lie3._normalize_row(row)
     expected, *expected_facts = _reference_normalize_row(row)
     # Bit patterns, so that signed zeros, inf and nan compare exactly.
-    assert np.array(numbers).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
-    assert facts == expected_facts
-    assert [type(fact) for fact in facts] == [type(fact) for fact in expected_facts]
+    assert _int_bits(numbers[:18]) == _int_bits(expected)
+    assert facts[:4] == expected_facts
+    assert [type(fact) for fact in facts[:4]] == [type(fact) for fact in expected_facts]
+    # The rest against the numpy forms the rules read before the kernel
+    # decided them, evaluated on the reference numbers.
+    lam, mu, _, sectional, unit_mu, unit_ricci = np.array(expected).reshape(6, 3)
+    e = np.frexp(np.abs(mu).max(-1, keepdims=True))[1]
+    replaced = [
+        _reference_unit_diagonal(unit_mu**2),
+        _reference_unit_diagonal(lam),
+        _reference_unit_diagonal(unit_mu) ** 2,
+        _reference_unit_diagonal(unit_ricci),
+        np.ldexp(mu, -e),
+        np.ldexp(sectional, -2 * e),
+    ]
+    assert _int_bits(numbers[18:]) == _int_bits(np.concatenate(replaced))
+    assert facts[4] == e.item() and type(facts[4]) is int
+    flags = _reference_zero_mask(unit_mu.tolist()) + _reference_tie_mask(unit_mu**2)
+    assert facts[5] == sum(flag << (5 - k) for k, flag in enumerate(flags))
+
+
+# ---------------------------------------------------------------------------
+# the locus rules against frozen copies of their numpy forms
+# ---------------------------------------------------------------------------
+
+
+def _frozen_eigen(diag_values, arr):
+    v = arr * _reference_unit_diagonal(diag_values)
+    w = v - np.vecdot(v, arr)[..., None] * arr
+    return np.sqrt(np.vecdot(w, w)) <= lie3.TOL
+
+
+def _frozen_in_h1(md, arr):
+    return _frozen_eigen(md.unit_mu**2, arr)
+
+
+def _frozen_in_z1(md, arr):
+    pairs = (_reference_unit_diagonal(md.unit_mu) ** 2).take([1, 2, 0, 2, 0, 1], -1)
+    return np.sqrt(np.vecdot(arr * arr, pairs[..., :3] + pairs[..., 3:])) <= lie3.TOL
+
+
+def _frozen_in_z2(md, arr):
+    ric = arr * _reference_unit_diagonal(md.unit_ricci)
+    return np.sqrt(np.vecdot(ric, ric)) <= lie3.TOL
+
+
+def _frozen_horizontal(md, arr, r):
+    # mu and K rescaled by np.frexp of max |mu| on every call.
+    cross = lie3._cross
+    e = np.frexp(np.abs(md.mu).max(-1, keepdims=True))[1]
+    mu, sectional = np.ldexp(md.mu, -e), np.ldexp(md.sectional, -2 * e)
+    s1 = mu * arr
+    if r == 1:
+        return np.ldexp(cross(sectional * arr, s1), 3 * e)
+    (delta, c), *second = lie3._newton_parts(md, arr, r - 1)
+    delta = delta + (2.0 if r == 2 else 1.0)
+    for delta2, c2 in second:
+        delta, c = delta + delta2, c + c2
+    c = np.asarray(c)[..., None]
+    out = cross(sectional * arr, delta * s1)
+    s2 = mu * s1
+    bend = cross(s1, sectional * cross(arr, cross(s2, arr)))
+    bent = out + c * (cross(s2, s1) + np.ldexp(bend, 2 * e))
+    if r == 3:
+        bent = np.where(c == 0.0, out, bent)
+    return np.ldexp(bent, 3 * e)
+
+
+def _frozen_report(md, arr, r):
+    h1 = _frozen_in_h1(md, arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r < 3:
+            vertical, energy = lie3._vertical(md, arr, r)
+            parallel = (_frozen_in_z1 if r == 1 else _frozen_in_z2)(md, arr)
+            harmonic_unit = h1 if r == 1 else h1 | parallel
+            harmonic_map = _frozen_eigen(md.lam, arr)
+            horizontal = _frozen_horizontal(md, arr, r)
+        else:
+            energy = np.zeros(np.shape(h1))
+            vertical = np.zeros(energy.shape + (3,))
+            parallel = harmonic_unit = h1 | True
+            harmonic_map, horizontal = h1, vertical + np.nan
+            if np.count_nonzero(h1):
+                on = np.asarray(h1)[..., None]
+                horizontal = np.where(on, _frozen_horizontal(md, arr * on, 3), horizontal)
+    scalar = lie3._scalar
+    return (
+        scalar(parallel),
+        scalar(harmonic_unit),
+        scalar(h1),
+        scalar(harmonic_map),
+        lie3._reported(vertical, True),
+        lie3._reported(horizontal, True),
+        lie3._reported(energy, False),
+    )
+
+
+def _frozen_classify_sets(md):
+    def eigendirections(values):
+        equal = _reference_tie_mask(values)
+        if sum(equal) >= 2:
+            return SubsetDescriptor.sphere()
+        if any(equal):
+            return lie3._CIRCLES_AND_POLES[equal.index(True)]
+        return SubsetDescriptor.polar_set()
+
+    mu_zero = _reference_zero_mask(md.unit_mu.tolist())
+    zeros = sum(mu_zero)
+    h1 = eigendirections(md.unit_mu**2)
+    empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
+    if zeros >= 2:
+        z1, z2, h2 = (lie3._PAIRS[mu_zero.index(False)] if zeros == 2 else sphere), sphere, sphere
+    elif zeros == 1:
+        k = mu_zero.index(True)
+        z1, z2, h2 = empty, lie3._CIRCLES[k], lie3._CIRCLES_AND_POLES[k]
+        if h1 in lie3._CIRCLES_AND_POLES and h1 != h2:
+            members = sorted((z2, h1.members[0]), key=lie3._CIRCLES.index)
+            h2 = SubsetDescriptor.union(*members)
+    else:
+        z1, z2, h2 = empty, empty, h1
+    return {"H1": h1, "H2": h2, "H3": sphere, "Z1": z1, "Z2": z2, "Z3": sphere}
+
+
+def _same(got, expected) -> bool:
+    # Equal type and bits; None only for None.
+    if got is None or expected is None:
+        return got is expected
+    if type(got) is not type(expected):
+        return False
+    if isinstance(got, np.ndarray):
+        same_bits = _bits(got) == _bits(expected)
+        return got.shape == expected.shape and got.dtype == expected.dtype and same_bits
+    return _int_bits([got]) == _int_bits([expected])
+
+
+_CORNERS = ((1.000001e-6, 1.000000000001, 1.000001), (0.0, 1.0, 1.000000000000341))
+_CORNER_SIGMAS = ((0.6, 0.8, 0.0), (0.0, 0.6, 0.8), (0.6, 0.0, 0.8), (0.0, 0.0, 1.0))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_ROWS, _SIGMAS), min_size=1, max_size=5))
+@example([(lam, sigma) for lam in _CORNERS for sigma in _CORNER_SIGMAS])
+@example([(tuple(1e-170 * v for v in _CORNERS[1]), (0.6, 0.8, 0.0))])
+def test_rules_match_their_frozen_numpy_forms(draws):
+    lam = np.array([d[0] for d in draws], dtype=float)
+    raw_sigma = np.array([d[1] for d in draws], dtype=float)
+    sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
+    md = MilnorData.normalize(lam)
+    rows = [MilnorData.normalize(row) for row in lam]
+    cases = [(md, sigma)] + list(zip(rows, sigma))
+    for geometry, arr in cases:
+        for rule, frozen in (
+            (lie3.in_h1, _frozen_in_h1),
+            (lie3.in_z1, _frozen_in_z1),
+            (lie3.in_z2, _frozen_in_z2),
+            (lambda g, a: lie3.in_skyrmion_locus(g, a, 0.5), _frozen_in_h1),
+        ):
+            assert _same(rule(geometry, arr), frozen(geometry, arr)), (rule, geometry.lam, arr)
+        for r in (1, 2, 3):
+            report = lie3.check_predicates(geometry, arr, r)
+            got = (report.r_parallel, report.r_harmonic_unit, report.twisted_2_skyrmion)
+            got += (report.r_harmonic_map, report.vertical_tension, report.horizontal_tension)
+            got += (report.vertical_energy,)
+            expected = _frozen_report(geometry, arr, r)
+            assert all(map(_same, got, expected)), (r, geometry.lam, arr, got, expected)
+    for row in rows:
+        assert lie3.classify_sets(row) == _frozen_classify_sets(row), row.lam
 
 
 def test_single_triples_keep_python_scalars():
