@@ -96,6 +96,8 @@ def _parse_triple(text: str, name: str) -> np.ndarray:
         raise ValueError(f"could not parse {name} {text!r} as comma-separated reals")
     if len(parts) != 3:
         raise ValueError(f"{name} needs exactly three components, got {len(parts)}")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{name} has non-finite components: {text!r}")
     return np.asarray(parts)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .invariants import elementary_invariants_newton
 
 _TINY = 1e-300
-_H1, _MAP, _Z1, _Z2, _MU, _K = range(6)  # the rows of MilnorData.scaled
+_H1, _MAP, _MU, _K = range(4)  # the rows of MilnorData.scaled
 _EYE3 = np.eye(3)
 _DIAG = np.arange(3)
 # Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3);
@@ -107,12 +107,12 @@ def _scalar(value):
 
 def _normalize_row(vals: list) -> tuple:
     # One raw triple of floats, flipped and sorted, and every fact of it that
-    # depends on lam alone (see MilnorData): lam, mu, rho, K, unit mu and rho
-    # and the rows of ``scaled`` as 36 floats, then the class, kernel
-    # dimension, order, flip, f and pattern.  Plain float arithmetic, which
-    # rounds as numpy does; the half-sums use sum(), which compensates from
-    # 3.12 on.  Conditional expressions pick what max() would, at a fraction
-    # of its cost; mu ascends, so max |mu_i| is max(-mu_1, mu_3).
+    # depends on lam alone (see MilnorData): lam, mu, rho, K and the rows of
+    # ``scaled`` as 24 floats, then the class, kernel dimension, order, flip,
+    # f and pattern.  Plain float arithmetic, which rounds as numpy does; the
+    # half-sums use sum(), which compensates from 3.12 on.  Conditional
+    # expressions pick what max() would, at a fraction of its cost; mu
+    # ascends, so max |mu_i| is max(-mu_1, mu_3).
     a, b, c = vals
     top, e = math.frexp(max(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
     ua, ub, uc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
@@ -138,7 +138,6 @@ def _normalize_row(vals: list) -> tuple:
     k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
     half = 0.5 * sum((u0, u1, u2))
     n0, n1, n2 = half - u0, half - u1, half - u2
-    q0, q1, q2 = 2.0 * (n1 * n2), 2.0 * (n0 * n2), 2.0 * (n0 * n1)
     top = -n0 if -n0 > n2 else n2
     cut = TOL * top
     z0, z1, z2 = -cut <= n0 <= cut, -cut <= n1 <= cut, -cut <= n2 <= cut
@@ -152,18 +151,12 @@ def _normalize_row(vals: list) -> tuple:
     ds = top * top if top * top > _TINY else _TINY
     dl = l0 if l0 > -l2 else -l2
     dl = dl if dl > _TINY else _TINY
-    dn = top if top > _TINY else _TINY
-    a0, a1, a2 = abs(q0), abs(q1), abs(q2)
-    dq = a0 if a0 > a1 else a1
-    dq = a2 if a2 > dq else dq
-    dq = dq if dq > _TINY else _TINY
     f = math.frexp(-m0 if -m0 > m2 else m2)[1]
     ldexp = math.ldexp
     numbers = [
-        l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12, n0, n1, n2, q0, q1, q2,
+        l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12,
         s0 / ds, s1 / ds, s2 / ds, l0 / dl, l1 / dl, l2 / dl,
-        (n0 / dn) * (n0 / dn), (n1 / dn) * (n1 / dn), (n2 / dn) * (n2 / dn),
-        q0 / dq, q1 / dq, q2 / dq, ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
+        ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
         ldexp(k23, -2 * f), ldexp(k13, -2 * f), ldexp(k12, -2 * f),
     ]
     kernel = _KERNEL_BY_ZERO_MU[z0 + z1 + z2]
@@ -191,15 +184,14 @@ class MilnorData:
     ``lam`` selects one of the six unimodular classes.  The Ricci kernel
     dimension is 0, 2 or 3 as none, one or two of the mu_i vanish.
 
-    ``unit_mu`` and ``unit_ricci`` are mu and rho of lam / 2^e, 2^e ~ max
-    |lam_i|: the class, flatness, kernel and every locus rule read them, so
-    no verdict depends on the scale of ``lam``.  The rules read the rows of
-    ``scaled``: the diagonals of the locus tests (unit_mu^2, lam, (unit_mu /
-    max |unit_mu_i|)^2, unit_ricci) over their largest |entry|, then mu / 2^f
-    and K / 2^2f, 2^f ~ max |mu_i| (f: ``mu_exponent``, with a trailing axis
-    of 1 in a stack).  ``mu_pattern`` has the zero mask of unit_mu and the tie
-    mask of its squares as bits, the key of :func:`classify_sets`.  A stack
-    gives arrays for every field; one triple a str, bools, ints and a tuple.
+    Verdicts read m = mu of lam / 2^e, 2^e ~ max |lam_i|, so none depends
+    on the scale of ``lam``.  ``mu_pattern`` has the zero mask of m and the
+    tie mask of m^2 as bits, the key of :func:`classify_sets`, whose Z1 and
+    Z2 it fixes.  The rows of ``scaled`` are the eigenvector-test diagonals
+    m^2 and lam over their largest |entry|, then mu / 2^f and K / 2^2f,
+    2^f ~ max |mu_i| (f: ``mu_exponent``, with a trailing axis of 1 in a
+    stack).  A stack gives arrays for every field; one triple a str, bools,
+    ints and a tuple.
     """
 
     lam: np.ndarray
@@ -211,9 +203,7 @@ class MilnorData:
     ricci_kernel_dim: int
     permutation: tuple[int, int, int]
     sign_flipped: bool
-    unit_mu: np.ndarray
-    unit_ricci: np.ndarray
-    scaled: np.ndarray  # (..., 6, 3)
+    scaled: np.ndarray  # (..., 4, 3)
     mu_exponent: int
     mu_pattern: int
 
@@ -224,8 +214,8 @@ class MilnorData:
         vals = _triple(raw, "structure constants")
         lead = vals.shape[:-1]
         rows = [_normalize_row(row) for row in vals.reshape(-1, 3).tolist()]
-        numbers = np.fromiter(chain.from_iterable([row[0] for row in rows]), float, 36 * len(rows))
-        numbers = numbers.reshape(lead + (12, 3))
+        numbers = np.fromiter(chain.from_iterable([row[0] for row in rows]), float, 24 * len(rows))
+        numbers = numbers.reshape(lead + (8, 3))
         numbers.setflags(write=False)
         # The per-row facts: scalars for one triple, arrays only for a stack.
         label, kernel, order, flipped, f, pattern = rows[0][1:] if not lead else (
@@ -242,9 +232,7 @@ class MilnorData:
             ricci_kernel_dim=kernel,
             permutation=order,
             sign_flipped=flipped,
-            unit_mu=numbers[..., 4, :],
-            unit_ricci=numbers[..., 5, :],
-            scaled=numbers[..., 6:, :],
+            scaled=numbers[..., 4:, :],
             mu_exponent=f if not lead else f[..., None],
             mu_pattern=pattern,
         )
@@ -294,7 +282,6 @@ def grad_norm_sq(md: MilnorData, sigma):
 
 def _grad_norm_sq(mu_sq: np.ndarray, arr: np.ndarray):
     # sum_i a_i^2 (mu_j^2 + mu_k^2): no term is negative, so nothing cancels.
-    # in_z1 evaluates it on mu rescaled to max |mu_i| = 1.
     pairs = mu_sq.take(_NEXT_PREV, -1)
     return _dot(arr * arr, pairs[..., :3] + pairs[..., 3:])
 
@@ -442,16 +429,21 @@ def in_h2(md: MilnorData, sigma):
 
 
 def in_z1(md: MilnorData, sigma):
-    """Whether ``sigma`` is parallel (Z1): |nabla sigma| is negligible
-    against max |mu_i|, on ``unit_mu`` scaled to max 1."""
-    arr = np.asarray(sigma, dtype=float)
-    return _negligible(np.sqrt(_grad_norm_sq(md.scaled[..., _Z1, :], arr)))
+    """Whether ``sigma`` is parallel (Z1): membership in the Z1 descriptor
+    of :func:`classify_sets`."""
+    return _in_zero_locus(_VANISHING_BY_PATTERN[md.mu_pattern, 0], sigma)
 
 
 def in_z2(md: MilnorData, sigma):
-    """Whether ``sigma`` lies in the Ricci kernel (Z2): |Ric(sigma)| is
-    negligible against max |rho_i|, on ``unit_ricci`` scaled to max 1."""
-    return _negligible(_norm(np.asarray(sigma, dtype=float) * md.scaled[..., _Z2, :]))
+    """Whether ``sigma`` lies in the Ricci kernel (Z2): membership in the Z2
+    descriptor of :func:`classify_sets` (rho_i = 2 mu_j mu_k)."""
+    return _in_zero_locus(_VANISHING_BY_PATTERN[md.mu_pattern, 1], sigma)
+
+
+def _in_zero_locus(weights, sigma):
+    # The one membership test of descriptors and Z rules: every coefficient
+    # of weight 1 is negligible against 1.
+    return _negligible(np.abs(np.asarray(sigma, dtype=float)) * weights).all(-1)
 
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling):
@@ -648,10 +640,10 @@ def _reported(value: np.ndarray, vector: bool):
 def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> PredicateReport:
     """Evaluate the harmonicity predicates of unit invariant fields.
 
-    ``r_parallel`` tests vanishing of the degree-r bending density (degree 1:
-    the covariant derivative itself, i.e. :func:`in_z1`, degree 2:
-    Ric(sigma), i.e. :func:`in_z2`, degree 3: trivially true since the
-    derivative has rank at most 2).
+    ``r_parallel`` is membership in Z_r of :func:`classify_sets`, where the
+    degree-r bending density vanishes: :func:`in_z1` for r = 1, :func:`in_z2`
+    for r = 2, and every unit field at degree 3 (the derivative has rank at
+    most 2).
     ``r_harmonic_unit`` is membership in the harmonic locus H_r of
     :func:`classify_sets`: :func:`in_h1` for r = 1, :func:`in_h2` for r = 2,
     and every unit field qualifies at degree 3.  ``twisted_2_skyrmion`` is
@@ -679,9 +671,6 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     tests = _eigen_test(md.scaled[..., _H1 : _MAP + 1, :], arr[..., None, :])
     h1, harmonic_map = tests[..., 0], tests[..., 1]
 
-    # Vanishing is always thresholded on quantities linear in the offending
-    # coefficients (|nabla sigma|, |Ric(sigma)|), so the decision boundary
-    # has the same width as descriptor membership and eigenvector residuals.
     with np.errstate(over="ignore", invalid="ignore"):
         if r < 3:
             vertical, energy = _vertical(md, arr, r)
@@ -787,18 +776,18 @@ class SubsetDescriptor:
         """Membership of unit vector(s): the coefficients required to vanish
         must be negligible against 1.  Broadcasts over leading axes."""
         arr = np.asarray(sigma, dtype=float)
-        if self.kind == "PolarPair":
-            k = self.indices[0] - 1
-            others = [i for i in range(3) if i != k]
-            out = _negligible(np.abs(arr[..., others])).all(-1)
-        elif self.kind == "Circle":
-            k = ({1, 2, 3} - set(self.indices)).pop() - 1
-            out = _negligible(np.abs(arr[..., k]))
+        if self.kind in ("PolarPair", "Circle"):
+            out = _in_zero_locus(self._vanishing(), arr)
         else:  # Empty, Sphere, or the union of the members
             out = np.full(arr.shape[:-1], self.kind == "Sphere")
             for member in _PAIRS if self.kind == "PolarSet" else self.members:
                 out = out | member.contains(arr)
         return bool(out) if arr.ndim == 1 else out
+
+    def _vanishing(self) -> list:
+        # Weight 1 on each coefficient that a set, not PolarSet or a union,
+        # requires to vanish: all (Empty), none (Sphere) or the unlisted ones.
+        return [float(self.kind != "Sphere" and k not in self.indices) for k in (1, 2, 3)]
 
     def to_json(self) -> dict:
         """JSON form {"kind": ..., "indices": [...], "members": [...]}."""
@@ -853,6 +842,12 @@ def _loci(zero: tuple, tie: tuple) -> dict[str, SubsetDescriptor]:
 
 #: The loci of classify_sets by MilnorData.mu_pattern, whose bits are the flags.
 _LOCI_BY_PATTERN = tuple(_loci(p[:3], p[3:]) for p in product((False, True), repeat=6))
+#: By the same key, the weights of the coefficients that Z1 and Z2 require
+#: to vanish, shape (64, 2, 3): the table that in_z1 and in_z2 read.
+_VANISHING_BY_PATTERN = np.array(
+    [[loci["Z1"]._vanishing(), loci["Z2"]._vanishing()] for loci in _LOCI_BY_PATTERN]
+)
+_VANISHING_BY_PATTERN.setflags(write=False)
 
 
 def classify_sets(sc) -> dict[str, SubsetDescriptor]:
@@ -872,7 +867,7 @@ def classify_sets(sc) -> dict[str, SubsetDescriptor]:
       (kernel dimension 3, 2, 0).
 
     The loci satisfy H_r = H_{r-1} union Z_r for r = 2, 3.  Each is decided
-    on the exactly rescaled ``unit_mu``.  Accepts one triple in any form
+    on mu of the exactly rescaled lam / 2^e.  Accepts one triple in any form
     :func:`classify_algebra` accepts, including its :class:`MilnorData`.
     """
     md = classify_algebra(sc)

@@ -260,12 +260,6 @@ def _volume_density(eps: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(eps[..., -1], 0.0))
 
 
-def pullback_metric(point: PointData) -> np.ndarray:
-    """Pullback Gram matrix P = J^T H J, symmetrized, shape (..., m, m);
-    refused when it overflows the float range."""
-    return _finite(_pullback(point), "the pullback metric J^T H J")
-
-
 def _pullback(point: PointData) -> np.ndarray:
     jac = point.jacobian
     with np.errstate(over="ignore", invalid="ignore"):

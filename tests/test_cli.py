@@ -547,6 +547,21 @@ def test_bad_lambda_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "--lambda=1,1,1", "--sigma=inf,0,0", "--r=1", "--kind=map"], "--sigma"),
+        (["check", "--lambda=1,1,1", "--sigma=1,nan,0", "--r=2", "--kind=map"], "--sigma"),
+        (["check", "--lambda=1,-inf,0", "--sigma=1,0,0", "--r=1", "--kind=map"], "--lambda"),
+        (["classify", "--lambda=nan,0,0"], "--lambda"),
+    ],
+)
+def test_non_finite_triple_names_its_flag(capsys, argv, flag):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {flag} has non-finite components")
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["classify", "--lambda", "1,0,0", "--bogus"])

@@ -623,8 +623,8 @@ def test_predicates_cross_validated_with_eigen_tests():
             assert r1.twisted_2_skyrmion == bool(in_h1(md, sigma))
     # Near the ends of the float range for mu^2 (r = 1) and rho^2 (r = 2),
     # whose squared eigenvector residuals used to overflow or underflow.
-    # At 1e+-100 rho^2 itself leaves the range; the loci read unit_mu and
-    # unit_ricci, so both degrees are pinned there too.
+    # At 1e+-100 rho^2 itself leaves the range; the loci read mu of
+    # lam / 2^e, so both degrees are pinned there too.
     bases = [
         (1.0, 0.0, 0.0),
         (1.0, 0.0, -1.0),
@@ -654,7 +654,7 @@ def test_predicates_cross_validated_with_eigen_tests():
 
 
 def test_parallel_test_is_scale_safe():
-    # |nabla sigma| is formed on mu scaled to max |mu| = 1, so Z1 membership
+    # Z1 membership is read off the zero mask of mu at unit scale, so it
     # matches the descriptor where mu^2 underflows or overflows.
     rng = np.random.default_rng(111)
     samples = np.array([E[0], E[1], E[2], [0.0, 0.6, 0.8], [0.6, 0.8, 0.0], _unit(rng)])
@@ -727,9 +727,10 @@ def test_verdicts_are_invariant_under_power_of_two_scaling():
     ],
 )
 def test_h2_descriptor_is_the_union_of_h1_and_z2(lam, h2, residual_z2):
-    # Membership in the emitted H2 is membership in H1 or Z2.  in_h2 agrees
-    # where in_z2's residual, taken against max |rho|, finds the kernel that
-    # the negligible mu give; it does not where max |rho| is itself small.
+    # Membership in the emitted H2 is membership in H1 or Z2, and in_h2
+    # agrees in every row.  residual_z2 says whether |Ric sigma| against
+    # max |rho|, a second Z2 rule, would agree too: it does not where two mu
+    # are small, so max |rho| is itself small, and the rows pin that case.
     md = classify_algebra(lam)
     sets = classify_sets(md)
     assert str(sets["H2"]) == h2
@@ -741,7 +742,10 @@ def test_h2_descriptor_is_the_union_of_h1_and_z2(lam, h2, residual_z2):
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
     union = sets["H1"].contains(samples) | sets["Z2"].contains(samples)
     np.testing.assert_array_equal(sets["H2"].contains(samples), union)
-    assert np.array_equal(lie3.in_h2(md, samples), union) == residual_z2
+    np.testing.assert_array_equal(lie3.in_h2(md, samples), union)
+    ricci = np.linalg.norm(samples * (md.ricci / np.abs(md.ricci).max()), axis=-1)
+    residual = sets["H1"].contains(samples) | (ricci <= lie3.TOL)
+    assert np.array_equal(residual, union) == residual_z2
 
 
 def test_check_predicates_validates_once(monkeypatch):

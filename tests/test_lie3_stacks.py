@@ -97,10 +97,13 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
         md = MilnorData.normalize(lam)
         rows = [MilnorData.normalize(row) for row in lam]
 
-        # normalize: every field, row by row.
-        for name in ("lam", "mu", "ricci", "sectional", "unit_mu", "unit_ricci"):
+        # normalize: every field, row by row, and mu, rho of lam / 2^e.
+        for name in ("lam", "mu", "ricci", "sectional", "scaled"):
             assert _bits(getattr(md, name)) == _bits([getattr(r, name) for r in rows]), name
-        for name in ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped"):
+        unit, unit_rows = _unit_geometry(md), [_unit_geometry(r) for r in rows]
+        for name in ("mu", "ricci"):
+            assert _bits(getattr(unit, name)) == _bits([getattr(u, name) for u in unit_rows]), name
+        for name in ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped", "mu_pattern"):
             assert getattr(md, name).tolist() == [getattr(r, name) for r in rows], name
         assert [tuple(p) for p in md.permutation.tolist()] == [r.permutation for r in rows]
         permuted = md.permute(raw_sigma)
@@ -152,6 +155,13 @@ def _int_bits(values) -> list:
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
+def _unit_geometry(md):
+    # The geometry of lam / 2^e, 2^e ~ max |lam_i|, on which the kernel
+    # decides every verdict: its mu and rho bit for bit.
+    e = np.frexp(np.abs(md.lam).max(-1, keepdims=True))[1]
+    return MilnorData.normalize(np.ldexp(md.lam, -e))
+
+
 def _reference_unit_diagonal(diag_values):
     d = np.asarray(diag_values, dtype=float)
     return d / np.maximum(np.abs(d).max(-1, keepdims=True), 1e-300)
@@ -188,10 +198,10 @@ def _reference_normalize_row(vals):
     sign = -1.0 if nneg > npos else 1.0
     order = sorted(range(3), key=lambda i: -sign * vals[i])
     numbers = _reference_geometry([sign * vals[i] for i in order])
-    numbers += _reference_geometry([sign * unit[i] for i in order])[3:9]
-    kernel = lie3._KERNEL_BY_ZERO_MU[sum(_reference_zero_mask(numbers[12:15]))]
+    unit_mu = _reference_geometry([sign * unit[i] for i in order])[3:6]
+    kernel = lie3._KERNEL_BY_ZERO_MU[sum(_reference_zero_mask(unit_mu))]
     label = lie3._CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
-    return numbers, label, kernel, tuple(order), sign < 0.0
+    return numbers, label, kernel, tuple(order), sign < 0.0, unit_mu
 
 
 _SIGNED = st.sampled_from([1.0, -1.0])
@@ -233,24 +243,24 @@ _ROWS = st.one_of(
 def test_normalize_row_matches_the_list_form_bitwise(row):
     row = [float(v) for v in row]
     numbers, *facts = lie3._normalize_row(row)
-    expected, *expected_facts = _reference_normalize_row(row)
+    expected, *expected_facts, unit_mu = _reference_normalize_row(row)
+    assert len(numbers) == 24
     # Bit patterns, so that signed zeros, inf and nan compare exactly.
-    assert _int_bits(numbers[:18]) == _int_bits(expected)
+    assert _int_bits(numbers[:12]) == _int_bits(expected)
     assert facts[:4] == expected_facts
     assert [type(fact) for fact in facts[:4]] == [type(fact) for fact in expected_facts]
     # The rest against the numpy forms the rules read before the kernel
     # decided them, evaluated on the reference numbers.
-    lam, mu, _, sectional, unit_mu, unit_ricci = np.array(expected).reshape(6, 3)
+    lam, mu, _, sectional = np.array(expected).reshape(4, 3)
+    unit_mu = np.array(unit_mu)
     e = np.frexp(np.abs(mu).max(-1, keepdims=True))[1]
     replaced = [
         _reference_unit_diagonal(unit_mu**2),
         _reference_unit_diagonal(lam),
-        _reference_unit_diagonal(unit_mu) ** 2,
-        _reference_unit_diagonal(unit_ricci),
         np.ldexp(mu, -e),
         np.ldexp(sectional, -2 * e),
     ]
-    assert _int_bits(numbers[18:]) == _int_bits(np.concatenate(replaced))
+    assert _int_bits(numbers[12:]) == _int_bits(np.concatenate(replaced))
     assert facts[4] == e.item() and type(facts[4]) is int
     flags = _reference_zero_mask(unit_mu.tolist()) + _reference_tie_mask(unit_mu**2)
     assert facts[5] == sum(flag << (5 - k) for k, flag in enumerate(flags))
@@ -268,17 +278,15 @@ def _frozen_eigen(diag_values, arr):
 
 
 def _frozen_in_h1(md, arr):
-    return _frozen_eigen(md.unit_mu**2, arr)
+    return _frozen_eigen(_unit_geometry(md).mu ** 2, arr)
 
 
-def _frozen_in_z1(md, arr):
-    pairs = (_reference_unit_diagonal(md.unit_mu) ** 2).take([1, 2, 0, 2, 0, 1], -1)
-    return np.sqrt(np.vecdot(arr * arr, pairs[..., :3] + pairs[..., 3:])) <= lie3.TOL
-
-
-def _frozen_in_z2(md, arr):
-    ric = arr * _reference_unit_diagonal(md.unit_ricci)
-    return np.sqrt(np.vecdot(ric, ric)) <= lie3.TOL
+def _frozen_in_z(md, arr, r):
+    # Membership in Z_r of the frozen classify_sets, row by row.
+    if md.lam.ndim == 1:
+        return np.bool_(_frozen_classify_sets(md)[f"Z{r}"].contains(arr))
+    rows = [MilnorData.normalize(lam) for lam in md.lam]
+    return np.array([_frozen_classify_sets(row)[f"Z{r}"].contains(a) for row, a in zip(rows, arr)])
 
 
 def _frozen_horizontal(md, arr, r):
@@ -308,7 +316,7 @@ def _frozen_report(md, arr, r):
     with np.errstate(over="ignore", invalid="ignore"):
         if r < 3:
             vertical, energy = lie3._vertical(md, arr, r)
-            parallel = (_frozen_in_z1 if r == 1 else _frozen_in_z2)(md, arr)
+            parallel = _frozen_in_z(md, arr, r)
             harmonic_unit = h1 if r == 1 else h1 | parallel
             harmonic_map = _frozen_eigen(md.lam, arr)
             horizontal = _frozen_horizontal(md, arr, r)
@@ -341,9 +349,10 @@ def _frozen_classify_sets(md):
             return lie3._CIRCLES_AND_POLES[equal.index(True)]
         return SubsetDescriptor.polar_set()
 
-    mu_zero = _reference_zero_mask(md.unit_mu.tolist())
+    unit_mu = _unit_geometry(md).mu
+    mu_zero = _reference_zero_mask(unit_mu.tolist())
     zeros = sum(mu_zero)
-    h1 = eigendirections(md.unit_mu**2)
+    h1 = eigendirections(unit_mu**2)
     empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
     if zeros >= 2:
         z1, z2, h2 = (lie3._PAIRS[mu_zero.index(False)] if zeros == 2 else sphere), sphere, sphere
@@ -388,8 +397,8 @@ def test_rules_match_their_frozen_numpy_forms(draws):
     for geometry, arr in cases:
         for rule, frozen in (
             (lie3.in_h1, _frozen_in_h1),
-            (lie3.in_z1, _frozen_in_z1),
-            (lie3.in_z2, _frozen_in_z2),
+            (lie3.in_z1, lambda g, a: _frozen_in_z(g, a, 1)),
+            (lie3.in_z2, lambda g, a: _frozen_in_z(g, a, 2)),
             (lambda g, a: lie3.in_skyrmion_locus(g, a, 0.5), _frozen_in_h1),
         ):
             assert _same(rule(geometry, arr), frozen(geometry, arr)), (rule, geometry.lam, arr)
@@ -402,6 +411,79 @@ def test_rules_match_their_frozen_numpy_forms(draws):
             assert all(map(_same, got, expected)), (r, geometry.lam, arr, got, expected)
     for row in rows:
         assert lie3.classify_sets(row) == _frozen_classify_sets(row), row.lam
+
+
+# lam_i = mu_j + mu_k from mu with two, or one, entries small against the
+# third (down to exact zeros), and the near-flat triple (0, 1, 1 + delta);
+# each permuted, flipped and scaled by 2^k or 10^u.
+_SMALL = st.one_of(
+    st.just(0.0), st.tuples(st.floats(-15.0, -4.0), _SIGNED).map(lambda t: t[1] * 10.0 ** t[0])
+)
+_NEAR_ZERO_MU = st.one_of(
+    st.tuples(_SMALL, _SMALL, st.floats(0.5, 2.0)),
+    st.tuples(_SMALL, st.floats(-2.0, 2.0), st.floats(0.5, 2.0)),
+).map(lambda mu: (mu[1] + mu[2], mu[0] + mu[2], mu[0] + mu[1]))
+_NEAR_FLAT = _SMALL.map(lambda d: (0.0, 1.0, 1.0 + d))
+_ZERO_LOCUS_SCALES = st.one_of(
+    st.integers(-1000, 1000).map(lambda k: 2.0**k),
+    st.integers(-300, 300).map(lambda u: 10.0**u),
+)
+_ZERO_LOCUS_LAMBDAS = st.tuples(
+    st.one_of(_NEAR_ZERO_MU, _NEAR_FLAT), _ZERO_LOCUS_SCALES, st.permutations(range(3)), _SIGNED
+).map(lambda t: tuple(t[3] * t[1] * np.asarray(t[0])[list(t[2])]))
+# Unit fields whose small coordinates fall in the TOL band, or vanish.
+_BAND = st.one_of(
+    st.just(0.0), st.tuples(st.floats(-12.0, -7.0), _SIGNED).map(lambda t: t[1] * 10.0 ** t[0])
+)
+_BAND_SIGMAS = st.one_of(
+    st.tuples(st.floats(0.1, 1.0), _BAND, _BAND).flatmap(st.permutations),
+    st.tuples(st.floats(0.1, 1.0), st.floats(-1.0, 1.0), _BAND).flatmap(st.permutations),
+    _SIGMAS,
+)
+_ZERO_LOCUS_CORNERS = (
+    (0.0, 1.0, 1.000000000000341),
+    (1.0, 1.0, 1e-10),
+    (1.0, 1.0000000001, 0.0),
+    (1.000001e-6, 1.000000000001, 1.000001),
+    (2.0, 1.0, -1.0),
+)
+_ZERO_LOCUS_SIGMAS = (
+    (1.0, 0.0, 0.0),
+    (0.0, 0.6, 0.8),
+    (0.6, 0.8, 0.0),
+    (1.0, 1e-9, 0.0),
+    (1.0, 3e-10, 2e-10),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_ZERO_LOCUS_LAMBDAS, _BAND_SIGMAS), min_size=1, max_size=6))
+@example([(lam, sigma) for lam in _ZERO_LOCUS_CORNERS for sigma in _ZERO_LOCUS_SIGMAS])
+@example(
+    [
+        (tuple(scale * v for v in lam), sigma)
+        for lam in _ZERO_LOCUS_CORNERS
+        for scale in (1e-300, 1e300)
+        for sigma in ((1.0, 1e-9, 0.0), (1.0, 3e-10, 2e-10))
+    ]
+)
+def test_zero_locus_rules_are_descriptor_membership(draws):
+    # One rule per zero locus: in_z1, in_z2 and the r = 1, 2 r_parallel
+    # verdict are membership in the Z1, Z2 descriptors, on stacks and rows.
+    lam = np.array([d[0] for d in draws], dtype=float)
+    raw_sigma = np.array([d[1] for d in draws], dtype=float)
+    sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
+    with np.errstate(all="ignore"):
+        md = MilnorData.normalize(lam)
+        rows = [MilnorData.normalize(row) for row in lam]
+        for r, rule in ((1, lie3.in_z1), (2, lie3.in_z2)):
+            sets = [lie3.classify_sets(row)[f"Z{r}"] for row in rows]
+            expected = [z.contains(s) for z, s in zip(sets, sigma)]
+            assert rule(md, sigma).tolist() == expected, (r, lam, sigma)
+            assert lie3.check_predicates(md, sigma, r).r_parallel.tolist() == expected
+            for row, s, want in zip(rows, sigma, expected):
+                assert bool(rule(row, s)) is want, (r, row.lam, s)
+                assert lie3.check_predicates(row, s, r).r_parallel is want, (r, row.lam, s)
 
 
 def test_single_triples_keep_python_scalars():

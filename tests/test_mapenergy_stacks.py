@@ -65,7 +65,6 @@ def test_stacked_calls_match_row_by_row(m, extra, rows, log_cond, deficient, see
     stacked = PointData(jac, dom, cod)
     singles = [PointData(jac[k], dom[k], cod[k]) for k in range(rows)]
     calls = [
-        mapenergy.pullback_metric,
         mapenergy.cauchy_green,
         mapenergy.stretch_eigenvalues,
         mapenergy.gram_invariants,
