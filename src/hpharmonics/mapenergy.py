@@ -24,7 +24,9 @@ positive semi-definite and alpha = L^{-T} B L^T.  With B = Q diag(w) Q^T,
 
 and each e_r is built by the product recursion e <- e + w_i * shift(e).
 B is positive semi-definite, so every term is >= 0 up to roundoff and
-nothing cancels, however ill-conditioned G is.
+nothing cancels, however ill-conditioned G is.  A :class:`DensityReport`
+forms alpha and the chi_r on first read, so a caller that reads only the
+invariants pays for the diagonalisation alone.
 
 A :class:`PointData` holds one point or a stack of points of one shape:
 Jacobians (..., n, m) with metrics (..., m, m) and (..., n, n) that share
@@ -109,12 +111,13 @@ def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
     asym = np.abs(g - g.mT)
     # Each row's tolerance is 1e-12 max(1, max |g|): a stack within 1e-12
     # passes without forming them.
-    if asym.max(initial=0.0) > 1e-12:
+    if (worst := asym.max(initial=0.0)) > 1e-12:
         sym_tol = 1e-12 * np.abs(g).max(axis=(-2, -1), initial=1.0)
         symmetric = asym.max(axis=(-2, -1)) <= sym_tol
         if not symmetric.all():
             raise InvalidMetricError(f"{name}{_row(symmetric)} is not symmetric")
-    sym = 0.5 * (g + g.mT)
+    # Exactly symmetric: g itself; else halve first, so entries near the float max stay finite.
+    sym = g if worst == 0.0 else 0.5 * g + 0.5 * g.mT
     try:
         return sym, np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
@@ -203,7 +206,6 @@ class _Spectrum(NamedTuple):
     w: np.ndarray  # ascending eigenvalues of B
     q: np.ndarray  # orthonormal eigenvectors of B, as columns
     eps: np.ndarray  # (..., m+1) e_r(w)
-    leave_one_out: np.ndarray  # (..., m+1, m): [r, i] is e_r(w without w_i)
 
 
 def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
@@ -216,12 +218,7 @@ def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
     b = low_p @ inv_low.mT
     b = _finite(0.5 * (b + b.mT), "the whitened pullback L^-1 J^T H J L^-T")
     w, q = np.linalg.eigh(b)
-    # Column 0 of ``values`` is w; column i + 1 is w with w_i set to 0,
-    # whose invariants e_r(w without w_i) weight the Newton tensors.
-    m = w.shape[-1]
-    values = np.where(_eye(m, m + 1, 1, bool), 0.0, w[..., None])
-    e = _product_invariants(values)
-    spec = _Spectrum(pullback, inv_low, low_p, b, w, q, e[..., 0], e[..., 1:])
+    spec = _Spectrum(pullback, inv_low, low_p, b, w, q, _product_invariants(w[..., None])[..., 0])
     # Every caller shares the two arrays that leave the module.
     w.flags.writeable = spec.eps.flags.writeable = False
     return spec
@@ -234,8 +231,10 @@ def _product_invariants(values: np.ndarray) -> np.ndarray:
     m = values.shape[-2]
     e = np.zeros(values.shape[:-2] + (m + 1, values.shape[-1]))
     e[..., 0, :] = 1.0
+    lo, hi = e[..., :-1, :], e[..., 1:, :]
+    term = np.empty_like(lo)
     for j in range(m):
-        e[..., 1:, :] += values[..., j, None, :] * e[..., :-1, :]
+        hi += np.multiply(values[..., j, None, :], lo, out=term)
     return e
 
 
@@ -246,13 +245,33 @@ class DensityReport:
     ``alpha`` is (..., m, m), ``eps`` the (..., m+1) invariants
     (e_0, ..., e_m) of alpha, ``volume_density`` a float for one point and
     a (...) array for a stack, and ``newton`` the (..., m+1, m, m) Newton
-    endomorphisms chi_0, ..., chi_m of alpha.
+    endomorphisms chi_0, ..., chi_m of alpha.  ``alpha`` and ``newton`` are
+    formed from the point's diagonalisation on first read and kept.
     """
 
-    alpha: np.ndarray
     eps: np.ndarray
     volume_density: float | np.ndarray
-    newton: np.ndarray = field(repr=False)
+    _point: PointData = field(repr=False, compare=False)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        spec = self._point._spectrum
+        return spec.inv_low.mT @ spec.low_p
+
+    @cached_property
+    def newton(self) -> np.ndarray:
+        point = self._point
+        spec, m = point._spectrum, point.m
+        # chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T for every
+        # r at once: column i of ``values`` is w with w_i set to 0.  chi_m
+        # vanishes exactly, since each e_m(w without w_i) is 0.
+        values = np.where(_eye(m, m, 0, bool), 0.0, spec.w[..., None])
+        leave_one_out = _product_invariants(values)
+        left = spec.inv_low.mT @ spec.q
+        right = (point._domain_factor @ spec.q).mT
+        newton = (left[..., None, :, :] * leave_one_out[..., :, None, :]) @ right[..., None, :, :]
+        newton[..., 0, :, :] = _eye(m, m, 0, float)
+        return newton
 
 
 def _volume_density(eps: np.ndarray) -> np.ndarray:
@@ -261,10 +280,10 @@ def _volume_density(eps: np.ndarray) -> np.ndarray:
 
 
 def _pullback(point: PointData) -> np.ndarray:
+    # P = J^T H J, symmetrized; callers ignore overflow and invalid values.
     jac = point.jacobian
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = jac.mT @ point.codomain_metric @ jac
-        return 0.5 * (p + p.mT)
+    p = jac.mT @ point.codomain_metric @ jac
+    return 0.5 * (p + p.mT)
 
 
 def cauchy_green(point: PointData) -> np.ndarray:
@@ -276,7 +295,8 @@ def cauchy_green(point: PointData) -> np.ndarray:
     from the whitening that :func:`density_report` reads, so the battery
     can check that path against it; refused when it overflows the float range.
     """
-    alpha = np.linalg.solve(point.domain_metric, _pullback(point))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.linalg.solve(point.domain_metric, _pullback(point))
     return _finite(alpha, "the distortion operator G^-1 J^T H J")
 
 
@@ -303,21 +323,11 @@ def gram_invariants(point: PointData) -> np.ndarray:
 
 
 def density_report(point: PointData) -> DensityReport:
-    """All pointwise density data of the map: alpha, its invariant vector,
-    the volume density sqrt(e_m), and the Newton endomorphisms of alpha."""
-    spec = point._spectrum
-    # chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T for every r at
-    # once; chi_m vanishes exactly, since each e_m(w without w_i) is 0.
-    left = spec.inv_low.mT @ spec.q
-    right = (point._domain_factor @ spec.q).mT
-    newton = (left[..., None, :, :] * spec.leave_one_out[..., :, None, :]) @ right[..., None, :, :]
-    newton[..., 0, :, :] = _eye(point.m, point.m, 0, float)
-    return DensityReport(
-        alpha=spec.inv_low.mT @ spec.low_p,
-        eps=spec.eps,
-        volume_density=_scalars(_volume_density(spec.eps)),
-        newton=newton,
-    )
+    """All pointwise density data of the map: the invariant vector and the
+    volume density sqrt(e_m) now, alpha and its Newton endomorphisms when
+    first read."""
+    eps = point._spectrum.eps
+    return DensityReport(eps, _scalars(_volume_density(eps)), point)
 
 
 def r_conformal_check(point: PointData, r: int):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -5,6 +6,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
+from hpharmonics import mapenergy
 from hpharmonics.invariants import elementary_invariants_newton, newton_endomorphisms
 from hpharmonics.mapenergy import (
     InvalidMetricError,
@@ -147,6 +149,45 @@ def test_report_newton_tensors():
             assert abs(trace - r * report.eps[r]) <= 1e-10 * scale
         oracle = newton_endomorphisms(cauchy_green(point))
         assert float(np.max(np.abs(chi - oracle))) <= 1e-10 * scale
+
+
+def test_report_forms_alpha_and_newton_on_first_read():
+    # The report costs the diagonalisation alone; alpha and the Newton
+    # tensors are formed when first read and the same arrays are kept.
+    point = _random_point(np.random.default_rng(13), 4, 5)
+    report = density_report(point)
+    assert "alpha" not in vars(report) and "newton" not in vars(report)
+    newton = report.newton
+    assert "newton" in vars(report) and "alpha" not in vars(report)
+    alpha = report.alpha
+    assert report.newton is newton and report.alpha is alpha
+    assert "leave_one_out" not in mapenergy._Spectrum._fields
+
+
+@pytest.mark.parametrize("dom", [[[1e308, 0.0], [0.0, 1.0]], [[1e308, 1.0], [1.0 + 1e-10, 1.0]]])
+def test_metric_entries_near_the_float_maximum(dom):
+    # det G is 1e308 up to 1 part in 1e308, so e_2 = det P / det G is 1e-308.
+    # Symmetrizing as 0.5 (g + g^T) overflowed to inf here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = density_report(_point(np.eye(2), dom=np.array(dom)))
+        assert np.isfinite(report.alpha).all() and np.isfinite(report.newton).all()
+    assert report.eps[0] == 1.0 and report.eps[1] == pytest.approx(1.0, rel=1e-15)
+    assert report.eps[2] == pytest.approx(1e-308, rel=1e-12)
+    assert report.volume_density == pytest.approx(1e-154, rel=1e-12)
+
+
+def test_symmetrization_keeps_the_bits_of_the_summed_form():
+    # Halving before the sum changes no bits unless a term overflows or
+    # goes subnormal; an exactly symmetric metric is kept as it is.
+    rng = np.random.default_rng(14)
+    for m in range(2, 7):
+        g = _random_spd(rng, m) * 10.0 ** rng.uniform(-100, 100)
+        assert mapenergy._check_metric(g, "g")[0] is g
+        skew = g * (1.0 + rng.uniform(-1e-14, 1e-14, size=(m, m)))
+        sym, _ = mapenergy._check_metric(skew, "g")
+        assert sym is not skew
+        assert sym.tobytes() == (0.5 * (skew + skew.T)).tobytes()
 
 
 def test_rank_zero_map():
