@@ -270,7 +270,12 @@ def _density_docs(point: mapenergy.PointData, r: int) -> list[dict]:
     probe_rho = 1.7
     if point.m == 2 * r:
         gap = rows(mapenergy.majorisation_gap(point))
-        residual = rows(mapenergy.conformal_scaling_residual(point, probe_rho, r))
+        try:
+            residual = rows(mapenergy.conformal_scaling_residual(point, probe_rho, r)).tolist()
+        except ValueError:
+            if lead:  # a stack: its points are reported one by one
+                raise
+            residual = [None]  # rho^2 G leaves the float range; the rest stands
     docs = []
     for k in range(len(eps)):
         doc = {
@@ -284,14 +289,14 @@ def _density_docs(point: mapenergy.PointData, r: int) -> list[dict]:
         }
         if point.m == 2 * r:
             doc["majorisation_gap"] = float(gap[k])
-            doc["conformal_invariance"] = {"probe_rho": probe_rho, "residual": float(residual[k])}
+            doc["conformal_invariance"] = {"probe_rho": probe_rho, "residual": residual[k]}
         docs.append(doc)
     return docs
 
 
 def _density_list_docs(points: list, r: int) -> list[dict]:
-    # Points of one shape are evaluated as one stack; a refusal names the
-    # index of a point that is refused on its own.
+    # Points of one shape are evaluated as one stack, and each point alone
+    # when the stack refuses; a refusal names the index of the point.
     groups: dict[tuple, list[int]] = {}
     for k, arrays in enumerate(points):
         groups.setdefault(tuple(a.shape for a in arrays), []).append(k)
@@ -301,12 +306,12 @@ def _density_list_docs(points: list, r: int) -> list[dict]:
             stack = (np.array([points[k][i] for k in members]) for i in range(3))
             rows = _density_docs(mapenergy.PointData(*stack), r)
         except ValueError:
+            rows = []
             for k in members:
                 try:
-                    _density_docs(mapenergy.PointData(*points[k]), r)
+                    rows += _density_docs(mapenergy.PointData(*points[k]), r)
                 except ValueError as exc:
                     raise ValueError(f"point {k}: {exc}") from None
-            raise
         for k, doc in zip(members, rows):
             docs[k] = doc
     return docs

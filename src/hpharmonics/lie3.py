@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .invariants import elementary_invariants_newton
 
 _TINY = 1e-300
-_H1, _MAP, _MU, _K = range(4)  # the rows of MilnorData.scaled
+_BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
 _EYE3 = np.eye(3)
 _DIAG = np.arange(3)
 # Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3);
@@ -108,15 +109,15 @@ def _scalar(value):
 def _normalize_row(vals: list) -> tuple:
     # One raw triple of floats, flipped and sorted, and every fact of it that
     # depends on lam alone (see MilnorData): lam, mu, rho, K and the rows of
-    # ``scaled`` as 24 floats, then the class, kernel dimension, order, flip,
-    # f and pattern.  Plain float arithmetic, which rounds as numpy does; the
-    # half-sums use sum(), which compensates from 3.12 on.  Conditional
-    # expressions pick what max() would, at a fraction of its cost; mu
-    # ascends, so max |mu_i| is max(-mu_1, mu_3).
+    # ``scaled`` as 18 floats, then the class, kernel dimension, order, flip,
+    # f, pattern and the tie mask of lam.  Plain float arithmetic, which
+    # rounds as numpy does; the half-sums use sum(), which compensates from
+    # 3.12 on.  Conditional expressions pick what max() would, at a fraction
+    # of its cost; mu ascends, so max |mu_i| is max(-mu_1, mu_3).
     a, b, c = vals
     top, e = math.frexp(max(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
     ua, ub, uc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
-    cut = TOL * top  # entries within it count as zero
+    cut = TOL * top  # entries within it count as zero, differences as ties
     npos = (ua > cut) + (ub > cut) + (uc > cut)
     nneg = (ua < -cut) + (ub < -cut) + (uc < -cut)
     flip = nneg > npos
@@ -132,6 +133,8 @@ def _normalize_row(vals: list) -> tuple:
         if c > x[0]:
             x, y = y, x
     (l0, u0, i), (l1, u1, j), (l2, u2, k) = x, y, z
+    # The tie mask of unit lam, its flags as those of mu^2 below; u0 >= u1 >= u2.
+    ties = 4 * (u1 - u2 <= cut) + 2 * (u0 - u2 <= cut) + (u0 - u1 <= cut)
     half = 0.5 * sum((l0, l1, l2))
     m0, m1, m2 = half - l0, half - l1, half - l2
     r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
@@ -147,20 +150,15 @@ def _normalize_row(vals: list) -> tuple:
     # than s_k coincide), read as one 6-bit number, first flag highest.
     pattern = 32 * z0 + 16 * z1 + 8 * z2 + 4 * (-cut <= s1 - s2 <= cut)
     pattern += 2 * (-cut <= s0 - s2 <= cut) + (-cut <= s0 - s1 <= cut)
-    # The largest |entry| of each diagonal of a locus rule, at least _TINY.
-    ds = top * top if top * top > _TINY else _TINY
-    dl = l0 if l0 > -l2 else -l2
-    dl = dl if dl > _TINY else _TINY
     f = math.frexp(-m0 if -m0 > m2 else m2)[1]
     ldexp = math.ldexp
     numbers = [
         l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12,
-        s0 / ds, s1 / ds, s2 / ds, l0 / dl, l1 / dl, l2 / dl,
         ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
         ldexp(k23, -2 * f), ldexp(k13, -2 * f), ldexp(k12, -2 * f),
     ]
     kernel = _KERNEL_BY_ZERO_MU[z0 + z1 + z2]
-    return numbers, _CLASS_BY_SIGNS[npos, nneg], kernel, (i, j, k), flip, f, pattern
+    return numbers, _CLASS_BY_SIGNS[npos, nneg], kernel, (i, j, k), flip, f, pattern, ties
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,12 +184,11 @@ class MilnorData:
 
     Verdicts read m = mu of lam / 2^e, 2^e ~ max |lam_i|, so none depends
     on the scale of ``lam``.  ``mu_pattern`` has the zero mask of m and the
-    tie mask of m^2 as bits, the key of :func:`classify_sets`, whose Z1 and
-    Z2 it fixes.  The rows of ``scaled`` are the eigenvector-test diagonals
-    m^2 and lam over their largest |entry|, then mu / 2^f and K / 2^2f,
-    2^f ~ max |mu_i| (f: ``mu_exponent``, with a trailing axis of 1 in a
-    stack).  A stack gives arrays for every field; one triple a str, bools,
-    ints and a tuple.
+    tie mask of m^2 as bits, the key of :func:`classify_sets`; ``lam_ties``
+    has the tie mask of lam / 2^e, which fixes the harmonic-map locus.  The
+    rows of ``scaled`` are mu / 2^f and K / 2^2f, 2^f ~ max |mu_i|
+    (f: ``mu_exponent``, with a trailing axis of 1 in a stack).  A stack
+    gives arrays for every field; one triple a str, bools, ints and a tuple.
     """
 
     lam: np.ndarray
@@ -203,9 +200,10 @@ class MilnorData:
     ricci_kernel_dim: int
     permutation: tuple[int, int, int]
     sign_flipped: bool
-    scaled: np.ndarray  # (..., 4, 3)
+    scaled: np.ndarray  # (..., 2, 3)
     mu_exponent: int
     mu_pattern: int
+    lam_ties: int
 
     @classmethod
     def normalize(cls, raw) -> "MilnorData":
@@ -214,11 +212,11 @@ class MilnorData:
         vals = _triple(raw, "structure constants")
         lead = vals.shape[:-1]
         rows = [_normalize_row(row) for row in vals.reshape(-1, 3).tolist()]
-        numbers = np.fromiter(chain.from_iterable([row[0] for row in rows]), float, 24 * len(rows))
-        numbers = numbers.reshape(lead + (8, 3))
+        numbers = np.fromiter(chain.from_iterable([row[0] for row in rows]), float, 18 * len(rows))
+        numbers = numbers.reshape(lead + (6, 3))
         numbers.setflags(write=False)
         # The per-row facts: scalars for one triple, arrays only for a stack.
-        label, kernel, order, flipped, f, pattern = rows[0][1:] if not lead else (
+        label, kernel, order, flipped, f, pattern, ties = rows[0][1:] if not lead else (
             np.array(column).reshape(lead + np.shape(column[0]))
             for column in zip(*(row[1:] for row in rows))
         )
@@ -235,6 +233,7 @@ class MilnorData:
             scaled=numbers[..., 4:, :],
             mu_exponent=f if not lead else f[..., None],
             mu_pattern=pattern,
+            lam_ties=ties,
         )
 
     def permute(self, components) -> np.ndarray:
@@ -395,55 +394,47 @@ def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
 
 
 def is_eigendirection(diag_values, sigma):
-    """Whether unit ``sigma`` is an eigenvector of diag(``diag_values``).
-
-    Tests the component of diag(d) sigma orthogonal to sigma for being
-    negligible against the largest |d_i|, on d scaled to max |d_i| = 1.
-    Broadcasts over leading axes of ``diag_values`` and ``sigma``.
-    """
+    """Whether unit ``sigma`` is an eigenvector of diag(``diag_values``): the
+    component of diag(d) sigma orthogonal to sigma is negligible, on d
+    scaled to max |d_i| = 1.  Broadcasts over leading axes of both.  The
+    battery's oracle: no verdict of this module reads it."""
     d = np.asarray(diag_values, dtype=float)
-    d = d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY)
-    return _eigen_test(d, np.asarray(sigma, dtype=float))
-
-
-def _eigen_test(unit_diagonal: np.ndarray, arr: np.ndarray):
-    # is_eigendirection on a diagonal over its largest |entry|: the squared
-    # residuals neither overflow nor underflow.
-    v = arr * unit_diagonal
+    arr = np.asarray(sigma, dtype=float)
+    v = arr * (d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY))
     return _negligible(_norm(v - _dot(v, arr)[..., None] * arr))
 
 
-# One rule per locus; each broadcasts over leading axes of ``md`` and ``sigma``.
+def _member(admits: np.ndarray, key: tuple, sigma):
+    # The one membership test of every verdict and descriptor: the mask of the
+    # coefficients of sigma not negligible against 1 picks the entry of the
+    # admission rows admits[key] (SubsetDescriptor._admits).
+    return admits[key + (~_negligible(np.abs(sigma)) @ _BITS,)]
+
+
+# One rule per locus, read from _VERDICTS; each broadcasts over ``md`` and ``sigma``.
 
 
 def in_h1(md: MilnorData, sigma):
-    """Whether ``sigma`` is an eigenvector of the squared Milnor map (H1)."""
-    return _eigen_test(md.scaled[..., _H1, :], np.asarray(sigma, dtype=float))
+    """Whether ``sigma`` is an eigenvector of the squared Milnor map (H1):
+    membership in the H1 descriptor, fixed by the ties of mu^2."""
+    return _member(_VERDICTS, (md.mu_pattern, 0, 0, _H1), _triple(sigma, "sigma"))
 
 
 def in_h2(md: MilnorData, sigma):
     """Whether ``sigma`` is an eigenvector of the squared Ricci map (H2):
     rho_i^2 - rho_j^2 = 4 mu_k^2 (mu_j^2 - mu_i^2) for every permutation
-    (i, j, k), so H2 is H1 union Z2, without rho^2 of degree 4 in lambda."""
-    return in_h1(md, sigma) | in_z2(md, sigma)
+    (i, j, k), so the H2 descriptor is H1 union Z2, without rho^2 of degree 4."""
+    return _member(_VERDICTS, (md.mu_pattern, 0, 1, _HR), _triple(sigma, "sigma"))
 
 
 def in_z1(md: MilnorData, sigma):
-    """Whether ``sigma`` is parallel (Z1): membership in the Z1 descriptor
-    of :func:`classify_sets`."""
-    return _in_zero_locus(_VANISHING_BY_PATTERN[md.mu_pattern, 0], sigma)
+    """Whether ``sigma`` is parallel (Z1): membership in the Z1 descriptor."""
+    return _member(_VERDICTS, (md.mu_pattern, 0, 0, _Z), _triple(sigma, "sigma"))
 
 
 def in_z2(md: MilnorData, sigma):
-    """Whether ``sigma`` lies in the Ricci kernel (Z2): membership in the Z2
-    descriptor of :func:`classify_sets` (rho_i = 2 mu_j mu_k)."""
-    return _in_zero_locus(_VANISHING_BY_PATTERN[md.mu_pattern, 1], sigma)
-
-
-def _in_zero_locus(weights, sigma):
-    # The one membership test of descriptors and Z rules: every coefficient
-    # of weight 1 is negligible against 1.
-    return _negligible(np.abs(np.asarray(sigma, dtype=float)) * weights).all(-1)
+    """Whether ``sigma`` lies in the Ricci kernel (Z2): membership in the Z2 descriptor."""
+    return _member(_VERDICTS, (md.mu_pattern, 0, 1, _Z), _triple(sigma, "sigma"))
 
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling):
@@ -590,7 +581,7 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     # c = 0.  mu and K are taken in units of t = 2^e ~ max |mu|, an exact
     # rescaling, so that no intermediate outgrows delta or c and a zero
     # result stays zero.  check_predicates reads it without the refusals.
-    e, mu, sectional = md.mu_exponent, md.scaled[..., _MU, :], md.scaled[..., _K, :]
+    e, mu, sectional = md.mu_exponent, md.scaled[..., 0, :], md.scaled[..., 1, :]
     s1 = mu * arr
     if r == 1:
         return np.ldexp(_cross(sectional * arr, s1), 3 * e)
@@ -640,19 +631,15 @@ def _reported(value: np.ndarray, vector: bool):
 def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> PredicateReport:
     """Evaluate the harmonicity predicates of unit invariant fields.
 
-    ``r_parallel`` is membership in Z_r of :func:`classify_sets`, where the
-    degree-r bending density vanishes: :func:`in_z1` for r = 1, :func:`in_z2`
-    for r = 2, and every unit field at degree 3 (the derivative has rank at
-    most 2).
-    ``r_harmonic_unit`` is membership in the harmonic locus H_r of
-    :func:`classify_sets`: :func:`in_h1` for r = 1, :func:`in_h2` for r = 2,
-    and every unit field qualifies at degree 3.  ``twisted_2_skyrmion`` is
-    :func:`in_skyrmion_locus`; ``coupling`` is the ratio c2/c1 of the
-    degree-2 to degree-1 energy weights (default 0.5, the binomial weights
-    (2, 1)), and the solution set does not depend on it.  ``r_harmonic_map``
-    is the classification of maps into the unit tangent bundle: a
-    structure-map eigenvector for r = 1, 2 and a squared-Milnor-map
-    eigenvector for r = 3.
+    Every verdict is membership in a descriptor of :func:`classify_sets`:
+    Z_r for ``r_parallel`` (the degree-r bending density vanishes) and H_r
+    for ``r_harmonic_unit``, both the sphere at degree 3 (the derivative has
+    rank at most 2); H1 for ``twisted_2_skyrmion`` (:func:`in_skyrmion_locus`),
+    whatever ``coupling``, the ratio c2/c1 of the degree-2 to degree-1
+    energy weights (default 0.5, the binomial weights (2, 1)).
+    ``r_harmonic_map`` classifies maps into the unit tangent bundle: the
+    eigenvectors of diag(lam), read off the ties of lam
+    (mu_i - mu_j = lam_j - lam_i), for r = 1, 2, and H1 for r = 3.
 
     Reported alongside: the vertical tension field, the degree-r bending
     density ``vertical_energy`` (e1 = :func:`grad_norm_sq`,
@@ -667,15 +654,13 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
     _require_coupling(coupling)
-    # One eigen test decides H1 (also the skyrmion locus) and the map on lam.
-    tests = _eigen_test(md.scaled[..., _H1 : _MAP + 1, :], arr[..., None, :])
-    h1, harmonic_map = tests[..., 0], tests[..., 1]
+    # One gather, one membership test: Z_r, H_r, H1 (the skyrmion locus), map.
+    verdicts = _member(_VERDICTS, (md.mu_pattern, md.lam_ties, r - 1, slice(None)), arr)
+    parallel, harmonic_unit, h1, harmonic_map = (verdicts[..., k] for k in range(4))
 
     with np.errstate(over="ignore", invalid="ignore"):
         if r < 3:
             vertical, energy = _vertical(md, arr, r)
-            parallel = (in_z1 if r == 1 else in_z2)(md, arr)
-            harmonic_unit = h1 if r == 1 else h1 | parallel  # H2 = H1 union Z2
             horizontal = _horizontal_tension(md, arr, r)
         else:
             # Degree-3 bending density vanishes identically: the covariant
@@ -684,8 +669,7 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
             # not evaluated and are reported as None (nan in a stack).
             energy = np.zeros(np.shape(h1))
             vertical = np.zeros(energy.shape + (3,))
-            parallel = harmonic_unit = h1 | True  # every field, in the shape of h1
-            harmonic_map, horizontal = h1, vertical + np.nan
+            horizontal = vertical + np.nan
             if np.count_nonzero(h1):
                 on = np.asarray(h1)[..., None]
                 horizontal = np.where(on, _horizontal_tension(md, arr * on, 3), horizontal)
@@ -773,21 +757,21 @@ class SubsetDescriptor:
     # -- queries -------------------------------------------------------------
 
     def contains(self, sigma):
-        """Membership of unit vector(s): the coefficients required to vanish
-        must be negligible against 1.  Broadcasts over leading axes."""
-        arr = np.asarray(sigma, dtype=float)
-        if self.kind in ("PolarPair", "Circle"):
-            out = _in_zero_locus(self._vanishing(), arr)
-        else:  # Empty, Sphere, or the union of the members
-            out = np.full(arr.shape[:-1], self.kind == "Sphere")
-            for member in _PAIRS if self.kind == "PolarSet" else self.members:
-                out = out | member.contains(arr)
-        return bool(out) if arr.ndim == 1 else out
+        """Membership of finite unit vector(s): for some member, every coefficient
+        it requires to vanish is negligible against 1.  Broadcasts over leading axes."""
+        out = _member(self._admits, (), _triple(sigma, "sigma"))
+        return bool(out) if out.ndim == 0 else out
 
-    def _vanishing(self) -> list:
-        # Weight 1 on each coefficient that a set, not PolarSet or a union,
-        # requires to vanish: all (Empty), none (Sphere) or the unlisted ones.
-        return [float(self.kind != "Sphere" and k not in self.indices) for k in (1, 2, 3)]
+    @cached_property
+    def _admits(self) -> np.ndarray:
+        # Entry L: whether unit vectors whose non-negligible coefficients are
+        # the bits of L (first highest) are members: whether some member
+        # requires none of them to vanish.  PolarSet is its three pairs.
+        members = self.members or (self,)
+        members = [p for m in members for p in (_PAIRS if m.kind == "PolarSet" else (m,))]
+        vanish = [sum(4 >> k for k in range(3) if m.kind != "Sphere" and k + 1 not in m.indices)
+                  for m in members if m.kind != "Empty"]
+        return np.array([any(not loose & v for v in vanish) for loose in range(8)])
 
     def to_json(self) -> dict:
         """JSON form {"kind": ..., "indices": [...], "members": [...]}."""
@@ -821,13 +805,18 @@ _INTERNED = {
 }
 
 
+def _eigendirections(tie: tuple) -> SubsetDescriptor:
+    # The unit eigenvectors of a diagonal with tie mask ``tie``: the poles, a
+    # tied circle with the pole it misses, or, by transitive closure, all.
+    if sum(tie) == 1:
+        return _CIRCLES_AND_POLES[tie.index(True)]
+    return SubsetDescriptor.sphere() if any(tie) else SubsetDescriptor.polar_set()
+
+
 def _loci(zero: tuple, tie: tuple) -> dict[str, SubsetDescriptor]:
-    # The loci from the zero mask of unit mu and the tie mask of its squares;
-    # H1 is read off the ties, near-degenerate ones by transitive closure.
+    # The loci from the zero mask of unit mu and the tie mask of its squares.
     empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
-    ties, zeros = sum(tie), sum(zero)  # zeros as in ricci_kernel_dim
-    h1 = SubsetDescriptor.polar_set() if not ties else sphere if ties >= 2 else None
-    h1 = h1 or _CIRCLES_AND_POLES[tie.index(True)]
+    h1, zeros = _eigendirections(tie), sum(zero)  # zeros as in ricci_kernel_dim
     if zeros >= 2:  # flat: Z1 is the pole of the one surviving mu, or all
         z1, z2, h2 = (_PAIRS[zero.index(False)] if zeros == 2 else sphere), sphere, sphere
     elif zeros == 1:  # Z2 is the circle that misses the pole of the zero mu
@@ -840,14 +829,18 @@ def _loci(zero: tuple, tie: tuple) -> dict[str, SubsetDescriptor]:
     return {"H1": h1, "H2": h2, "H3": sphere, "Z1": z1, "Z2": z2, "Z3": sphere}
 
 
+_MASKS = tuple(product((False, True), repeat=3))  # by their bits, first flag highest
 #: The loci of classify_sets by MilnorData.mu_pattern, whose bits are the flags.
-_LOCI_BY_PATTERN = tuple(_loci(p[:3], p[3:]) for p in product((False, True), repeat=6))
-#: By the same key, the weights of the coefficients that Z1 and Z2 require
-#: to vanish, shape (64, 2, 3): the table that in_z1 and in_z2 read.
-_VANISHING_BY_PATTERN = np.array(
-    [[loci["Z1"]._vanishing(), loci["Z2"]._vanishing()] for loci in _LOCI_BY_PATTERN]
-)
-_VANISHING_BY_PATTERN.setflags(write=False)
+_LOCI_BY_PATTERN = tuple(_loci(zero, tie) for zero in _MASKS for tie in _MASKS)
+#: The table of every verdict, keyed by (mu_pattern, lam_ties, r - 1): the
+#: admission rows of Z_r, H_r, H1 and the harmonic-map locus (eigenvectors
+#: of diag(lam) at r = 1, 2; H1 at r = 3), shape (64, 8, 3, 4, 8).
+_Z, _HR, _H1, _MAP = range(4)
+_KEYS = [key for r in "123" for key in ("Z" + r, "H" + r, "H1", "H1")]  # the map: H1 at r = 3
+_VERDICTS = np.array([[loci[key]._admits for key in _KEYS] for loci in _LOCI_BY_PATTERN])
+_VERDICTS = _VERDICTS.reshape(64, 1, 3, 4, 8).repeat(8, axis=1)
+_VERDICTS[:, :, :2, _MAP] = np.array([_eigendirections(tie)._admits for tie in _MASKS])[:, None]
+_VERDICTS.setflags(write=False)
 
 
 def classify_sets(sc) -> dict[str, SubsetDescriptor]:

@@ -176,9 +176,11 @@ class PointData:
                 "jacobian and metrics must share their leading axes, got shapes "
                 f"{jac.shape}, {g.shape} and {h.shape}"
             )
-        object.__setattr__(self, "jacobian", jac)
-        object.__setattr__(self, "domain_metric", g)
-        object.__setattr__(self, "codomain_metric", h)
+        # Read-only copies, not the caller's arrays: the cached spectrum is theirs.
+        for name, arr in (("jacobian", jac), ("domain_metric", g), ("codomain_metric", h)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_domain_factor", low)
 
     @property

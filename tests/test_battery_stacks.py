@@ -183,9 +183,15 @@ def _flip_loop(rng, trials):
     return float(bad)
 
 
-def _sign_sensitive_z1(md, sigma):
-    # A planted fault: parallel verdicts that flip with the sign of sigma.
-    return np.asarray(sigma)[..., 0] > 0.0
+_MEMBER = lie3._member
+
+
+def _sign_sensitive_member(admits, key, sigma):
+    # A planted fault in the membership test that check_predicates reads every
+    # verdict through: verdicts that flip with the sign of sigma.
+    out = _MEMBER(admits, key, sigma)
+    flip = np.asarray(sigma)[..., 0] > 0.0
+    return out ^ flip.reshape(flip.shape + (1,) * (out.ndim - flip.ndim))
 
 
 def _complement_as_skyrmion_locus(md, sigma, coupling):
@@ -219,7 +225,7 @@ RESIDUAL_PROPERTIES = (
             ("in_skyrmion_locus", _complement_as_skyrmion_locus),
         ),
         (verify.check_flip_invariance, _flip_loop, None),
-        (verify.check_flip_invariance, _flip_loop, ("in_z1", _sign_sensitive_z1)),
+        (verify.check_flip_invariance, _flip_loop, ("_member", _sign_sensitive_member)),
     ],
 )
 def test_stacked_lie3_properties_match_per_trial_loops(monkeypatch, check, loop, fault):

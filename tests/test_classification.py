@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hpharmonics import lie3
 from hpharmonics.lie3 import (
     SubsetDescriptor,
     classify_algebra,
@@ -52,6 +53,33 @@ def test_descriptor_membership_basics():
     batch = np.stack([e2, tilted, -e2])
     np.testing.assert_array_equal(union.contains(batch), [True, True, True])
     np.testing.assert_array_equal(polar.contains(batch), [True, False, True])
+
+    # The zero vector is in every set but Empty: it has no coefficient that
+    # is not negligible.  A coefficient required to vanish may be up to TOL.
+    zero = np.zeros(3)
+    assert not empty.contains(zero) and not empty.contains(zero[None]).any()
+    assert all(d.contains(zero) for d in (sphere, pole, circle, polar, union))
+    band = np.array([[1e-9, 1.0, 0.0], [2e-9, 1.0, 0.0], [0.6, 1e-9, 0.8], [0.6, 2e-9, 0.8]])
+    band = np.concatenate([band, [[1e-9, 1.0, 1e-9], [1e-9, 1e-9, 1.0], [1e-9, 1e-9, 1e-9]]])
+    expected = {
+        sphere: [True] * 7,
+        empty: [False] * 7,
+        pole: [True, False, False, False, True, False, True],
+        circle: [False, False, True, False, False, True, True],
+        polar: [True, False, False, False, True, True, True],
+        union: [True, False, True, False, True, True, True],
+    }
+    for descriptor, want in expected.items():
+        np.testing.assert_array_equal(descriptor.contains(band), want, str(descriptor))
+        assert [descriptor.contains(s) for s in band] == want, str(descriptor)
+    # A non-finite coefficient is refused, not read as negligible or not.
+    for descriptor in expected:
+        with pytest.raises(ValueError, match="non-finite"):
+            descriptor.contains([np.nan, 1.0, 0.0])
+    md = classify_algebra((3.0, 2.0, 0.5))
+    for rule in (lie3.in_h1, lie3.in_h2, lie3.in_z1, lie3.in_z2):
+        with pytest.raises(ValueError, match="non-finite"):
+            rule(md, [[0.0, 1.0, 0.0], [np.inf, 0.0, 0.0]])
 
 
 def test_descriptor_validation():

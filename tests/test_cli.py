@@ -194,6 +194,22 @@ def test_check_failing_predicate_exits_one(capsys):
     assert "fails" in out
 
 
+def test_check_verdicts_match_the_printed_descriptors(capsys):
+    # H1 of (3, 2, 0.5) is PolarSet, which does not hold sigma = (1e-8, 1, 0):
+    # |sigma_1| exceeds TOL.  The eigenvector residual, about |sigma_1| times
+    # a gap of mu^2, used to call it harmonic; every verdict is now
+    # membership in the descriptor that the same report prints.
+    argv = ["check", "--lambda=3,2,0.5", "--sigma=1e-8,1,0", "--r", "1", "--kind"]
+    code, out, _ = _run(capsys, argv + ["unit-section", "--json"])
+    assert code == 1
+    doc = _strict_json(out)
+    assert doc["sets"]["H1"] == {"kind": "PolarSet"}
+    assert doc["predicates"]["r_harmonic_unit"] is False
+    assert doc["predicates"]["twisted_2_skyrmion"] is False
+    code, out, _ = _run(capsys, argv + ["skyrmion"])
+    assert code == 1 and "requested (skyrmion, r=1): fails" in out
+
+
 def test_check_skyrmion_any_coupling(capsys):
     for coupling in ("0.5", "3.7"):
         code, _, _ = _run(
@@ -474,6 +490,36 @@ def test_density_file_list_of_points(tmp_path, capsys):
         assert docs[k] == _strict_json(alone)
         _, alone, _ = _run(capsys, ["density", "--file", str(single), "--r", "2"])
         assert blocks[k] == f"{k}:\n" + alone
+
+
+def test_density_reports_a_probe_out_of_range_as_null(tmp_path, capsys):
+    # 1.7^2 G overflows, so the conformal probe has no residual; eps, the
+    # volume density and the Newton tensors are finite and are reported.
+    flags = ["--J", "1,0;0,1", "--G", "1e308,1;1.0000000001,1", "--H", "1,0;0,1", "--r", "1"]
+    code, out, err = _run(capsys, ["density"] + flags + ["--json"])
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    assert doc["conformal_invariance"] == {"probe_rho": 1.7, "residual": None}
+    assert doc["eps"][2] == pytest.approx(1e-308, rel=1e-12)
+    assert doc["majorisation_gap"] == pytest.approx(1.0)
+    code, out, _ = _run(capsys, ["density"] + flags)
+    assert code == 0 and "invariance resid: None (rho=1.7)" in out
+    # In a list, only that point's residual is null.
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    huge = [[1e308, 1.0], [1.0000000001, 1.0]]
+    points = [{"J": eye, "G": eye, "H": eye}, {"J": eye, "G": huge, "H": eye}]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points + points[:1]))
+    code, out, _ = _run(capsys, ["density", "--file", str(path), "--r", "1", "--json"])
+    assert code == 0
+    docs = _strict_json(out)
+    residuals = [d["conformal_invariance"]["residual"] for d in docs]
+    assert residuals == [0.0, None, 0.0]
+    assert docs[1] == doc
+    # The library call itself still refuses.
+    point = mapenergy.PointData(np.eye(2), np.array(huge), np.eye(2))
+    with pytest.raises(ValueError, match="rho\\^2 G out of the float range"):
+        mapenergy.conformal_scaling_residual(point, 1.7, 1)
 
 
 def test_density_file_refuses_what_is_not_one_point(tmp_path, capsys):

@@ -749,10 +749,10 @@ def test_h2_descriptor_is_the_union_of_h1_and_z2(lam, h2, residual_z2):
 
 
 def test_check_predicates_validates_once(monkeypatch):
-    # One validation of sigma and one eigen test per call (H1 and the
-    # harmonic-map test fused), no numpy cross products, and no Newton-Girard
-    # recursion: the energy is a closed form.
-    calls = {"cross": 0, "triple": 0, "eigen": 0, "newton": 0}
+    # One validation of sigma and one membership test per call (every verdict
+    # read from one gather of the verdict table), no numpy cross products, and
+    # no Newton-Girard recursion: the energy is a closed form.
+    calls = {"cross": 0, "triple": 0, "member": 0, "newton": 0}
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -763,7 +763,7 @@ def test_check_predicates_validates_once(monkeypatch):
 
     monkeypatch.setattr(np, "cross", counting("cross", np.cross))
     monkeypatch.setattr(lie3, "_triple", counting("triple", lie3._triple))
-    monkeypatch.setattr(lie3, "_eigen_test", counting("eigen", lie3._eigen_test))
+    monkeypatch.setattr(lie3, "_member", counting("member", lie3._member))
     monkeypatch.setattr(
         lie3,
         "elementary_invariants_newton",
@@ -774,11 +774,11 @@ def test_check_predicates_validates_once(monkeypatch):
         md = classify_algebra(rep)
         for sigma in (E[0], np.array([0.6, 0.0, 0.8]), _unit(rng)):
             for r in (1, 2, 3):
-                calls.update(cross=0, triple=0, eigen=0, newton=0)
+                calls.update(cross=0, triple=0, member=0, newton=0)
                 check_predicates(md, sigma, r)
                 assert calls["cross"] == 0
                 assert calls["triple"] <= 1
-                assert calls["eigen"] == 1, (rep, sigma, r)
+                assert calls["member"] == 1, (rep, sigma, r)
                 assert calls["newton"] == 0
 
 

@@ -162,15 +162,10 @@ def _unit_geometry(md):
     return MilnorData.normalize(np.ldexp(md.lam, -e))
 
 
-def _reference_unit_diagonal(diag_values):
-    d = np.asarray(diag_values, dtype=float)
-    return d / np.maximum(np.abs(d).max(-1, keepdims=True), 1e-300)
-
-
 def _reference_tie_mask(values):
-    # Entry k: the two entries other than k coincide against the largest.
-    vals = values.tolist()
-    top = max(vals)
+    # Entry k: the two entries other than k coincide against the largest |entry|.
+    vals = np.asarray(values).tolist()
+    top = max(map(abs, vals))
     return [abs(vals[i] - vals[j]) <= lie3.TOL * top for i, j in ((1, 2), (0, 2), (0, 1))]
 
 
@@ -198,10 +193,11 @@ def _reference_normalize_row(vals):
     sign = -1.0 if nneg > npos else 1.0
     order = sorted(range(3), key=lambda i: -sign * vals[i])
     numbers = _reference_geometry([sign * vals[i] for i in order])
-    unit_mu = _reference_geometry([sign * unit[i] for i in order])[3:6]
+    unit_lam = [sign * unit[i] for i in order]
+    unit_mu = _reference_geometry(unit_lam)[3:6]
     kernel = lie3._KERNEL_BY_ZERO_MU[sum(_reference_zero_mask(unit_mu))]
     label = lie3._CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
-    return numbers, label, kernel, tuple(order), sign < 0.0, unit_mu
+    return numbers, label, kernel, tuple(order), sign < 0.0, unit_lam, unit_mu
 
 
 _SIGNED = st.sampled_from([1.0, -1.0])
@@ -240,53 +236,72 @@ _ROWS = st.one_of(
 @example([1e300, -1e300, 3e299])
 @example([1.000001e-6, 1.000000000001, 1.000001])
 @example([1.0, -1e-10, -1.0])  # max |mu| = -mu_1 = 1 + 5e-11 > mu_3
+@example([0.3, 1.0, 1.0000000001])  # lam ties within TOL, mu^2 do not
+@example([-2.0, 1.0, -2.0])
 def test_normalize_row_matches_the_list_form_bitwise(row):
     row = [float(v) for v in row]
     numbers, *facts = lie3._normalize_row(row)
-    expected, *expected_facts, unit_mu = _reference_normalize_row(row)
-    assert len(numbers) == 24
+    expected, *expected_facts, unit_lam, unit_mu = _reference_normalize_row(row)
+    assert len(numbers) == 18 and len(facts) == 7
     # Bit patterns, so that signed zeros, inf and nan compare exactly.
     assert _int_bits(numbers[:12]) == _int_bits(expected)
     assert facts[:4] == expected_facts
     assert [type(fact) for fact in facts[:4]] == [type(fact) for fact in expected_facts]
     # The rest against the numpy forms the rules read before the kernel
     # decided them, evaluated on the reference numbers.
-    lam, mu, _, sectional = np.array(expected).reshape(4, 3)
+    _, mu, _, sectional = np.array(expected).reshape(4, 3)
     unit_mu = np.array(unit_mu)
     e = np.frexp(np.abs(mu).max(-1, keepdims=True))[1]
-    replaced = [
-        _reference_unit_diagonal(unit_mu**2),
-        _reference_unit_diagonal(lam),
-        np.ldexp(mu, -e),
-        np.ldexp(sectional, -2 * e),
-    ]
+    replaced = [np.ldexp(mu, -e), np.ldexp(sectional, -2 * e)]
     assert _int_bits(numbers[12:]) == _int_bits(np.concatenate(replaced))
     assert facts[4] == e.item() and type(facts[4]) is int
     flags = _reference_zero_mask(unit_mu.tolist()) + _reference_tie_mask(unit_mu**2)
     assert facts[5] == sum(flag << (5 - k) for k, flag in enumerate(flags))
+    # The tie mask of lam / 2^e, which fixes the harmonic-map locus.
+    assert facts[6] == sum(flag << (2 - k) for k, flag in enumerate(_reference_tie_mask(unit_lam)))
+    assert type(facts[5]) is int and type(facts[6]) is int
 
 
 # ---------------------------------------------------------------------------
-# the locus rules against frozen copies of their numpy forms
+# the locus rules against frozen copies: membership in descriptors read off
+# masks that numpy computes from the unit-scale geometry
 # ---------------------------------------------------------------------------
 
 
-def _frozen_eigen(diag_values, arr):
-    v = arr * _reference_unit_diagonal(diag_values)
-    w = v - np.vecdot(v, arr)[..., None] * arr
-    return np.sqrt(np.vecdot(w, w)) <= lie3.TOL
+def _frozen_eigendirections(values):
+    # The unit eigenvectors of diag(values), read off its tie mask.
+    equal = _reference_tie_mask(values)
+    if sum(equal) >= 2:
+        return SubsetDescriptor.sphere()
+    if any(equal):
+        return lie3._CIRCLES_AND_POLES[equal.index(True)]
+    return SubsetDescriptor.polar_set()
 
 
-def _frozen_in_h1(md, arr):
-    return _frozen_eigen(_unit_geometry(md).mu ** 2, arr)
+def _frozen_loci(md):
+    # The frozen classify_sets, with the harmonic-map locus of r = 1, 2 from
+    # the ties of lam / 2^e.
+    loci = _frozen_classify_sets(md)
+    loci["map"] = _frozen_eigendirections(_unit_geometry(md).lam)
+    return loci
 
 
-def _frozen_in_z(md, arr, r):
-    # Membership in Z_r of the frozen classify_sets, row by row.
+def _frozen_contains(descriptor, arr):
+    # Membership by member weights: for some member (PolarSet: its pairs),
+    # every coefficient of weight 1, one it requires to vanish, is at most TOL.
+    members = descriptor.members or (descriptor,)
+    members = [p for m in members for p in (lie3._PAIRS if m.kind == "PolarSet" else (m,))]
+    weights = [[m.kind != "Sphere" and k not in m.indices for k in (1, 2, 3)] for m in members]
+    weights = np.array([w for w, m in zip(weights, members) if m.kind != "Empty"], float)
+    return np.bool_((np.abs(arr) * weights.reshape(-1, 3) <= lie3.TOL).all(-1).any())
+
+
+def _frozen_in(md, arr, key):
+    # Membership in the frozen locus ``key``, row by row.
     if md.lam.ndim == 1:
-        return np.bool_(_frozen_classify_sets(md)[f"Z{r}"].contains(arr))
+        return _frozen_contains(_frozen_loci(md)[key], arr)
     rows = [MilnorData.normalize(lam) for lam in md.lam]
-    return np.array([_frozen_classify_sets(row)[f"Z{r}"].contains(a) for row, a in zip(rows, arr)])
+    return np.array([_frozen_contains(_frozen_loci(row)[key], a) for row, a in zip(rows, arr)])
 
 
 def _frozen_horizontal(md, arr, r):
@@ -312,13 +327,13 @@ def _frozen_horizontal(md, arr, r):
 
 
 def _frozen_report(md, arr, r):
-    h1 = _frozen_in_h1(md, arr)
+    h1 = _frozen_in(md, arr, "H1")
     with np.errstate(over="ignore", invalid="ignore"):
         if r < 3:
             vertical, energy = lie3._vertical(md, arr, r)
-            parallel = _frozen_in_z(md, arr, r)
+            parallel = _frozen_in(md, arr, f"Z{r}")
             harmonic_unit = h1 if r == 1 else h1 | parallel
-            harmonic_map = _frozen_eigen(md.lam, arr)
+            harmonic_map = _frozen_in(md, arr, "map")
             horizontal = _frozen_horizontal(md, arr, r)
         else:
             energy = np.zeros(np.shape(h1))
@@ -341,18 +356,10 @@ def _frozen_report(md, arr, r):
 
 
 def _frozen_classify_sets(md):
-    def eigendirections(values):
-        equal = _reference_tie_mask(values)
-        if sum(equal) >= 2:
-            return SubsetDescriptor.sphere()
-        if any(equal):
-            return lie3._CIRCLES_AND_POLES[equal.index(True)]
-        return SubsetDescriptor.polar_set()
-
     unit_mu = _unit_geometry(md).mu
     mu_zero = _reference_zero_mask(unit_mu.tolist())
     zeros = sum(mu_zero)
-    h1 = eigendirections(unit_mu**2)
+    h1 = _frozen_eigendirections(unit_mu**2)
     empty, sphere = SubsetDescriptor.empty(), SubsetDescriptor.sphere()
     if zeros >= 2:
         z1, z2, h2 = (lie3._PAIRS[mu_zero.index(False)] if zeros == 2 else sphere), sphere, sphere
@@ -396,10 +403,10 @@ def test_rules_match_their_frozen_numpy_forms(draws):
     cases = [(md, sigma)] + list(zip(rows, sigma))
     for geometry, arr in cases:
         for rule, frozen in (
-            (lie3.in_h1, _frozen_in_h1),
-            (lie3.in_z1, lambda g, a: _frozen_in_z(g, a, 1)),
-            (lie3.in_z2, lambda g, a: _frozen_in_z(g, a, 2)),
-            (lambda g, a: lie3.in_skyrmion_locus(g, a, 0.5), _frozen_in_h1),
+            (lie3.in_h1, lambda g, a: _frozen_in(g, a, "H1")),
+            (lie3.in_z1, lambda g, a: _frozen_in(g, a, "Z1")),
+            (lie3.in_z2, lambda g, a: _frozen_in(g, a, "Z2")),
+            (lambda g, a: lie3.in_skyrmion_locus(g, a, 0.5), lambda g, a: _frozen_in(g, a, "H1")),
         ):
             assert _same(rule(geometry, arr), frozen(geometry, arr)), (rule, geometry.lam, arr)
         for r in (1, 2, 3):
@@ -424,12 +431,19 @@ _NEAR_ZERO_MU = st.one_of(
     st.tuples(_SMALL, st.floats(-2.0, 2.0), st.floats(0.5, 2.0)),
 ).map(lambda mu: (mu[1] + mu[2], mu[0] + mu[2], mu[0] + mu[1]))
 _NEAR_FLAT = _SMALL.map(lambda d: (0.0, 1.0, 1.0 + d))
+# Two entries of lam within a few TOL of each other, or tied exactly.
+_NEAR_TIE = st.tuples(
+    st.floats(0.5, 2.0), st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.floats(-2.0, 2.0)
+).map(lambda t: (t[0], t[0] * (1.0 + t[1] * lie3.TOL), t[2]))
 _ZERO_LOCUS_SCALES = st.one_of(
     st.integers(-1000, 1000).map(lambda k: 2.0**k),
     st.integers(-300, 300).map(lambda u: 10.0**u),
 )
 _ZERO_LOCUS_LAMBDAS = st.tuples(
-    st.one_of(_NEAR_ZERO_MU, _NEAR_FLAT), _ZERO_LOCUS_SCALES, st.permutations(range(3)), _SIGNED
+    st.one_of(_NEAR_ZERO_MU, _NEAR_FLAT, _NEAR_TIE),
+    _ZERO_LOCUS_SCALES,
+    st.permutations(range(3)),
+    _SIGNED,
 ).map(lambda t: tuple(t[3] * t[1] * np.asarray(t[0])[list(t[2])]))
 # Unit fields whose small coordinates fall in the TOL band, or vanish.
 _BAND = st.one_of(
@@ -446,6 +460,11 @@ _ZERO_LOCUS_CORNERS = (
     (1.0, 1.0000000001, 0.0),
     (1.000001e-6, 1.000000000001, 1.000001),
     (2.0, 1.0, -1.0),
+    # Ties of lam, which fix the harmonic-map locus, and a generic triple.
+    (2.0, 2.0, 1.0),
+    (1.0, 1.0, 0.5),
+    (1.0, 1.0 + 1e-10, 0.3),
+    (3.0, 2.0, 0.5),
 )
 _ZERO_LOCUS_SIGMAS = (
     (1.0, 0.0, 0.0),
@@ -453,7 +472,14 @@ _ZERO_LOCUS_SIGMAS = (
     (0.6, 0.8, 0.0),
     (1.0, 1e-9, 0.0),
     (1.0, 3e-10, 2e-10),
+    (1e-8, 1.0, 0.0),
 )
+
+
+def _map_locus(md):
+    # The harmonic-map locus at r = 1, 2: the eigenvectors of diag(lam), read
+    # off the ties of lam / 2^e, the exact rescaling to max |lam| ~ 1.
+    return _frozen_eigendirections(_unit_geometry(md).lam)
 
 
 @settings(max_examples=200)
@@ -468,22 +494,45 @@ _ZERO_LOCUS_SIGMAS = (
     ]
 )
 def test_zero_locus_rules_are_descriptor_membership(draws):
-    # One rule per zero locus: in_z1, in_z2 and the r = 1, 2 r_parallel
-    # verdict are membership in the Z1, Z2 descriptors, on stacks and rows.
+    # One rule per locus: every locus rule and every check_predicates verdict
+    # is membership in its descriptor, on stacks and rows.  Z1, Z2 and H1, H2
+    # are those of classify_sets; the map locus at r = 1, 2 is built here.
     lam = np.array([d[0] for d in draws], dtype=float)
     raw_sigma = np.array([d[1] for d in draws], dtype=float)
     sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
     with np.errstate(all="ignore"):
         md = MilnorData.normalize(lam)
         rows = [MilnorData.normalize(row) for row in lam]
-        for r, rule in ((1, lie3.in_z1), (2, lie3.in_z2)):
-            sets = [lie3.classify_sets(row)[f"Z{r}"] for row in rows]
-            expected = [z.contains(s) for z, s in zip(sets, sigma)]
-            assert rule(md, sigma).tolist() == expected, (r, lam, sigma)
-            assert lie3.check_predicates(md, sigma, r).r_parallel.tolist() == expected
+        loci = [dict(lie3.classify_sets(row), map=_map_locus(row)) for row in rows]
+
+        def members(key):
+            return [locus[key].contains(s) for locus, s in zip(loci, sigma)]
+
+        rules = [
+            (lie3.in_z1, "Z1"),
+            (lie3.in_z2, "Z2"),
+            (lie3.in_h1, "H1"),
+            (lie3.in_h2, "H2"),
+            (lambda g, s: lie3.in_skyrmion_locus(g, s, 0.5), "H1"),
+        ]
+        for rule, key in rules:
+            expected = members(key)
+            assert rule(md, sigma).tolist() == expected, (key, lam, sigma)
             for row, s, want in zip(rows, sigma, expected):
-                assert bool(rule(row, s)) is want, (r, row.lam, s)
-                assert lie3.check_predicates(row, s, r).r_parallel is want, (r, row.lam, s)
+                assert bool(rule(row, s)) is want, (key, row.lam, s)
+        for r in (1, 2, 3):
+            stacked = lie3.check_predicates(md, sigma, r)
+            singles = [lie3.check_predicates(row, s, r) for row, s in zip(rows, sigma)]
+            verdicts = {
+                "r_parallel": f"Z{r}",
+                "r_harmonic_unit": f"H{r}",
+                "twisted_2_skyrmion": "H1",
+                "r_harmonic_map": "map" if r < 3 else "H1",
+            }
+            for name, key in verdicts.items():
+                expected = members(key)
+                assert getattr(stacked, name).tolist() == expected, (name, r, lam, sigma)
+                assert [getattr(x, name) for x in singles] == expected, (name, r, lam, sigma)
 
 
 def test_single_triples_keep_python_scalars():

@@ -190,6 +190,26 @@ def test_symmetrization_keeps_the_bits_of_the_summed_form():
         assert sym.tobytes() == (0.5 * (skew + skew.T)).tobytes()
 
 
+def test_point_keeps_read_only_copies_of_its_inputs():
+    # The spectrum is cached on the point, so the point owns its arrays:
+    # writing to the caller's arrays afterwards changes nothing, and its own
+    # arrays refuse writes.
+    jac = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]])
+    dom, cod = np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(3)
+    point = PointData(jac, dom, cod)
+    before = density_report(point).eps.copy()
+    dom[0, 0], jac[1, 1], cod[2, 2] = 4.0, 3.0, 5.0
+    np.testing.assert_array_equal(point.domain_metric, [[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(point.jacobian[1], [0.0, 2.0])
+    assert point.codomain_metric[2, 2] == 1.0
+    np.testing.assert_array_equal(density_report(point).eps, before)
+    fresh = PointData([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]], [[2.0, 1.0], [1.0, 2.0]], np.eye(3))
+    np.testing.assert_array_equal(density_report(fresh).eps, before)
+    for arr in (point.jacobian, point.domain_metric, point.codomain_metric):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 7.0
+
+
 def test_rank_zero_map():
     report = density_report(_point(np.zeros((4, 3))))
     np.testing.assert_allclose(report.eps, [1.0, 0.0, 0.0, 0.0])
