@@ -71,11 +71,28 @@ class PreconditionError(ValueError):
 
 def _triple(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 3:
+    if arr.shape[-1:] != (3,):
         raise ValueError(f"{name} must be a triple, got shape {arr.shape}")
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on 3 entries
+    if not _all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     return arr
+
+
+# Whether any or all flags of a bool array are set, read from its bytes, one a
+# flag: on a few flags a fraction of the cost of count_nonzero or .all().
+def _any(flags) -> bool:
+    return 1 in flags.tobytes()
+
+
+def _all(flags) -> bool:
+    return 0 not in flags.tobytes()
+
+
+def _frozen(cls, fields: dict):
+    # The frozen dataclass ``cls`` with ``fields`` set at once, not one by one as __init__ does.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _negligible(magnitude, scale=1.0):
@@ -96,7 +113,7 @@ def _norm(v):
 def _unit_triple(sigma) -> np.ndarray:
     arr = _triple(sigma, "sigma")
     norm_sq = _dot(arr, arr)
-    if np.count_nonzero(abs(norm_sq - 1.0) > 2.0 * TOL):
+    if _any(abs(norm_sq - 1.0) > 2.0 * TOL):
         raise ValueError(f"sigma must be a unit vector, |sigma|^2 = {norm_sq}")
     return arr
 
@@ -220,27 +237,27 @@ class MilnorData:
             np.array(column).reshape(lead + np.shape(column[0]))
             for column in zip(*(row[1:] for row in rows))
         )
-        return cls(
-            lam=numbers[..., 0, :],
-            mu=numbers[..., 1, :],
-            ricci=numbers[..., 2, :],
-            sectional=numbers[..., 3, :],
-            algebra_class=label,
-            flat=kernel == 3,
-            ricci_kernel_dim=kernel,
-            permutation=order,
-            sign_flipped=flipped,
-            scaled=numbers[..., 4:, :],
-            mu_exponent=f if not lead else f[..., None],
-            mu_pattern=pattern,
-            lam_ties=ties,
-        )
+        return _frozen(cls, {
+            "lam": numbers[..., 0, :],
+            "mu": numbers[..., 1, :],
+            "ricci": numbers[..., 2, :],
+            "sectional": numbers[..., 3, :],
+            "algebra_class": label,
+            "flat": kernel == 3,
+            "ricci_kernel_dim": kernel,
+            "permutation": order,
+            "sign_flipped": flipped,
+            "scaled": numbers[..., 4:, :],
+            "mu_exponent": f if not lead else f[..., None],
+            "mu_pattern": pattern,
+            "lam_ties": ties,
+        })
 
     def permute(self, components) -> np.ndarray:
         """Reorder coefficient triples from input order to normalized order."""
         arr = _triple(components, "components")
         if isinstance(self.permutation, tuple):
-            return arr[..., list(self.permutation)]
+            return arr.take(self.permutation, -1)
         return np.take_along_axis(*np.broadcast_arrays(arr, self.permutation), -1)
 
 
@@ -258,14 +275,6 @@ def classify_algebra(x) -> MilnorData:
 # ---------------------------------------------------------------------------
 # Connection, curvature, and energy densities of invariant fields
 # ---------------------------------------------------------------------------
-
-
-def milnor_iterate(md: MilnorData, v, r: int) -> np.ndarray:
-    """r-th iterate of the diagonal map a_i -> mu_i * a_i applied to ``v``."""
-    if r < 0:
-        raise ValueError(f"iterate order must be >= 0, got {r}")
-    arr = _triple(v, "v")
-    return md.mu**r * arr
 
 
 def covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
@@ -323,15 +332,6 @@ def second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
         - _dot(p1, q1)[..., None] * arr
         - _cross(md.mu * _cross(p1, q), arr)
     )
-
-
-def riemann_action(md: MilnorData, i: int, j: int, sigma) -> np.ndarray:
-    """Curvature operator R(e_i, e_j) applied to ``sigma`` (1-based indices),
-    K_ij (a_j e_i - a_i e_j); zero when i == j by antisymmetry.  In general
-    R(u, w) z = z x (K o (u x w)) with K = ``md.sectional``."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"frame indices must be in 1..3, got ({i}, {j})")
-    return _cross(_triple(sigma, "sigma"), md.sectional * _cross(_EYE3[i - 1], _EYE3[j - 1]))
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
@@ -407,8 +407,8 @@ def is_eigendirection(diag_values, sigma):
 def _member(admits: np.ndarray, key: tuple, sigma):
     # The one membership test of every verdict and descriptor: the mask of the
     # coefficients of sigma not negligible against 1 picks the entry of the
-    # admission rows admits[key] (SubsetDescriptor._admits).
-    return admits[key + (~_negligible(np.abs(sigma)) @ _BITS,)]
+    # admission rows admits[key] (SubsetDescriptor._admits); sigma is finite.
+    return admits[key + ((np.abs(sigma) > TOL) @ _BITS,)]
 
 
 # One rule per locus, read from _VERDICTS; each broadcasts over ``md`` and ``sigma``.
@@ -575,12 +575,13 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
 
 
 def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
-    # nu = diag(delta) + c s1 s1^T (s1 = mu*sigma, s2 = mu*s1).  With R as in
-    # riemann_action, the diagonal part gives (K o sigma) x (delta o s1); the
-    # rank-one part gives c (s2 x s1 + R(sigma, s2 x sigma) s1), skipped where
-    # c = 0.  mu and K are taken in units of t = 2^e ~ max |mu|, an exact
-    # rescaling, so that no intermediate outgrows delta or c and a zero
-    # result stays zero.  check_predicates reads it without the refusals.
+    # nu = diag(delta) + c s1 s1^T (s1 = mu*sigma, s2 = mu*s1).  With the
+    # curvature R(u, w) z = z x (K o (u x w)), the diagonal part gives
+    # (K o sigma) x (delta o s1); the rank-one part gives c (s2 x s1 +
+    # R(sigma, s2 x sigma) s1), skipped where c = 0 (c = 1 at r = 2).  mu and
+    # K are taken in units of t = 2^e ~ max |mu|, an exact rescaling, so that
+    # no intermediate outgrows delta or c and a zero result stays zero.
+    # check_predicates reads it without the refusals.
     e, mu, sectional = md.mu_exponent, md.scaled[..., 0, :], md.scaled[..., 1, :]
     s1 = mu * arr
     if r == 1:
@@ -589,14 +590,13 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     delta = delta + (2.0 if r == 2 else 1.0)
     for delta2, c2 in second:
         delta, c = delta + delta2, c + c2
-    c = np.asarray(c)[..., None]
     out = _cross(sectional * arr, delta * s1)
     s2 = mu * s1
     bend = _cross(s1, sectional * _cross(arr, _cross(s2, arr)))
-    bent = out + c * (_cross(s2, s1) + np.ldexp(bend, 2 * e))
-    if r == 3:  # c = 1 at r = 2
-        bent = np.where(c == 0.0, out, bent)
-    return np.ldexp(bent, 3 * e)
+    rank_one = _cross(s2, s1) + np.ldexp(bend, 2 * e)
+    if r == 2:
+        return np.ldexp(out + rank_one, 3 * e)
+    return np.ldexp(np.where(c[..., None] == 0.0, out, out + c[..., None] * rank_one), 3 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -621,13 +621,16 @@ class PredicateReport:
 
 
 def _reported(value: np.ndarray, vector: bool):
-    # Rows outside the float range: nan in a stack, None for a single field.
+    # Rows outside the float range: None for a single field, nan in a stack.
+    if value.ndim == (1 if vector else 0):
+        items = value.tolist()
+        finite = all(map(math.isfinite, items)) if vector else math.isfinite(items)
+        return (value if vector else items) if finite else None
     finite = np.isfinite(value).all(-1) if vector else np.isfinite(value)
-    if finite.ndim == 0:
-        return None if not finite else value if vector else float(value)
     return np.where(finite[..., None] if vector else finite, value, np.nan)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as None, or nan
 def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> PredicateReport:
     """Evaluate the harmonicity predicates of unit invariant fields.
 
@@ -656,35 +659,35 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     _require_coupling(coupling)
     # One gather, one membership test: Z_r, H_r, H1 (the skyrmion locus), map.
     verdicts = _member(_VERDICTS, (md.mu_pattern, md.lam_ties, r - 1, slice(None)), arr)
-    parallel, harmonic_unit, h1, harmonic_map = (verdicts[..., k] for k in range(4))
+    # One field: four Python bools; a stack: four bool arrays.
+    flags = verdicts.tolist() if verdicts.ndim == 1 else np.moveaxis(verdicts, -1, 0)
+    parallel, harmonic_unit, h1, harmonic_map = flags
+    if r < 3:
+        vertical, energy = _vertical(md, arr, r)
+        horizontal = _horizontal_tension(md, arr, r)
+    else:
+        # Degree-3 bending density vanishes identically: the covariant
+        # derivative of a unit field takes values in a 2-plane.  The degree-3
+        # horizontal closed form holds on H1 only; other rows are reported as
+        # None (nan in a stack).
+        on = verdicts[..., _H1, None]
+        vertical = np.zeros(on.shape[:-1] + (3,))
+        energy = vertical[..., 0]
+        horizontal = vertical + np.nan
+        if _any(on):
+            horizontal = np.where(on, _horizontal_tension(md, arr, 3), horizontal)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if r < 3:
-            vertical, energy = _vertical(md, arr, r)
-            horizontal = _horizontal_tension(md, arr, r)
-        else:
-            # Degree-3 bending density vanishes identically: the covariant
-            # derivative of a unit field takes values in a 2-plane.  The
-            # degree-3 horizontal closed form holds on H1 only; other rows are
-            # not evaluated and are reported as None (nan in a stack).
-            energy = np.zeros(np.shape(h1))
-            vertical = np.zeros(energy.shape + (3,))
-            horizontal = vertical + np.nan
-            if np.count_nonzero(h1):
-                on = np.asarray(h1)[..., None]
-                horizontal = np.where(on, _horizontal_tension(md, arr * on, 3), horizontal)
-
-    return PredicateReport(
-        r=r,
-        coupling=coupling,
-        r_parallel=_scalar(parallel),
-        r_harmonic_unit=_scalar(harmonic_unit),
-        twisted_2_skyrmion=_scalar(h1),
-        r_harmonic_map=_scalar(harmonic_map),
-        vertical_tension=_reported(vertical, True),
-        horizontal_tension=_reported(horizontal, True),
-        vertical_energy=_reported(energy, False),
-    )
+    return _frozen(PredicateReport, {
+        "r": r,
+        "coupling": coupling,
+        "r_parallel": parallel,
+        "r_harmonic_unit": harmonic_unit,
+        "twisted_2_skyrmion": h1,
+        "r_harmonic_map": harmonic_map,
+        "vertical_tension": _reported(vertical, True),
+        "horizontal_tension": _reported(horizontal, True),
+        "vertical_energy": _reported(energy, False),
+    })
 
 
 _DESCRIPTOR_KINDS = ("Empty", "Sphere", "PolarSet", "PolarPair", "Circle", "Union")

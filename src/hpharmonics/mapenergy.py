@@ -222,7 +222,8 @@ def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
     w, q = np.linalg.eigh(b)
     spec = _Spectrum(pullback, inv_low, low_p, b, w, q, _product_invariants(w[..., None])[..., 0])
     # Every caller shares the two arrays that leave the module.
-    w.flags.writeable = spec.eps.flags.writeable = False
+    w.setflags(write=False)
+    spec.eps.setflags(write=False)
     return spec
 
 

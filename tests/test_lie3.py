@@ -19,8 +19,6 @@ from hpharmonics.lie3 import (
     in_h1,
     in_z1,
     is_eigendirection,
-    milnor_iterate,
-    riemann_action,
     second_covariant,
     tension_assembled,
     tension_t1,
@@ -34,6 +32,21 @@ from hpharmonics.lie3 import (
 from hpharmonics.verify import CLASS_REPRESENTATIVES as REPRESENTATIVES
 
 E = np.eye(3)
+
+
+def milnor_iterate(md, v, r: int) -> np.ndarray:
+    """r-th iterate of the diagonal map a_i -> mu_i * a_i applied to ``v``."""
+    if r < 0:
+        raise ValueError(f"iterate order must be >= 0, got {r}")
+    return md.mu**r * np.asarray(v, dtype=float)
+
+
+def riemann_action(md, i: int, j: int, sigma) -> np.ndarray:
+    """Curvature operator R(e_i, e_j) applied to ``sigma`` (1-based indices),
+    K_ij (a_j e_i - a_i e_j); in general R(u, w) z = z x (K o (u x w))."""
+    if i not in (1, 2, 3) or j not in (1, 2, 3):
+        raise ValueError(f"frame indices must be in 1..3, got ({i}, {j})")
+    return np.cross(np.asarray(sigma, dtype=float), md.sectional * np.cross(E[i - 1], E[j - 1]))
 
 
 def _unit(rng):

@@ -1,6 +1,7 @@
 """Stacks of triples in lie3: every function broadcasts over leading axes
 and must give, row by row, exactly what a call on that row alone gives."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,8 +119,6 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
             (lie3.in_skyrmion_locus, (md, sigma, coupling)),
             (lie3.covariant_derivative, (md, raw_sigma, sigma)),
             (lie3.second_covariant, (md, raw_sigma, zeta, sigma)),
-            (lie3.riemann_action, (md, 1, 3, sigma)),
-            (lie3.milnor_iterate, (md, sigma, 2)),
             (lie3.divergence_invariant_tensor, (md, tensors)),
         ]
         cases += [(lie3.tension_assembled, (md, sigma, r)) for r in (1, 2)]
@@ -548,7 +547,76 @@ def test_single_triples_keep_python_scalars():
     assert type(report.vertical_energy) is float
     assert type(lie3.grad_norm_sq(md, E[0])) is float
     assert type(lie3.first_variation_fd(md, E[0], E[1], 1)) is float
-    assert lie3.check_predicates(md, np.array([0.6, 0.0, 0.8]), 3).horizontal_tension is None
+    off_h1 = np.array([0.6, 0.0, 0.8])
+    assert lie3.check_predicates(md, off_h1, 3).horizontal_tension is None
+
+    # Every degree, on H1 and off it, and at a scale where the tensions and
+    # the degree-2 density overflow: a single field gets Python bools, a
+    # float or None, and (3,) arrays or None.
+    verdicts = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
+    huge = MilnorData.normalize((2e120, 1e120, -1e120))
+    for geometry in (md, huge):
+        for sigma in (E[1], off_h1):
+            for r in (1, 2, 3):
+                report = lie3.check_predicates(geometry, sigma, r)
+                assert all(type(getattr(report, name)) is bool for name in verdicts)
+                energy = report.vertical_energy
+                assert energy is None or type(energy) is float
+                for name in ("vertical_tension", "horizontal_tension"):
+                    value = getattr(report, name)
+                    assert value is None or (type(value) is np.ndarray and value.shape == (3,))
+    overflow = lie3.check_predicates(huge, off_h1, 2)
+    assert overflow.vertical_tension is None and overflow.vertical_energy is None
+    assert overflow.horizontal_tension is None
+    overflow = lie3.check_predicates(huge, off_h1, 1)
+    assert type(overflow.vertical_tension) is np.ndarray and overflow.horizontal_tension is None
+    assert lie3.check_predicates(huge, E[1], 3).horizontal_tension is None  # on H1
+
+    # A stack of four rows gets bool arrays, a float array and (4, 3) arrays.
+    stack = MilnorData.normalize([(2.0, 1.0, -1.0), (2e120, 1e120, -1e120), (1.0, 1.0, 1.0), (1.0, 0.0, -1.0)])
+    sigmas = np.array([E[1], off_h1, off_h1, E[0]])
+    for r in (1, 2, 3):
+        report = lie3.check_predicates(stack, sigmas, r)
+        for name in verdicts:
+            value = getattr(report, name)
+            assert type(value) is np.ndarray and value.dtype == bool and value.shape == (4,)
+        assert report.vertical_energy.dtype == float and report.vertical_energy.shape == (4,)
+        for name in ("vertical_tension", "horizontal_tension"):
+            value = getattr(report, name)
+            assert value.dtype == float and value.shape == (4, 3)
+
+
+def test_normalize_and_check_build_frozen_dataclasses():
+    # MilnorData and PredicateReport skip their generated __init__; they stay
+    # frozen dataclasses with the same fields, equality and repr.
+    md = MilnorData.normalize((2.0, 1.0, -1.0))
+    stack = MilnorData.normalize([(2.0, 1.0, -1.0), (3.0, -1.0, 0.5)])
+    names = {
+        MilnorData: [
+            "lam", "mu", "ricci", "sectional", "algebra_class", "flat", "ricci_kernel_dim",
+            "permutation", "sign_flipped", "scaled", "mu_exponent", "mu_pattern", "lam_ties",
+        ],
+        lie3.PredicateReport: [
+            "r", "coupling", "r_parallel", "r_harmonic_unit", "twisted_2_skyrmion",
+            "r_harmonic_map", "vertical_tension", "horizontal_tension", "vertical_energy",
+        ],
+    }
+    built = [md, stack] + [lie3.check_predicates(md, E[1], r) for r in (1, 2, 3)]
+    built.append(lie3.check_predicates(stack, np.array([E[1], E[0]]), 2))
+    for obj in built:
+        fields = dataclasses.fields(obj)
+        assert [f.name for f in fields] == names[type(obj)]
+        for field in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, None)
+        rebuilt = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
+        assert rebuilt == obj and repr(rebuilt) == repr(obj)
+    for geometry in (md, stack):
+        for name in ("lam", "mu", "ricci", "sectional", "scaled"):
+            array = getattr(geometry, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[..., 0] = 0.0
 
 
 def test_stacks_broadcast_against_single_geometry():
