@@ -22,7 +22,11 @@ Every public function takes a stack of matrices, shape (..., m, m), and
 treats each matrix on its own: a single (m, m) matrix is a stack with no
 leading axes.  Results carry the same leading axes; a single matrix gives
 an (m+1,) vector of invariants, an (m+1, m, m) array of endomorphisms, or
-one scalar residual.
+one residual as a Python float.
+
+The package's input contract lives here, in helpers that ``lie3`` and
+``mapenergy`` share: complex input is refused, not cast, and non-finite input
+is refused naming the first bad row of a stack ("matrix row 3 has ...").
 """
 
 from __future__ import annotations
@@ -37,17 +41,45 @@ import numpy as np
 MAX_DIM = 8
 
 
+def _row(ok: np.ndarray) -> str:
+    # " row k", the first row of a stack where ``ok`` is False; "" for one item.
+    if ok.ndim == 0:
+        return ""
+    first = np.unravel_index(np.argmin(ok), ok.shape)
+    return f" row {int(first[0]) if ok.ndim == 1 else tuple(int(i) for i in first)}"
+
+
+def _real(a, name: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    # ``a`` as a float array; a complex one is refused, not truncated.
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise error(f"{name} has complex entries")
+    return np.asarray(arr, dtype=float)
+
+
+def _finite(values, name: str, axes: int, problem="has non-finite entries", error=ValueError):
+    # ``values``, whose last ``axes`` axes are one item, refused naming the first
+    # row with a non-finite entry; a byte read of the flags costs less than .all().
+    flags = np.isfinite(values)
+    if 0 in flags.tobytes():
+        raise error(f"{name}{_row(flags.all(axis=tuple(range(-axes, 0))))} {problem}")
+    return values
+
+
+def _scalars(values):
+    # A single item's result as a Python scalar, a stack's as its array.
+    return values.item() if values.ndim == 0 else values
+
+
 def as_square_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a float (..., m, m) stack, 1 <= m <= MAX_DIM."""
-    arr = np.asarray(a, dtype=float)
+    arr = _real(a, "matrix")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
     m = arr.shape[-1]
     if not 1 <= m <= MAX_DIM:
         raise ValueError(f"dimension {m} outside supported range 1..{MAX_DIM}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return arr
+    return _finite(arr, "matrix", 2)
 
 
 def _check_order(r: int, m: int) -> None:
@@ -153,7 +185,7 @@ def cayley_hamilton_residual(a):
     """
     mags = np.abs(newton_endomorphisms(a))
     scale = np.max(mags, axis=(-3, -2, -1))
-    return (np.max(mags[..., -1, :, :], axis=(-2, -1)) / scale)[()]
+    return _scalars(np.max(mags[..., -1, :, :], axis=(-2, -1)) / scale)
 
 
 def invariant_derivative(a, b, r: int):
@@ -168,7 +200,7 @@ def invariant_derivative(a, b, r: int):
         raise ValueError(f"stacks must share one shape, got {arr.shape} and {brr.shape}")
     _check_order(r, arr.shape[-1])
     chi = newton_endomorphisms(arr)[..., r - 1, :, :]
-    return np.trace(brr @ chi, axis1=-2, axis2=-1)[()]
+    return _scalars(np.trace(brr @ chi, axis1=-2, axis2=-1))
 
 
 def check_shift_identity(a, r: int):
@@ -199,7 +231,7 @@ def check_shift_identity(a, r: int):
         rhs_chi = rhs_chi + _binom(m - 1 - k, r - k) * chis[..., k, :, :]
 
     chi_gap = np.max(np.abs(lhs_chi - rhs_chi), axis=(-2, -1))
-    return np.maximum(np.abs(lhs_e - rhs_e), chi_gap)[()]
+    return _scalars(np.maximum(np.abs(lhs_e - rhs_e), chi_gap))
 
 
 def check_scaling_identity(a, r: int, c):
@@ -210,7 +242,7 @@ def check_scaling_identity(a, r: int, c):
     """
     arr = as_square_matrix(a)
     _check_order(r, arr.shape[-1])
-    c = np.asarray(c, dtype=float)[..., None, None]
+    c = _finite(_real(c, "scaling factor"), "scaling factor", 0)[..., None, None]
     lhs = newton_endomorphisms(c * arr)[..., r, :, :]
     rhs = c**r * newton_endomorphisms(arr)[..., r, :, :]
-    return np.max(np.abs(lhs - rhs), axis=(-2, -1))[()]
+    return _scalars(np.max(np.abs(lhs - rhs), axis=(-2, -1)))

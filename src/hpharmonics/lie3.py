@@ -19,7 +19,9 @@ Milnor map) and its iterates are the basic building blocks.
 Everything here is a pure function of these triples; frame-level sums over
 the basis serve as brute-force oracles for the closed forms.  Every function
 broadcasts over leading axes of (..., 3) inputs, each row computed exactly as
-alone; a single triple is a batch of one that returns Python scalars.
+alone; a single triple is a batch of one that returns Python scalars.  Input
+is checked as ``invariants`` states; a closed form leaving the float range
+refuses (:func:`check_predicates` reports None).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .invariants import elementary_invariants_newton
+from .invariants import _finite, _real, _scalars, elementary_invariants_newton
 
 _TINY = 1e-300
 _BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
@@ -70,22 +72,16 @@ class PreconditionError(ValueError):
 
 
 def _triple(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _real(values, name)
     if arr.shape[-1:] != (3,):
         raise ValueError(f"{name} must be a triple, got shape {arr.shape}")
-    if not _all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
+    return _finite(arr, name, 1)
 
 
-# Whether any or all flags of a bool array are set, read from its bytes, one a
-# flag: on a few flags a fraction of the cost of count_nonzero or .all().
+# Whether any flag of a bool array is set, read from its bytes, one a flag: on
+# a few flags a fraction of the cost of count_nonzero or .any().
 def _any(flags) -> bool:
     return 1 in flags.tobytes()
-
-
-def _all(flags) -> bool:
-    return 0 not in flags.tobytes()
 
 
 def _frozen(cls, fields: dict):
@@ -116,11 +112,6 @@ def _unit_triple(sigma) -> np.ndarray:
     if _any(abs(norm_sq - 1.0) > 2.0 * TOL):
         raise ValueError(f"sigma must be a unit vector, |sigma|^2 = {norm_sq}")
     return arr
-
-
-def _scalar(value):
-    # One triple in, one number out: the 0-d result as a Python scalar.
-    return value.item() if value.ndim == 0 else value
 
 
 def _normalize_row(vals: list) -> tuple:
@@ -285,7 +276,7 @@ def covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
 
 def grad_norm_sq(md: MilnorData, sigma):
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
-    return _scalar(_grad_norm_sq(md.mu**2, _triple(sigma, "sigma")))
+    return _scalars(_refused_vertical(md, _triple(sigma, "sigma"), 1, 1))
 
 
 def _grad_norm_sq(mu_sq: np.ndarray, arr: np.ndarray):
@@ -300,7 +291,7 @@ def wedge_norm_sq(md: MilnorData, sigma):
     Closed form |sigma|^2 |Ric(sigma)|^2 / 4; the Gram-determinant sum over
     frame pairs gives the same number (oracle in the test battery).
     """
-    return _scalar(_vertical(md, _triple(sigma, "sigma"), 2)[1])
+    return _scalars(_refused_vertical(md, _triple(sigma, "sigma"), 2, 1))
 
 
 def _vertical(md: MilnorData, arr: np.ndarray, r: int):
@@ -312,6 +303,14 @@ def _vertical(md: MilnorData, arr: np.ndarray, r: int):
         return mu_sq * arr - mu_sq.sum(-1)[..., None] * arr, _grad_norm_sq(mu_sq, arr)
     ricci_sq, wedge = _ricci_terms(md, arr)
     return -0.25 * (ricci_sq[..., None] * arr + md.ricci**2 * arr), wedge
+
+
+def _refused_vertical(md: MilnorData, arr: np.ndarray, r: int, part: int):
+    # Entry ``part`` of _vertical (0: tension, 1: density), refused outside the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _vertical(md, arr, r)[part]
+    name = f"the degree-{r} " + ("vertical tension" if part == 0 else "bending density")
+    return _finite(value, name, 1 - part, "overflows the float range")
 
 
 def _ricci_terms(md: MilnorData, arr: np.ndarray):
@@ -398,8 +397,8 @@ def is_eigendirection(diag_values, sigma):
     component of diag(d) sigma orthogonal to sigma is negligible, on d
     scaled to max |d_i| = 1.  Broadcasts over leading axes of both.  The
     battery's oracle: no verdict of this module reads it."""
-    d = np.asarray(diag_values, dtype=float)
-    arr = np.asarray(sigma, dtype=float)
+    d = _triple(diag_values, "diag_values")
+    arr = _triple(sigma, "sigma")
     v = arr * (d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY))
     return _negligible(_norm(v - _dot(v, arr)[..., None] * arr))
 
@@ -451,7 +450,7 @@ def in_skyrmion_locus(md: MilnorData, sigma, coupling):
 
 
 def _require_coupling(coupling) -> None:
-    if not all(0.0 < c < math.inf for c in np.ravel(coupling).tolist()):
+    if not all(0.0 < c < math.inf for c in _real(coupling, "coupling").ravel().tolist()):
         raise ValueError(f"coupling must be positive, got {coupling}")
 
 
@@ -475,9 +474,10 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
     Valid for any invariant tensor because the principal frame fields are
     geodesic; multiples of the identity contribute nothing.
     """
-    t = np.asarray(tensor, dtype=float)
+    t = _real(tensor, "tensor")
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"tensor must be 3x3, got shape {t.shape}")
+    _finite(t, "tensor", 2)
     mu = md.mu
     return mu.take(_NEXT, -1) * t[..., _PREV, _NEXT] - mu.take(_PREV, -1) * t[..., _NEXT, _PREV]
 
@@ -490,13 +490,13 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
 def tension_t1(md: MilnorData, sigma) -> np.ndarray:
     """Degree-1 vertical tension, sigma^(2) - |M|^2 sigma (the rough
     Laplacian of an invariant field, with sign convention trace nabla^2)."""
-    return _vertical(md, _triple(sigma, "sigma"), 1)[0]
+    return _refused_vertical(md, _triple(sigma, "sigma"), 1, 0)
 
 
 def tension_t2(md: MilnorData, sigma) -> np.ndarray:
     """Degree-2 vertical tension of a unit field,
     -(|Ric(sigma)|^2 sigma + Ric^2(sigma)) / 4."""
-    return _vertical(md, _unit_triple(sigma), 2)[0]
+    return _refused_vertical(md, _unit_triple(sigma), 2, 0)
 
 
 def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
@@ -547,7 +547,7 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int):
         return 0.5 * vertical_invariants(md, moved)[..., r]
 
     fd = (half_density(_FD_STEP) - half_density(-_FD_STEP)) / (2.0 * _FD_STEP)
-    return _scalar(np.abs(fd + _dot(tension, z)))
+    return _scalars(np.abs(fd + _dot(tension, z)))
 
 
 def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
@@ -569,9 +569,7 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
         _require_h1(md, arr)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _horizontal_tension(md, arr, r)
-    if not np.isfinite(out).all():
-        raise ValueError(f"the degree-{r} horizontal tension overflows the float range")
-    return out
+    return _finite(out, f"the degree-{r} horizontal tension", 1, "overflows the float range")
 
 
 def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
@@ -762,8 +760,7 @@ class SubsetDescriptor:
     def contains(self, sigma):
         """Membership of finite unit vector(s): for some member, every coefficient
         it requires to vanish is negligible against 1.  Broadcasts over leading axes."""
-        out = _member(self._admits, (), _triple(sigma, "sigma"))
-        return bool(out) if out.ndim == 0 else out
+        return _scalars(_member(self._admits, (), _triple(sigma, "sigma")))
 
     @cached_property
     def _admits(self) -> np.ndarray:

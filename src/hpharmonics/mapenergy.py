@@ -34,9 +34,8 @@ the leading axes.  Every function treats each point of the stack on its
 own and returns results over the same leading axes, each row exactly what
 that point alone gives.  A single point is a stack with no leading axes:
 its scalar results (volume density, verdicts, residuals, gaps) are Python
-floats and bools.  A refusal names the first offending row of a stack, in
-C order ("domain metric row 7 is not positive-definite"), and no row for
-a single point.
+floats and bools.  A refusal names the first offending row of a stack
+("domain metric row 7 is not positive-definite"), as ``invariants`` states.
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invariants import MAX_DIM, elementary_invariants_minors
+from .invariants import MAX_DIM, _check_order, _finite, _real, _row, _scalars
+from .invariants import elementary_invariants_minors
 
 
 #: Relative tolerance of :func:`r_conformal_check`.
@@ -63,40 +63,10 @@ class UnsupportedDimensionError(ValueError):
     """The operation requires an even domain dimension."""
 
 
-def _row(ok: np.ndarray) -> str:
-    # " row k" naming the first row of a stack where ``ok`` is False; ""
-    # for a single point.
-    if ok.ndim == 0:
-        return ""
-    first = np.unravel_index(np.argmin(ok), ok.shape)
-    return f" row {int(first[0]) if ok.ndim == 1 else tuple(int(i) for i in first)}"
-
-
-def _real(a, name: str, error: type[ValueError] = ValueError) -> np.ndarray:
-    # ``a`` as a float array; a complex one is refused, not truncated.
-    arr = np.asarray(a)
-    if arr.dtype.kind == "c":
-        raise error(f"{name} has complex entries")
-    return np.asarray(arr, dtype=float)
-
-
-def _finite(values, name: str, problem="overflows the float range", error=ValueError):
-    # ``values`` (..., k, m), refused naming the first row with a non-finite entry.
-    if not np.isfinite(values).all():
-        finite = np.isfinite(values).all(axis=(-2, -1))
-        raise error(f"{name}{_row(finite)} {problem}")
-    return values
-
-
-def _scalars(values: np.ndarray):
-    # A single point's result as a Python scalar, a stack's as its array.
-    return values.item() if values.ndim == 0 else values
-
-
-@lru_cache(maxsize=None)  # a few (m, cols, k, dtype) keys, m <= MAX_DIM
-def _eye(m: int, cols: int, k: int, dtype: type) -> np.ndarray:
-    # np.eye(m, cols, k, dtype), built once and shared read-only.
-    eye = np.eye(m, cols, k=k, dtype=dtype)
+@lru_cache(maxsize=None)  # a few (m, dtype) keys, m <= MAX_DIM
+def _eye(m: int, dtype: type) -> np.ndarray:
+    # np.eye(m, dtype=dtype), built once and shared read-only.
+    eye = np.eye(m, dtype=dtype)
     eye.flags.writeable = False
     return eye
 
@@ -107,7 +77,7 @@ def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
     g = _real(g, name, InvalidMetricError)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise InvalidMetricError(f"{name} must be square, got shape {g.shape}")
-    _finite(g, name, "has non-finite entries", InvalidMetricError)
+    _finite(g, name, 2, error=InvalidMetricError)
     asym = np.abs(g - g.mT)
     # Each row's tolerance is 1e-12 max(1, max |g|): a stack within 1e-12
     # passes without forming them.
@@ -161,7 +131,7 @@ class PointData:
         jac = _real(self.jacobian, "jacobian")
         if jac.ndim < 2:
             raise ValueError(f"jacobian must be 2-D, got shape {jac.shape}")
-        _finite(jac, "jacobian", "has non-finite entries")
+        _finite(jac, "jacobian", 2)
         g, low = _check_metric(self.domain_metric, "domain metric")
         h, _ = _check_metric(self.codomain_metric, "codomain metric")
         n, m = jac.shape[-2:]
@@ -218,7 +188,8 @@ def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
     inv_low = np.linalg.inv(low)
     low_p = inv_low @ pullback
     b = low_p @ inv_low.mT
-    b = _finite(0.5 * (b + b.mT), "the whitened pullback L^-1 J^T H J L^-T")
+    b = 0.5 * (b + b.mT)
+    _finite(b, "the whitened pullback L^-1 J^T H J L^-T", 2, "overflows the float range")
     w, q = np.linalg.eigh(b)
     spec = _Spectrum(pullback, inv_low, low_p, b, w, q, _product_invariants(w[..., None])[..., 0])
     # Every caller shares the two arrays that leave the module.
@@ -268,12 +239,12 @@ class DensityReport:
         # chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T for every
         # r at once: column i of ``values`` is w with w_i set to 0.  chi_m
         # vanishes exactly, since each e_m(w without w_i) is 0.
-        values = np.where(_eye(m, m, 0, bool), 0.0, spec.w[..., None])
+        values = np.where(_eye(m, bool), 0.0, spec.w[..., None])
         leave_one_out = _product_invariants(values)
         left = spec.inv_low.mT @ spec.q
         right = (point._domain_factor @ spec.q).mT
         newton = (left[..., None, :, :] * leave_one_out[..., :, None, :]) @ right[..., None, :, :]
-        newton[..., 0, :, :] = _eye(m, m, 0, float)
+        newton[..., 0, :, :] = _eye(m, float)
         return newton
 
 
@@ -300,7 +271,7 @@ def cauchy_green(point: PointData) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = np.linalg.solve(point.domain_metric, _pullback(point))
-    return _finite(alpha, "the distortion operator G^-1 J^T H J")
+    return _finite(alpha, "the distortion operator G^-1 J^T H J", 2, "overflows the float range")
 
 
 def stretch_eigenvalues(point: PointData) -> np.ndarray:
@@ -340,8 +311,7 @@ def r_conformal_check(point: PointData, r: int):
     of 1e-9 (a conformal point), or when fewer than r of them exceed 1e-9
     times the largest (the rank of the differential is below r).
     """
-    if not 1 <= r <= point.m:
-        raise ValueError(f"order r={r} outside 1..{point.m}")
+    _check_order(r, point.m)
     ev = point._spectrum.w
     floor = _CONFORMAL_TOL * ev[..., -1]
     # ev ascends, so fewer than r stretches exceed the floor exactly when
@@ -382,8 +352,7 @@ def conformal_scaling_residual(point: PointData, rho, r: int):
     the residual vanishes identically; for m = 2r it is exactly the failure
     of invariance of the density-times-volume-element combination.
     """
-    if not 1 <= r <= point.m:
-        raise ValueError(f"order r={r} outside 1..{point.m}")
+    _check_order(r, point.m)
     square, top = _scale_powers(rho, r)
     spec = point._spectrum
     # Only the domain metric changes: factor rho^2 G, reuse P.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpharmonics import lie3, verify
+from hpharmonics import invariants, lie3, verify
 from hpharmonics.lie3 import MilnorData, SubsetDescriptor
 
 E = np.eye(3)
@@ -342,7 +342,7 @@ def _frozen_report(md, arr, r):
             if np.count_nonzero(h1):
                 on = np.asarray(h1)[..., None]
                 horizontal = np.where(on, _frozen_horizontal(md, arr * on, 3), horizontal)
-    scalar = lie3._scalar
+    scalar = invariants._scalars
     return (
         scalar(parallel),
         scalar(harmonic_unit),
