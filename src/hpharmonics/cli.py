@@ -126,29 +126,36 @@ def _point_arrays(doc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jac, dom, cod
 
 
-def _load_density_payload(args) -> list | tuple:
-    """The (J, G, H) arrays of the request: one triple, or a list of them
-    when ``--file`` holds a JSON list of points."""
+def _load_density_payload(args) -> tuple[list, bool]:
+    """The (J, G, H) arrays of each point of the request, and whether
+    ``--file`` held a JSON list of points."""
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         if not isinstance(doc, list):
-            return _point_arrays(doc)
+            return [_point_arrays(doc)], False
         if not doc:
             raise ValueError("payload file holds an empty list of points")
-        points = []
-        for k, entry in enumerate(doc):
-            try:
-                points.append(_point_arrays(entry))
-            except ValueError as exc:
-                raise ValueError(f"point {k}: {exc}") from None
-        return points
+        return _each_point(_point_arrays, doc, True), True
     if args.J is None or args.G is None or args.H is None:
         raise ValueError("provide either --file or all of --J, --G, --H")
     jac = _parse_matrix(args.J, "--J")
     dom = _parse_matrix(args.G, "--G")
     cod = _parse_matrix(args.H, "--H")
-    return jac, dom, cod
+    return [(jac, dom, cod)], False
+
+
+def _each_point(fn, points: list, listed: bool) -> list:
+    # fn of each point in turn; in a list, a refusal names the point's index.
+    out = []
+    for k, point in enumerate(points):
+        try:
+            out.append(fn(point))
+        except ValueError as exc:
+            if not listed:
+                raise
+            raise ValueError(f"point {k}: {exc}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,71 +257,31 @@ def cmd_check(args) -> int:
     return 0 if verdict else 1
 
 
-def _density_docs(point: mapenergy.PointData, r: int) -> list[dict]:
-    # One report per point of the stack (a single point gives one), read
-    # from stacked calls.
+def _density_doc(arrays: tuple, r: int) -> dict:
+    # The report of one point, read from one single-point PointData.
+    point = mapenergy.PointData(*arrays)
     if not 1 <= r <= point.m:
         raise ValueError(f"--r must be in 1..{point.m}, got {r}")
-    lead = point.jacobian.ndim - 2
-
-    def rows(values) -> np.ndarray:
-        # A result over the stack's leading axes, one entry per point.
-        values = np.asarray(values)
-        return values.reshape((-1,) + values.shape[lead:])
-
     report = mapenergy.density_report(point)
-    jac, dom, cod = rows(point.jacobian), rows(point.domain_metric), rows(point.codomain_metric)
-    alpha, eps, newton = rows(report.alpha), rows(report.eps), rows(report.newton)
-    volume = rows(report.volume_density)
-    conformal = rows(mapenergy.r_conformal_check(point, r))
-    probe_rho = 1.7
+    jac, dom, cod = point.jacobian, point.domain_metric, point.codomain_metric
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "input": {"J": _mat(jac), "G": _mat(dom), "H": _mat(cod), "r": r},
+        "alpha": _mat(report.alpha),
+        "eps": _vec(report.eps),
+        "volume_density": float(report.volume_density),
+        "newton": [_mat(nu) for nu in report.newton],
+        "r_conformal": bool(mapenergy.r_conformal_check(point, r)),
+    }
     if point.m == 2 * r:
-        gap = rows(mapenergy.majorisation_gap(point))
+        probe_rho = 1.7
+        doc["majorisation_gap"] = float(mapenergy.majorisation_gap(point))
         try:
-            residual = rows(mapenergy.conformal_scaling_residual(point, probe_rho, r)).tolist()
+            residual = mapenergy.conformal_scaling_residual(point, probe_rho, r)
         except ValueError:
-            if lead:  # a stack: its points are reported one by one
-                raise
-            residual = [None]  # rho^2 G leaves the float range; the rest stands
-    docs = []
-    for k in range(len(eps)):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "input": {"J": _mat(jac[k]), "G": _mat(dom[k]), "H": _mat(cod[k]), "r": r},
-            "alpha": _mat(alpha[k]),
-            "eps": _vec(eps[k]),
-            "volume_density": float(volume[k]),
-            "newton": [_mat(nu) for nu in newton[k]],
-            "r_conformal": bool(conformal[k]),
-        }
-        if point.m == 2 * r:
-            doc["majorisation_gap"] = float(gap[k])
-            doc["conformal_invariance"] = {"probe_rho": probe_rho, "residual": residual[k]}
-        docs.append(doc)
-    return docs
-
-
-def _density_list_docs(points: list, r: int) -> list[dict]:
-    # Points of one shape are evaluated as one stack, and each point alone
-    # when the stack refuses; a refusal names the index of the point.
-    groups: dict[tuple, list[int]] = {}
-    for k, arrays in enumerate(points):
-        groups.setdefault(tuple(a.shape for a in arrays), []).append(k)
-    docs: list = [None] * len(points)
-    for members in groups.values():
-        try:
-            stack = (np.array([points[k][i] for k in members]) for i in range(3))
-            rows = _density_docs(mapenergy.PointData(*stack), r)
-        except ValueError:
-            rows = []
-            for k in members:
-                try:
-                    rows += _density_docs(mapenergy.PointData(*points[k]), r)
-                except ValueError as exc:
-                    raise ValueError(f"point {k}: {exc}") from None
-        for k, doc in zip(members, rows):
-            docs[k] = doc
-    return docs
+            residual = None  # rho^2 G leaves the float range; the rest stands
+        doc["conformal_invariance"] = {"probe_rho": probe_rho, "residual": residual}
+    return doc
 
 
 def _print_density(doc: dict) -> None:
@@ -328,20 +295,14 @@ def _print_density(doc: dict) -> None:
 
 
 def cmd_density(args) -> int:
-    payload = _load_density_payload(args)
-    if isinstance(payload, list):
-        docs = _density_list_docs(payload, args.r)
-        if args.json:
-            print(dumps_report(docs))
-        else:
-            for k, doc in enumerate(docs):
-                print(f"point {k}:")
-                _print_density(doc)
-        return 0
-    (doc,) = _density_docs(mapenergy.PointData(*payload), args.r)
+    points, listed = _load_density_payload(args)
+    docs = _each_point(lambda arrays: _density_doc(arrays, args.r), points, listed)
     if args.json:
-        print(dumps_report(doc))
-    else:
+        print(dumps_report(docs if listed else docs[0]))
+        return 0
+    for k, doc in enumerate(docs):
+        if listed:
+            print(f"point {k}:")
         _print_density(doc)
     return 0
 

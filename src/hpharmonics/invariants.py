@@ -25,8 +25,9 @@ an (m+1,) vector of invariants, an (m+1, m, m) array of endomorphisms, or
 one residual as a Python float.
 
 The package's input contract lives here, in helpers that ``lie3`` and
-``mapenergy`` share: complex input is refused, not cast, and non-finite input
-is refused naming the first bad row of a stack ("matrix row 3 has ...").
+``mapenergy`` share: complex input is refused, not cast, non-finite input is
+refused naming the first bad row of a stack ("matrix row 3 has ..."), and so
+is a result that leaves the float range.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def _finite(values, name: str, axes: int, problem="has non-finite entries", erro
     if 0 in flags.tobytes():
         raise error(f"{name}{_row(flags.all(axis=tuple(range(-axes, 0))))} {problem}")
     return values
+
+
+def _refused(form, name: str, axes: int):
+    # form(), with numpy's overflow and invalid-value warnings silenced, refused
+    # as _finite refuses when a value left the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = form()
+    return _finite(value, name, axes, "overflows the float range")
 
 
 def _scalars(values):
@@ -132,9 +141,14 @@ def elementary_invariants_newton(a) -> np.ndarray:
     Takes an (..., m, m) stack and returns the (..., m+1) invariant vectors.
     Uses r * e_r = sum_{k=1..r} (-1)^(k-1) e_{r-k} trace(A^k) with matrix
     powers accumulated by repeated multiplication, so no diagonalizability
-    assumption is made.
+    assumption is made.  Refused when a value leaves the float range.
     """
     arr = as_square_matrix(a)
+    return _refused(lambda: _newton_girard(arr), "the invariant vector", 1)
+
+
+def _newton_girard(arr: np.ndarray) -> np.ndarray:
+    # The invariants of the validated stack ``arr``; see elementary_invariants_newton.
     m = arr.shape[-1]
     powers = np.empty((m,) + arr.shape)  # powers[k - 1] = A^k
     powers[0] = arr

@@ -33,7 +33,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .invariants import _finite, _real, _scalars, elementary_invariants_newton
+from .invariants import _finite, _real, _refused, _row, _scalars, elementary_invariants_newton
 
 _TINY = 1e-300
 _BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
@@ -110,7 +110,9 @@ def _unit_triple(sigma) -> np.ndarray:
     arr = _triple(sigma, "sigma")
     norm_sq = _dot(arr, arr)
     if _any(abs(norm_sq - 1.0) > 2.0 * TOL):
-        raise ValueError(f"sigma must be a unit vector, |sigma|^2 = {norm_sq}")
+        unit = abs(norm_sq - 1.0) <= 2.0 * TOL
+        value = np.ravel(norm_sq)[np.argmin(unit)]
+        raise ValueError(f"sigma{_row(unit)} must be a unit vector, |sigma|^2 = {value}")
     return arr
 
 
@@ -268,15 +270,16 @@ def classify_algebra(x) -> MilnorData:
 # ---------------------------------------------------------------------------
 
 
-def covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
-    """Covariant derivative of the invariant field ``sigma`` along ``phi``,
-    namely (mu*phi) x sigma in the oriented principal frame."""
+def _covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
+    # Covariant derivative of the invariant field ``sigma`` along ``phi``,
+    # namely (mu*phi) x sigma in the oriented principal frame.
     return _cross(md.mu * _triple(phi, "phi"), _triple(sigma, "sigma"))
 
 
 def grad_norm_sq(md: MilnorData, sigma):
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
-    return _scalars(_refused_vertical(md, _triple(sigma, "sigma"), 1, 1))
+    arr = _triple(sigma, "sigma")
+    return _scalars(_refused(lambda: _vertical(md, arr, 1)[1], "the degree-1 bending density", 0))
 
 
 def _grad_norm_sq(mu_sq: np.ndarray, arr: np.ndarray):
@@ -291,7 +294,8 @@ def wedge_norm_sq(md: MilnorData, sigma):
     Closed form |sigma|^2 |Ric(sigma)|^2 / 4; the Gram-determinant sum over
     frame pairs gives the same number (oracle in the test battery).
     """
-    return _scalars(_refused_vertical(md, _triple(sigma, "sigma"), 2, 1))
+    arr = _triple(sigma, "sigma")
+    return _scalars(_refused(lambda: _vertical(md, arr, 2)[1], "the degree-2 bending density", 0))
 
 
 def _vertical(md: MilnorData, arr: np.ndarray, r: int):
@@ -305,14 +309,6 @@ def _vertical(md: MilnorData, arr: np.ndarray, r: int):
     return -0.25 * (ricci_sq[..., None] * arr + md.ricci**2 * arr), wedge
 
 
-def _refused_vertical(md: MilnorData, arr: np.ndarray, r: int, part: int):
-    # Entry ``part`` of _vertical (0: tension, 1: density), refused outside the float range.
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _vertical(md, arr, r)[part]
-    name = f"the degree-{r} " + ("vertical tension" if part == 0 else "bending density")
-    return _finite(value, name, 1 - part, "overflows the float range")
-
-
 def _ricci_terms(md: MilnorData, arr: np.ndarray):
     # |Ric sigma|^2 and the degree-2 density e2 = |sigma|^2 |Ric sigma|^2 / 4.
     ric = md.ricci * arr
@@ -320,8 +316,8 @@ def _ricci_terms(md: MilnorData, arr: np.ndarray):
     return ricci_sq, 0.25 * _dot(arr, arr) * ricci_sq
 
 
-def second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
-    """Second covariant derivative of ``sigma`` along the pair (phi, psi)."""
+def _second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
+    # Second covariant derivative of ``sigma`` along the pair (phi, psi).
     p1 = md.mu * _triple(phi, "phi")
     q = _triple(psi, "psi")
     q1 = md.mu * q
@@ -342,8 +338,12 @@ def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
     notation.
     """
     arr = _triple(sigma, "sigma")[..., None, :]
-    deriv = md.mu[..., :, None] * _cross(_EYE3, arr)
-    return deriv @ np.swapaxes(deriv, -1, -2)
+
+    def gram():
+        deriv = md.mu[..., :, None] * _cross(_EYE3, arr)
+        return deriv @ np.swapaxes(deriv, -1, -2)
+
+    return _refused(gram, "the vertical Gram matrix", 2)
 
 
 def vertical_invariants(md: MilnorData, sigma) -> np.ndarray:
@@ -359,7 +359,8 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     s1 = mu*sigma; equal to (trace of the vertical Gram matrix) * I minus
     that matrix.
     """
-    return _newton_matrix(md, _unit_triple(sigma), 1)
+    arr = _unit_triple(sigma)
+    return _refused(lambda: _newton_matrix(md, arr, 1), "the degree-1 vertical Newton tensor", 2)
 
 
 def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int) -> list:
@@ -450,8 +451,11 @@ def in_skyrmion_locus(md: MilnorData, sigma, coupling):
 
 
 def _require_coupling(coupling) -> None:
-    if not all(0.0 < c < math.inf for c in _real(coupling, "coupling").ravel().tolist()):
-        raise ValueError(f"coupling must be positive, got {coupling}")
+    values = _real(coupling, "coupling")
+    if not all(0.0 < c < math.inf for c in values.ravel().tolist()):
+        ok = (0.0 < values) & (values < math.inf)
+        got = coupling if values.ndim == 0 else values.ravel()[np.argmin(ok)]
+        raise ValueError(f"coupling{_row(ok)} must be positive, got {got}")
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -464,7 +468,7 @@ def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
     """
     arr = _unit_triple(sigma)
     _require_h1(md, arr)
-    return _newton_matrix(md, arr, 2)
+    return _refused(lambda: _newton_matrix(md, arr, 2), "the degree-2 vertical Newton tensor", 2)
 
 
 def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
@@ -478,8 +482,10 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"tensor must be 3x3, got shape {t.shape}")
     _finite(t, "tensor", 2)
-    mu = md.mu
-    return mu.take(_NEXT, -1) * t[..., _PREV, _NEXT] - mu.take(_PREV, -1) * t[..., _NEXT, _PREV]
+    mu, upper, lower = md.mu, t[..., _PREV, _NEXT], t[..., _NEXT, _PREV]
+    return _refused(
+        lambda: mu.take(_NEXT, -1) * upper - mu.take(_PREV, -1) * lower, "the divergence", 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +496,15 @@ def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
 def tension_t1(md: MilnorData, sigma) -> np.ndarray:
     """Degree-1 vertical tension, sigma^(2) - |M|^2 sigma (the rough
     Laplacian of an invariant field, with sign convention trace nabla^2)."""
-    return _refused_vertical(md, _triple(sigma, "sigma"), 1, 0)
+    arr = _triple(sigma, "sigma")
+    return _refused(lambda: _vertical(md, arr, 1)[0], "the degree-1 vertical tension", 1)
 
 
 def tension_t2(md: MilnorData, sigma) -> np.ndarray:
     """Degree-2 vertical tension of a unit field,
     -(|Ric(sigma)|^2 sigma + Ric^2(sigma)) / 4."""
-    return _refused_vertical(md, _unit_triple(sigma), 2, 0)
+    arr = _unit_triple(sigma)
+    return _refused(lambda: _vertical(md, arr, 2)[0], "the degree-2 vertical tension", 1)
 
 
 def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
@@ -506,7 +514,7 @@ def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
 
     with nu the degree-(r-1) vertical Newton tensor.  Serves as the
     independent oracle for the closed forms :func:`tension_t1` and
-    :func:`tension_t2`.
+    :func:`tension_t2`.  Refused when a value leaves the float range.
     """
     if r == 1:
         arr = _triple(sigma, "sigma")
@@ -516,10 +524,13 @@ def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
         nu = vertical_newton_1(md, arr)
     else:
         raise ValueError(f"assembled tension supports r in (1, 2), got {r}")
-    out = 0.0
-    for i in range(3):
-        out = out + second_covariant(md, _EYE3[i], nu[..., :, i], arr)
-    return out + covariant_derivative(md, divergence_invariant_tensor(md, nu), arr)
+    div = divergence_invariant_tensor(md, nu)
+
+    def assemble():
+        out = sum(_second_covariant(md, _EYE3[i], nu[..., :, i], arr) for i in range(3))
+        return out + _covariant_derivative(md, div, arr)
+
+    return _refused(assemble, f"the assembled degree-{r} tension", 1)
 
 
 def first_variation_fd(md: MilnorData, sigma, zeta, r: int):
@@ -567,9 +578,8 @@ def horizontal_tension(md: MilnorData, sigma, r: int) -> np.ndarray:
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
     if r == 3:
         _require_h1(md, arr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _horizontal_tension(md, arr, r)
-    return _finite(out, f"the degree-{r} horizontal tension", 1, "overflows the float range")
+    name = f"the degree-{r} horizontal tension"
+    return _refused(lambda: _horizontal_tension(md, arr, r), name, 1)
 
 
 def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:

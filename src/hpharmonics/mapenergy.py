@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invariants import MAX_DIM, _check_order, _finite, _real, _row, _scalars
+from .invariants import MAX_DIM, _check_order, _finite, _real, _refused, _row, _scalars
 from .invariants import elementary_invariants_minors
 
 
@@ -269,9 +269,8 @@ def cauchy_green(point: PointData) -> np.ndarray:
     from the whitening that :func:`density_report` reads, so the battery
     can check that path against it; refused when it overflows the float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = np.linalg.solve(point.domain_metric, _pullback(point))
-    return _finite(alpha, "the distortion operator G^-1 J^T H J", 2, "overflows the float range")
+    name = "the distortion operator G^-1 J^T H J"
+    return _refused(lambda: np.linalg.solve(point.domain_metric, _pullback(point)), name, 2)
 
 
 def stretch_eigenvalues(point: PointData) -> np.ndarray:

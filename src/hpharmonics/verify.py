@@ -21,6 +21,7 @@ from importlib import resources
 import numpy as np
 
 from . import invariants, lie3, mapenergy
+from .lie3 import _norm
 
 #: One structure-constant triple per algebra class and degenerate branch.
 CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = (
@@ -85,14 +86,19 @@ class PropertyResult:
         return text
 
 
+def _within(name: str, worst: float, tolerance: float, detail: str = "", ok: bool = True):
+    # A residual property: passes when ``ok`` and the worst residual is within tolerance.
+    return PropertyResult(name, ok and worst <= tolerance, worst, tolerance, detail)
+
+
+def _none(name: str, bad: int, detail: str = "") -> PropertyResult:
+    # A counting property: passes when no case is bad.
+    return PropertyResult(name, bad == 0, float(bad), 0.0, detail)
+
+
 def _rel(a, b):
     # |a - b| relative to max(1, |a|, |b|), elementwise.
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    # Euclidean norms over the last axis, each as np.linalg.norm of its row.
-    return np.sqrt(np.vecdot(v, v))
 
 
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -206,7 +212,7 @@ def check_invariant_oracles(rng: np.random.Generator, trials: int) -> PropertyRe
         minors = invariants.elementary_invariants_minors(a)
         newton = invariants.elementary_invariants_newton(a)
         worst = max(worst, float(np.max(_rel(minors, newton))))
-    return PropertyResult("invariant_oracle_equivalence", worst <= 1e-10, worst, 1e-10)
+    return _within("invariant_oracle_equivalence", worst, 1e-10)
 
 
 def check_cayley_hamilton(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -215,7 +221,7 @@ def check_cayley_hamilton(rng: np.random.Generator, trials: int) -> PropertyResu
     for m in range(2, 7):
         a = rng.uniform(-1.0, 1.0, size=(trials, m, m))
         worst = max(worst, float(np.max(invariants.cayley_hamilton_residual(a))))
-    return PropertyResult("cayley_hamilton", worst <= 1e-9, worst, 1e-9)
+    return _within("cayley_hamilton", worst, 1e-9)
 
 
 def check_newton_trace(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -228,7 +234,7 @@ def check_newton_trace(rng: np.random.Generator, trials: int) -> PropertyResult:
         for r in range(1, m + 1):
             lhs = np.trace(a @ chis[:, r - 1], axis1=-2, axis2=-1)
             worst = max(worst, float(np.max(_rel(lhs, r * eps[:, r]))))
-    return PropertyResult("newton_trace_identity", worst <= 1e-10, worst, 1e-10)
+    return _within("newton_trace_identity", worst, 1e-10)
 
 
 def check_shift_scaling(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -245,7 +251,7 @@ def check_shift_scaling(rng: np.random.Generator, trials: int) -> PropertyResult
             shift = invariants.check_shift_identity(a, r) / scale
             scaling = invariants.check_scaling_identity(a, r, c) / scale
             worst = max(worst, float(np.max(shift)), float(np.max(scaling)))
-    return PropertyResult("shift_scaling_identities", worst <= 1e-9, worst, 1e-9)
+    return _within("shift_scaling_identities", worst, 1e-9)
 
 
 def check_derivative_fd(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -262,7 +268,7 @@ def check_derivative_fd(rng: np.random.Generator, trials: int) -> PropertyResult
         for r in range(1, m + 1):
             exact = invariants.invariant_derivative(a, b, r)
             worst = max(worst, float(np.max(np.abs(exact - fd[:, r]))))
-    return PropertyResult("derivative_finite_difference", worst <= 1e-6, worst, 1e-6)
+    return _within("derivative_finite_difference", worst, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +295,7 @@ def check_cauchy_green_gram(rng: np.random.Generator, trials: int) -> PropertyRe
             worst = max(worst, float(np.max(_rel(eps, oracle))))
         low = float(np.min(mapenergy.stretch_eigenvalues(point)))
         worst = max(worst, max(0.0, -low) * 1e2)  # eigenvalues >= -1e-12
-    return PropertyResult("cauchy_green_gram_oracle", worst <= 1e-10, worst, 1e-10)
+    return _within("cauchy_green_gram_oracle", worst, 1e-10)
 
 
 def check_metric_homogeneity(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -320,7 +326,7 @@ def check_metric_homogeneity(rng: np.random.Generator, trials: int) -> PropertyR
         expected = eps * c[:, None] ** (2 * np.arange(point.m + 1))
         scale = np.maximum(1.0, np.max(np.abs(expected), axis=-1))
         worst = max(worst, float(np.max(np.max(np.abs(eps_scaled - expected), axis=-1) / scale)))
-    return PropertyResult("codomain_homogeneity", worst <= 1e-12, worst, 1e-12)
+    return _within("codomain_homogeneity", worst, 1e-12)
 
 
 def check_conformal_invariance(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -334,7 +340,7 @@ def check_conformal_invariance(rng: np.random.Generator, trials: int) -> Propert
         base = invariants.elementary_invariants_newton(mapenergy.cauchy_green(point))[:, 2]
         residual = mapenergy.conformal_scaling_residual(point, rho, 2)
         worst = max(worst, float(np.max(residual / np.maximum(base, 1e-300))))
-    return PropertyResult("conformal_invariance", worst <= 1e-10, worst, 1e-10)
+    return _within("conformal_invariance", worst, 1e-10)
 
 
 def _conformal_point(rng: np.random.Generator, m: int) -> tuple:
@@ -369,10 +375,8 @@ def check_majorisation(rng: np.random.Generator, trials: int) -> PropertyResult:
             mismatches += int(np.sum(~((gap <= 1e-9) & verdict)))
         else:
             mismatches += int(np.sum((gap <= 1e-9) != verdict))
-    passed = worst <= 1e-10 and mismatches == 0
-    return PropertyResult(
-        "majorisation", passed, worst, 1e-10, detail=f"{mismatches} verdict mismatches"
-    )
+    detail = f"{mismatches} verdict mismatches"
+    return _within("majorisation", worst, 1e-10, detail, ok=mismatches == 0)
 
 
 def check_rank_zeroes(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -388,7 +392,7 @@ def check_rank_zeroes(rng: np.random.Generator, trials: int) -> PropertyResult:
         scale = np.maximum(1.0, np.max(np.abs(eps), axis=-1))
         vanishes = np.abs(eps[:, 1:]) <= 1e-9 * scale[:, None]
         bad += int(np.sum(vanishes != (rank[:, None] < np.arange(1, point.m + 1))))
-    return PropertyResult("rank_vanishing", bad == 0, float(bad), 0.0)
+    return _none("rank_vanishing", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +409,7 @@ def check_wedge_gram(rng: np.random.Generator, trials: int) -> PropertyResult:
     gram = lie3.vertical_cauchy_green(md, sigma)
     oracle = invariants.elementary_invariants_minors(gram)[:, 2]
     worst = float(np.max(_rel(closed, oracle)))
-    return PropertyResult("wedge_gram_oracle", worst <= 1e-11, worst, 1e-11)
+    return _within("wedge_gram_oracle", worst, 1e-11)
 
 
 def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -426,7 +430,7 @@ def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyR
         e1 = lie3.grad_norm_sq(md, sigma)
         closed2 = (e1 - np.vecdot(s1, s1))[:, None] * closed1[on]
         worst = max(worst, _worst_gap(div2, closed2))
-    return PropertyResult("divergence_oracles", worst <= 1e-12, worst, 1e-12)
+    return _within("divergence_oracles", worst, 1e-12)
 
 
 def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -444,7 +448,7 @@ def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResu
         assembled = lie3.tension_assembled(md, sigma, r)
         scale = np.maximum(1.0, np.abs(closed).max(-1))
         worst = max(worst, float(np.max(np.abs(closed - assembled).max(-1) / scale)))
-    return PropertyResult("tension_oracles", worst <= 1e-10, worst, 1e-10)
+    return _within("tension_oracles", worst, 1e-10)
 
 
 def check_sphere_multiplier(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -466,7 +470,7 @@ def check_sphere_multiplier(rng: np.random.Generator, trials: int) -> PropertyRe
         eps_r = lie3.vertical_invariants(md, sigma)[:, r]
         value = np.vecdot(tension_fn(md, sigma), sigma) + r * eps_r
         worst = max(worst, float(np.max(np.abs(value))))
-    return PropertyResult("sphere_bundle_multiplier", worst <= 1e-10, worst, 1e-10)
+    return _within("sphere_bundle_multiplier", worst, 1e-10)
 
 
 def _sample_descriptor_member(
@@ -505,7 +509,7 @@ def check_first_variation(rng: np.random.Generator, trials: int) -> PropertyResu
     md = lie3.MilnorData.normalize(md.lam / np.maximum(np.abs(md.mu).max(-1, keepdims=True), 1.0))
     zeta -= np.vecdot(zeta, sigma)[:, None] * sigma
     worst = max(float(np.max(lie3.first_variation_fd(md, sigma, zeta, r))) for r in (1, 2))
-    return PropertyResult("first_variation_fd", worst <= 1e-6, worst, 1e-6)
+    return _within("first_variation_fd", worst, 1e-6)
 
 
 def check_classification_golden(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -519,13 +523,7 @@ def check_classification_golden(rng: np.random.Generator, trials: int) -> Proper
         emitted.update((name, desc.to_json()) for name, desc in lie3.classify_sets(md).items())
         if emitted != expected:
             bad.append(rep)
-    return PropertyResult(
-        "classification_golden",
-        not bad,
-        float(len(bad)),
-        0.0,
-        detail=f"{len(bad)} mismatched representatives",
-    )
+    return _none("classification_golden", len(bad), f"{len(bad)} mismatched representatives")
 
 
 def check_union_consistency(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -545,9 +543,7 @@ def check_union_consistency(rng: np.random.Generator, trials: int) -> PropertyRe
         # Same law at the predicate level.
         p2 = lie3.is_eigendirection(md.ricci**2, samples)
         bad += int(np.sum(p2 != (lie3.in_h1(md, samples) | lie3.in_z2(md, samples))))
-    return PropertyResult(
-        "harmonic_union_consistency", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"
-    )
+    return _none("harmonic_union_consistency", bad, f"{bad} counterexamples")
 
 
 def check_predicate_membership(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -559,9 +555,7 @@ def check_predicate_membership(rng: np.random.Generator, trials: int) -> Propert
         samples = _field_samples(rng, trials, trials // 5)
         bad += int(np.sum(lie3.in_h1(md, samples) != sets["H1"].contains(samples)))
         bad += int(np.sum(lie3.in_h2(md, samples) != sets["H2"].contains(samples)))
-    return PropertyResult(
-        "predicate_membership", bad == 0, float(bad), 0.0, detail=f"{bad} disagreements"
-    )
+    return _none("predicate_membership", bad, f"{bad} disagreements")
 
 
 def check_skyrmion_coincidence(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -589,9 +583,7 @@ def check_skyrmion_coincidence(rng: np.random.Generator, trials: int) -> Propert
         d = md.mu**2 - 0.25 * coupling[..., None] * md.ricci**2
         direct = lie3.is_eigendirection(d, samples)
         bad += int(np.sum(lie3.in_skyrmion_locus(md, samples, coupling) != direct))
-    return PropertyResult(
-        "skyrmion_h1_coincidence", bad == 0, float(bad), 0.0, detail=f"{bad} counterexamples"
-    )
+    return _none("skyrmion_h1_coincidence", bad, f"{bad} counterexamples")
 
 
 def check_harmonic_map_cases(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -617,13 +609,8 @@ def check_harmonic_map_cases(rng: np.random.Generator, trials: int) -> PropertyR
         float(np.max(_norm(h3))),
     )
     nonzero_ok = bool(np.all((_norm(h1) > 1e-3) & (_norm(h2) > 1e-3)))
-    return PropertyResult(
-        "harmonic_map_horizontal",
-        worst <= 1e-10 and nonzero_ok,
-        worst,
-        1e-10,
-        detail="nonzero checks ok" if nonzero_ok else "expected nonzero tension vanished",
-    )
+    detail = "nonzero checks ok" if nonzero_ok else "expected nonzero tension vanished"
+    return _within("harmonic_map_horizontal", worst, 1e-10, detail, ok=nonzero_ok)
 
 
 def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -645,9 +632,7 @@ def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResu
         by_degree = np.array([[getattr(rep, key) for key in keys] for rep in reports])
         verdicts.append(by_degree[degree - 1, :, np.arange(trials)])
     bad = sum(int(np.sum(np.any(other != verdicts[0], axis=-1))) for other in verdicts[1:])
-    return PropertyResult(
-        "predicate_flip_invariance", bad == 0, float(bad), 0.0, detail=f"{bad} flips disagreed"
-    )
+    return _none("predicate_flip_invariance", bad, f"{bad} flips disagreed")
 
 
 #: Battery entries: (callable, default trial count).

@@ -461,7 +461,7 @@ def test_density_file_payload(tmp_path, capsys):
 
 
 def test_density_file_list_of_points(tmp_path, capsys):
-    # A list of points, of mixed shapes, is evaluated in stacks by shape;
+    # A list of points, of mixed shapes, is evaluated point by point;
     # each point's report equals the single-object report of that point.
     rng = np.random.default_rng(4)
     points = []
@@ -490,6 +490,31 @@ def test_density_file_list_of_points(tmp_path, capsys):
         assert docs[k] == _strict_json(alone)
         _, alone, _ = _run(capsys, ["density", "--file", str(single), "--r", "2"])
         assert blocks[k] == f"{k}:\n" + alone
+
+
+def test_density_builds_each_point_alone_and_once(tmp_path, monkeypatch, capsys):
+    # Every PointData that density builds holds one point; a list whose last
+    # point is not positive-definite builds one per point, the refused one too.
+    shapes = []
+    true_post_init = mapenergy.PointData.__post_init__
+
+    def recording(self):
+        shapes.append(np.shape(self.jacobian))
+        true_post_init(self)
+
+    monkeypatch.setattr(mapenergy.PointData, "__post_init__", recording)
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    points = [{"J": eye, "G": eye, "H": eye} for _ in range(3)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    assert _run(capsys, ["density", "--file", str(path), "--r", "1", "--json"])[0] == 0
+    assert shapes == [(2, 2)] * 3
+    shapes.clear()
+    points[2]["G"] = [[1.0, 0.0], [0.0, -1.0]]
+    path.write_text(json.dumps(points))
+    code, _, err = _run(capsys, ["density", "--file", str(path), "--r", "1", "--json"])
+    assert code == 2 and "point 2: domain metric is not positive-definite" in err
+    assert shapes == [(2, 2)] * 3
 
 
 def test_density_reports_a_probe_out_of_range_as_null(tmp_path, capsys):
@@ -691,3 +716,22 @@ def test_overflow_prints_no_numpy_warnings(capsys):
     assert lines[3] == "ricci            : [2e+200, 0.0, 0.0]"
     assert lines[7] == "H1               : Circle(2,3) U PolarPair(1)"
     assert lines[11] == "Z2               : Circle(2,3)"
+
+
+def test_benchmark_tracing_installs_on_the_package():
+    # The benchmark's tracer rebinds each traced public name of the package;
+    # a fresh interpreter installs it, so removing a traced name fails here.
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import tracing\n"
+        "tracing.install(tracing.Tracer())\n"
+        'print("installed")\n'
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "installed"

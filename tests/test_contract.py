@@ -6,6 +6,8 @@ leaves the float range is refused.  Every refusal is a ValueError and
 raises no warning on the way.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,13 +75,63 @@ CASES = {
         lambda: lie3.wedge_norm_sq(BIG, SIGMA),
         "the degree-2 bending density overflows the float range",
     ),
+    "overflowing vertical_newton_1": (
+        lambda: lie3.vertical_newton_1(BIG, SIGMA),
+        "the degree-1 vertical Newton tensor overflows the float range",
+    ),
+    "overflowing vertical_newton_2": (
+        lambda: lie3.vertical_newton_2(BIG, [0.0, 0.0, 1.0]),
+        "the degree-2 vertical Newton tensor overflows the float range",
+    ),
+    "overflowing vertical_cauchy_green": (
+        lambda: lie3.vertical_cauchy_green(BIG, SIGMA),
+        "the vertical Gram matrix overflows the float range",
+    ),
+    "overflowing tension_assembled r=1": (
+        lambda: lie3.tension_assembled(BIG, SIGMA, 1),
+        "the assembled degree-1 tension overflows the float range",
+    ),
+    # The degree-2 assembly reads the degree-1 Newton tensor, which overflows first.
+    "overflowing tension_assembled r=2": (
+        lambda: lie3.tension_assembled(BIG, SIGMA, 2),
+        "the degree-1 vertical Newton tensor overflows the float range",
+    ),
+    "overflowing divergence": (
+        lambda: lie3.divergence_invariant_tensor(BIG, np.full((3, 3), 1e200)),
+        "the divergence overflows the float range",
+    ),
+    "overflowing invariants": (
+        lambda: invariants.elementary_invariants_newton(1e200 * np.eye(2)),
+        "the invariant vector overflows the float range",
+    ),
+    "overflowing invariants row": (
+        lambda: invariants.elementary_invariants_newton([np.eye(2), 1e200 * np.eye(2)]),
+        "the invariant vector row 1 overflows the float range",
+    ),
+    # One item: the bytes the CLI prints; a stack: its first bad row and value.
+    "non-unit sigma": (
+        lambda: lie3.tension_t2(MD, [0.6, 0.0, 0.6]),
+        "sigma must be a unit vector, |sigma|^2 = 0.72",
+    ),
+    "non-unit sigma row": (
+        lambda: lie3.check_predicates(MD, np.array([SIGMA, [0.6, 0.0, 0.6], [2.0, 0.0, 0.0]]), 1),
+        "sigma row 1 must be a unit vector, |sigma|^2 = 0.72",
+    ),
+    "non-positive coupling": (
+        lambda: lie3.check_predicates(MD, SIGMA, 1, coupling=-1.0),
+        "coupling must be positive, got -1.0",
+    ),
+    "non-positive coupling row": (
+        lambda: lie3.in_skyrmion_locus(MD, np.array([SIGMA] * 3), np.array([0.5, -1.0, 0.0])),
+        "coupling row 1 must be positive, got -1.0",
+    ),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, message", CASES.values(), ids=list(CASES))
 def test_contract_refusals(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

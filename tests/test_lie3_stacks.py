@@ -117,8 +117,8 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
         cases = [(fn, (md, sigma)) for fn in _PER_FIELD] + [
             (lie3.is_eigendirection, (md.lam, sigma)),
             (lie3.in_skyrmion_locus, (md, sigma, coupling)),
-            (lie3.covariant_derivative, (md, raw_sigma, sigma)),
-            (lie3.second_covariant, (md, raw_sigma, zeta, sigma)),
+            (lie3._covariant_derivative, (md, raw_sigma, sigma)),
+            (lie3._second_covariant, (md, raw_sigma, zeta, sigma)),
             (lie3.divergence_invariant_tensor, (md, tensors)),
         ]
         cases += [(lie3.tension_assembled, (md, sigma, r)) for r in (1, 2)]
