@@ -75,6 +75,13 @@ def _refused(form, name: str, axes: int):
     return _finite(value, name, axes, "overflows the float range")
 
 
+def _frozen(cls, fields: dict):
+    # The frozen dataclass ``cls`` with ``fields`` set at once, not one by one as __init__ does.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _scalars(values):
     # A single item's result as a Python scalar, a stack's as its array.
     return values.item() if values.ndim == 0 else values

@@ -33,7 +33,8 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .invariants import _finite, _real, _refused, _row, _scalars, elementary_invariants_newton
+from .invariants import _finite, _frozen, _real, _refused, _row, _scalars
+from .invariants import elementary_invariants_newton
 
 _TINY = 1e-300
 _BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
@@ -82,13 +83,6 @@ def _triple(values, name: str) -> np.ndarray:
 # a few flags a fraction of the cost of count_nonzero or .any().
 def _any(flags) -> bool:
     return 1 in flags.tobytes()
-
-
-def _frozen(cls, fields: dict):
-    # The frozen dataclass ``cls`` with ``fields`` set at once, not one by one as __init__ does.
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _negligible(magnitude, scale=1.0):

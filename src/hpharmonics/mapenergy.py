@@ -36,6 +36,10 @@ that point alone gives.  A single point is a stack with no leading axes:
 its scalar results (volume density, verdicts, residuals, gaps) are Python
 floats and bools.  A refusal names the first offending row of a stack
 ("domain metric row 7 is not positive-definite"), as ``invariants`` states.
+
+Each metric is factored by one LAPACK call, and a row that is not definite is
+refused by name from the NaN that LAPACK leaves in its factor.
+:func:`cauchy_green` still solves through ``np.linalg``, as the battery's oracle.
 """
 
 from __future__ import annotations
@@ -46,13 +50,18 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .invariants import MAX_DIM, _check_order, _finite, _real, _refused, _row, _scalars
+from .invariants import MAX_DIM, _check_order, _finite, _frozen, _real, _refused, _row, _scalars
 from .invariants import elementary_invariants_minors
 
 
 #: Relative tolerance of :func:`r_conformal_check`.
 _CONFORMAL_TOL = 1e-9
+
+
+# np.linalg's LAPACK gufuncs, unwrapped: a row that fails is NaN and sets the invalid flag.
+_cholesky, _inv, _eigh = _umath_linalg.cholesky_lo, _umath_linalg.inv, _umath_linalg.eigh_lo
 
 
 class InvalidMetricError(ValueError):
@@ -73,7 +82,7 @@ def _eye(m: int, dtype: type) -> np.ndarray:
 
 def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
     # The symmetrized (..., m, m) metric and its Cholesky factor, which
-    # proves every row definite.
+    # proves every row definite; callers ignore the invalid flag of a NaN row.
     g = _real(g, name, InvalidMetricError)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise InvalidMetricError(f"{name} must be square, got shape {g.shape}")
@@ -88,21 +97,8 @@ def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
             raise InvalidMetricError(f"{name}{_row(symmetric)} is not symmetric")
     # Exactly symmetric: g itself; else halve first, so entries near the float max stay finite.
     sym = g if worst == 0.0 else 0.5 * g + 0.5 * g.mT
-    try:
-        return sym, np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        # The stacked factorisation names no row: factor row by row.
-        rows = sym.reshape((-1,) + sym.shape[-2:])
-        definite = np.reshape([_is_definite(row) for row in rows], sym.shape[:-2])
-        raise InvalidMetricError(f"{name}{_row(definite)} is not positive-definite") from None
-
-
-def _is_definite(g: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    low = _cholesky(sym, signature="d->d")
+    return sym, _finite(low, name, 2, "is not positive-definite", InvalidMetricError)
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,7 @@ class PointData:
     # Cholesky factor L of the domain metric, G = L L^T.
     _domain_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @np.errstate(invalid="ignore")  # a metric that is not definite is refused by name
     def __post_init__(self):
         jac = _real(self.jacobian, "jacobian")
         if jac.ndim < 2:
@@ -184,13 +181,14 @@ def _diagonalise(low: np.ndarray, pullback: np.ndarray) -> _Spectrum:
     # Whiten P by the Cholesky factor L of the domain metric, diagonalise
     # B = L^{-1} P L^{-T} and build its invariants by the product recursion.
     # Callers ignore overflow and invalid values: a B that leaves the float
-    # range is refused here.
-    inv_low = np.linalg.inv(low)
+    # range, or whose eigendecomposition does not converge, is refused here.
+    inv_low = _inv(low, signature="d->d")
     low_p = inv_low @ pullback
     b = low_p @ inv_low.mT
     b = 0.5 * (b + b.mT)
     _finite(b, "the whitened pullback L^-1 J^T H J L^-T", 2, "overflows the float range")
-    w, q = np.linalg.eigh(b)
+    w, q = _eigh(b, signature="d->dd")
+    _finite(w, "the eigendecomposition of the whitened pullback", 1, "did not converge")
     spec = _Spectrum(pullback, inv_low, low_p, b, w, q, _product_invariants(w[..., None])[..., 0])
     # Every caller shares the two arrays that leave the module.
     w.setflags(write=False)
@@ -300,7 +298,8 @@ def density_report(point: PointData) -> DensityReport:
     volume density sqrt(e_m) now, alpha and its Newton endomorphisms when
     first read."""
     eps = point._spectrum.eps
-    return DensityReport(eps, _scalars(_volume_density(eps)), point)
+    volume = _scalars(_volume_density(eps))
+    return _frozen(DensityReport, {"eps": eps, "volume_density": volume, "_point": point})
 
 
 def r_conformal_check(point: PointData, r: int):

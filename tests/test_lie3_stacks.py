@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpharmonics import invariants, lie3, verify
+from hpharmonics import invariants, lie3, mapenergy, verify
 from hpharmonics.lie3 import MilnorData, SubsetDescriptor
 
 E = np.eye(3)
@@ -587,8 +587,8 @@ def test_single_triples_keep_python_scalars():
 
 
 def test_normalize_and_check_build_frozen_dataclasses():
-    # MilnorData and PredicateReport skip their generated __init__; they stay
-    # frozen dataclasses with the same fields, equality and repr.
+    # MilnorData, PredicateReport and DensityReport skip their generated
+    # __init__; they stay frozen dataclasses with the same fields, equality and repr.
     md = MilnorData.normalize((2.0, 1.0, -1.0))
     stack = MilnorData.normalize([(2.0, 1.0, -1.0), (3.0, -1.0, 0.5)])
     names = {
@@ -600,9 +600,14 @@ def test_normalize_and_check_build_frozen_dataclasses():
             "r", "coupling", "r_parallel", "r_harmonic_unit", "twisted_2_skyrmion",
             "r_harmonic_map", "vertical_tension", "horizontal_tension", "vertical_energy",
         ],
+        mapenergy.DensityReport: ["eps", "volume_density", "_point"],
     }
     built = [md, stack] + [lie3.check_predicates(md, E[1], r) for r in (1, 2, 3)]
     built.append(lie3.check_predicates(stack, np.array([E[1], E[0]]), 2))
+    jac = np.array([[[1.0, 0.5], [0.0, 2.0]], [[0.3, 0.0], [1.0, 1.0]]])
+    dom = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 3.0]]])
+    points = [mapenergy.PointData(jac, dom, dom), mapenergy.PointData(jac[1], dom[1], dom[0])]
+    built += [mapenergy.density_report(point) for point in points]
     for obj in built:
         fields = dataclasses.fields(obj)
         assert [f.name for f in fields] == names[type(obj)]
@@ -611,6 +616,10 @@ def test_normalize_and_check_build_frozen_dataclasses():
                 setattr(obj, field.name, None)
         rebuilt = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
         assert rebuilt == obj and repr(rebuilt) == repr(obj)
+        if isinstance(obj, mapenergy.DensityReport):
+            # The lazily formed tensors read the same point either way.
+            for name in ("alpha", "newton"):
+                assert getattr(obj, name).tobytes() == getattr(rebuilt, name).tobytes()
     for geometry in (md, stack):
         for name in ("lam", "mu", "ricci", "sectional", "scaled"):
             array = getattr(geometry, name)

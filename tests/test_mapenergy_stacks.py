@@ -2,6 +2,9 @@
 axes and must give, row by row, exactly what a call on that row alone
 gives; a refusal names the first offending row."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,3 +148,78 @@ def test_overflow_and_scale_refusals_name_the_row():
     # A complex row makes the whole stack complex: it is refused, not cast.
     with pytest.raises(InvalidMetricError, match="^domain metric has complex entries$"):
         PointData(_eyes(2, 2), _eyes(2, 2) + np.array([0.0, 1j])[:, None, None], _eyes(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK gufuncs behind np.linalg, called without their wrappers
+# (numpy.linalg._umath_linalg is private: these tests guard it across numpy
+# versions, from the numpy 2.0 floor up)
+
+
+def _graded_spd(rng, m, log_cond):
+    # cond(G) exactly 10^log_cond, eigenvalues spread evenly in log scale.
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    g = (q * 10.0 ** np.linspace(0.0, log_cond, m)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lapack_calls_match_np_linalg_bitwise(m):
+    # The factors, the inverse factor and the eigendecomposition of every
+    # point are what np.linalg.cholesky, inv and eigh return, on one point
+    # and on stacks with one and two leading axes, for cond(G) up to 1e8.
+    rng = np.random.default_rng(40 + m)
+    jac = rng.uniform(-1.0, 1.0, size=(6, m + 1, m))
+    dom = np.array([_graded_spd(rng, m, 8.0 * k / 5) for k in range(6)])
+    cod = np.array([_spd(rng, m + 1, 2.0) for _ in range(6)])
+    for lead in ((), (6,), (2, 3)):
+        arrays = (a[-1] if not lead else a.reshape(lead + a.shape[1:]) for a in (jac, dom, cod))
+        point = PointData(*arrays)
+        low, spec = point._domain_factor, point._spectrum
+        assert _bits(low) == _bits(np.linalg.cholesky(point.domain_metric))
+        _, cod_low = mapenergy._check_metric(point.codomain_metric, "codomain metric")
+        assert _bits(cod_low) == _bits(np.linalg.cholesky(point.codomain_metric))
+        assert _bits(spec.inv_low) == _bits(np.linalg.inv(low))
+        w, q = np.linalg.eigh(spec.whitened)
+        assert _bits(spec.w) == _bits(w) and _bits(spec.q) == _bits(q)
+
+
+def test_metric_that_does_not_factor_is_refused_by_row():
+    # A row whose factor LAPACK fills with NaN is refused by name, the first
+    # such row of the stack, and numpy's invalid flag raises no RuntimeWarning.
+    bad = _eyes(12, 3).reshape(3, 4, 3, 3)
+    bad[1, 2] = np.diag([1.0, 0.0, 1.0])
+    bad[2, 0] = -np.eye(3)
+    eyes = _eyes(12, 3).reshape(3, 4, 3, 3)
+    tiny = np.array([np.eye(2), 1e-300 * np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, arrays in (("domain", (eyes, bad, eyes)), ("codomain", (eyes, eyes, bad))):
+            message = f"{name} metric row (1, 2) is not positive-definite"
+            with pytest.raises(InvalidMetricError, match=f"^{re.escape(message)}$"):
+                PointData(*arrays)
+            with pytest.raises(InvalidMetricError, match=f"^{name} metric is not positive-definite$"):
+                PointData(*(a[1, 2] for a in arrays))
+        # rho^2 G underflows to the zero matrix in row 1.
+        point = PointData(_eyes(2, 2), tiny, _eyes(2, 2))
+        message = "scale factor takes rho^2 G out of the float range: domain metric row 1 is not"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} positive-definite$"):
+            mapenergy.conformal_scaling_residual(point, [1.0, 1e-20], 1)
+
+
+def test_unconverged_eigendecomposition_is_refused(monkeypatch):
+    # LAPACK fills the eigenpairs of a row that does not converge with NaN.
+    true_eigh = mapenergy._eigh
+
+    def unconverged(b, signature):
+        w, q = true_eigh(b, signature=signature)
+        w[(1,) if w.ndim > 1 else ()] = np.nan
+        return w, q
+
+    monkeypatch.setattr(mapenergy, "_eigh", unconverged)
+    name = "the eigendecomposition of the whitened pullback"
+    with pytest.raises(ValueError, match=f"^{name} did not converge$"):
+        mapenergy.density_report(PointData(np.eye(2), np.eye(2), np.eye(2)))
+    stack = PointData(_eyes(3, 2), _eyes(3, 2), _eyes(3, 2))
+    with pytest.raises(ValueError, match=f"^{name} row 1 did not converge$"):
+        mapenergy.stretch_eigenvalues(stack)
