@@ -16,12 +16,13 @@ and the vertical tension fields of unit sigma reduce to polynomial
 expressions in mu, rho, and a.  The diagonal map a_i -> mu_i * a_i (the
 Milnor map) and its iterates are the basic building blocks.
 
-Everything here is a pure function of these triples; frame-level sums over
-the basis serve as brute-force oracles for the closed forms.  Every function
-broadcasts over leading axes of (..., 3) inputs, each row computed exactly as
-alone; a single triple is a batch of one that returns Python scalars.  Input
-is checked as ``invariants`` states; a closed form leaving the float range
-refuses (:func:`check_predicates` reports None).
+Everything here is a pure function of these triples.  The oracle of every
+tension closed form is one connection engine that reads no mu (see
+:func:`tension_assembled`).  Every function broadcasts over leading axes of
+(..., 3) inputs, each row computed exactly as alone; a single triple is a
+batch of one that returns Python scalars.  Input is checked as
+``invariants`` states; a closed form leaving the float range refuses
+(:func:`check_predicates` reports None).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .invariants import _finite, _frozen, _real, _refused, _row, _scalars
-from .invariants import elementary_invariants_newton
+from .invariants import _finite, _frozen, _newton_chain, _newton_girard, _real, _refused, _row
+from .invariants import _scalars, elementary_invariants_newton
 
 _TINY = 1e-300
 _BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
@@ -45,6 +46,8 @@ _DIAG = np.arange(3)
 _NEXT_PREV = np.array([1, 2, 0, 2, 0, 1])
 _PREV_NEXT = np.array([2, 0, 1, 1, 2, 0])
 _NEXT, _PREV = _NEXT_PREV[:3], _NEXT_PREV[3:]
+# e_a x e_b = eps_abk e_k: k = _THIRD[a, b] (3 - a - b for a != b), eps_abk = _EPS[a, b].
+_THIRD, _EPS = (3 - _DIAG[:, None] - _DIAG) % 3, np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0.0]])
 
 #: Tolerance policy of every verdict: a quantity counts as zero when it is
 #: at most ``TOL`` times its scale (see :func:`_negligible`).
@@ -264,12 +267,6 @@ def classify_algebra(x) -> MilnorData:
 # ---------------------------------------------------------------------------
 
 
-def _covariant_derivative(md: MilnorData, phi, sigma) -> np.ndarray:
-    # Covariant derivative of the invariant field ``sigma`` along ``phi``,
-    # namely (mu*phi) x sigma in the oriented principal frame.
-    return _cross(md.mu * _triple(phi, "phi"), _triple(sigma, "sigma"))
-
-
 def grad_norm_sq(md: MilnorData, sigma):
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
     arr = _triple(sigma, "sigma")
@@ -308,19 +305,6 @@ def _ricci_terms(md: MilnorData, arr: np.ndarray):
     ric = md.ricci * arr
     ricci_sq = _dot(ric, ric)
     return ricci_sq, 0.25 * _dot(arr, arr) * ricci_sq
-
-
-def _second_covariant(md: MilnorData, phi, psi, sigma) -> np.ndarray:
-    # Second covariant derivative of ``sigma`` along the pair (phi, psi).
-    p1 = md.mu * _triple(phi, "phi")
-    q = _triple(psi, "psi")
-    q1 = md.mu * q
-    arr = _triple(sigma, "sigma")
-    return (
-        _dot(p1, arr)[..., None] * q1
-        - _dot(p1, q1)[..., None] * arr
-        - _cross(md.mu * _cross(p1, q), arr)
-    )
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
@@ -502,29 +486,59 @@ def tension_t2(md: MilnorData, sigma) -> np.ndarray:
 
 
 def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
-    """Frame-level assembly of the degree-r vertical tension field,
-
-        sum_i nabla^2_{e_i, nu e_i} sigma + nabla_{div nu} sigma,
-
-    with nu the degree-(r-1) vertical Newton tensor.  Serves as the
-    independent oracle for the closed forms :func:`tension_t1` and
-    :func:`tension_t2`.  Refused when a value leaves the float range.
-    """
-    if r == 1:
-        arr = _triple(sigma, "sigma")
-        nu = _EYE3
-    elif r == 2:
-        arr = _unit_triple(sigma)
-        nu = vertical_newton_1(md, arr)
-    else:
+    """Degree-r vertical tension field (r = 1, 2) from the connection engine
+    on L = diag(lam): it reads no mu and no closed form, so it is the
+    independent oracle of :func:`tension_t1` and :func:`tension_t2`.
+    Refused when a value leaves the float range."""
+    if r not in (1, 2):
         raise ValueError(f"assembled tension supports r in (1, 2), got {r}")
-    div = divergence_invariant_tensor(md, nu)
+    arr = _unit_triple(sigma) if r == 2 else _triple(sigma, "sigma")
+    name = f"the assembled degree-{r} tension"
+    return _refused(lambda: _frame_vertical(md.lam[..., None] * _EYE3, arr, r), name, 1)
 
-    def assemble():
-        out = sum(_second_covariant(md, _EYE3[i], nu[..., :, i], arr) for i in range(3))
-        return out + _covariant_derivative(md, div, arr)
 
-    return _refused(assemble, f"the assembled degree-{r} tension", 1)
+# The connection engine (Milnor 1976; Cheeger & Ebin 1975, section 1).  A
+# symmetric structure map L (..., 3, 3) gives the bracket [x, y] = L(x x y) of
+# a unimodular group in any oriented orthonormal frame f: c_abc = <[f_a, f_b],
+# f_c> = sum_k eps_abk L_ck, and the Koszul formula gives A_a[c, b] =
+# <nabla_{f_a} f_b, f_c> = (c_abc - c_bca + c_cab) / 2.  sum_a nabla_{f_a} f_a
+# = 0, so each tension is a frame sum; T_r is read off the Newton chain.
+
+
+def _connection(structure: np.ndarray, arr: np.ndarray):
+    # A as [..., c, a, b] = A_a[c, b], the rows A_a sigma = nabla_{f_a} sigma, their Gram matrix C.
+    c = structure[..., :, _THIRD] * _EPS  # [..., c, a, b] = c_abc
+    conn = 0.5 * (c - np.moveaxis(c, -1, -3) + np.moveaxis(c, -3, -1))
+    rows = _dot(conn, arr[..., None, None, :]).swapaxes(-1, -2)
+    return conn, rows, _dot(rows[..., :, None, :], rows[..., None, :, :])
+
+
+def _frame_sum(conn: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # sum_a A_a w_a for invariant fields w_a, the rows of w.
+    return _dot(conn.reshape(conn.shape[:-2] + (9,)), w.reshape(w.shape[:-2] + (1, 9)))
+
+
+def _frame_vertical(structure: np.ndarray, arr: np.ndarray, r: int) -> np.ndarray:
+    # tau_r = sum_ab nu_ab A_a A_b sigma, nu = T_{r-1}(C) (T_0 = I).
+    conn, rows, gram = _connection(structure, arr)
+    if r > 1:
+        rows = _newton_chain(gram, _newton_girard(gram))[..., r - 1, :, :] @ rows
+    return _frame_sum(conn, rows)
+
+
+def _frame_horizontal(structure: np.ndarray, arr: np.ndarray, r: int) -> np.ndarray:
+    # div nu + sum_i R(sigma, eta_i) e_i with nu = T_{r-1}(I + C), eta_i = nabla_{nu e_i}
+    # sigma, div nu = sum_a A_a nu e_a and R(x, y) = [A_x, A_y] - A_{L(x x y)},
+    # A_x = sum_a x_a A_a.  Summed over i, A_sigma A_{eta_i} e_i (bend) and
+    # A_{eta_i} A_sigma e_i + A_{L(sigma x eta_i)} e_i (back) are frame sums too.
+    conn, rows, gram = _connection(structure, arr)
+    shifted = _EYE3 + gram
+    nu = _newton_chain(shifted, _newton_girard(shifted))[..., r - 1, :, :].swapaxes(-1, -2)
+    eta = nu @ rows  # nu is now its transpose, with rows nu e_i
+    a_sigma = _dot(conn.swapaxes(-1, -2), arr[..., None, None, :])
+    bend = arr[..., :, None] * _frame_sum(conn, eta.swapaxes(-1, -2))[..., None, :]
+    back = a_sigma @ eta + _cross(arr[..., None, :], eta) @ structure.mT
+    return _frame_sum(conn, nu + bend - back.swapaxes(-1, -2))
 
 
 def first_variation_fd(md: MilnorData, sigma, zeta, r: int):

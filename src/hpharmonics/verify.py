@@ -434,7 +434,7 @@ def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyR
 
 
 def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
-    """Closed-form tension fields against the assembled frame oracle, per class."""
+    """Closed-form tension fields against the connection-engine oracle, per class."""
     draws = [
         (np.asarray(rep) * rng.uniform(0.4, 1.4), _direction(rng))
         for rep in ONE_PER_CLASS
@@ -449,6 +449,30 @@ def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResu
         scale = np.maximum(1.0, np.abs(closed).max(-1))
         worst = max(worst, float(np.max(np.abs(closed - assembled).max(-1) / scale)))
     return _within("tension_oracles", worst, 1e-10)
+
+
+def check_horizontal_oracle(rng: np.random.Generator, trials: int) -> PropertyResult:
+    """Closed-form horizontal tension against the connection engine in a random
+    frame Q in SO(3): general fields at r = 1, 2, H1 members at r = 3."""
+    draws = []
+    for _ in range(trials):
+        lam = _random_lambda(rng)
+        normal, direction = rng.normal(size=(3, 3)), _direction(rng)
+        h1 = lie3.classify_sets(lam)["H1"]
+        draws.append((lam, normal, direction, _sample_descriptor_member(rng, h1)))
+    lam, normal, sigma, member = (np.array(column) for column in zip(*draws))
+    md, sigma = lie3.MilnorData.normalize(lam), _unit(sigma)
+    q, upper = np.linalg.qr(normal)
+    q = q * np.copysign(1.0, np.diagonal(upper, axis1=-2, axis2=-1))[:, None, :]
+    q = q * np.sign(np.linalg.det(q))[:, None, None]  # det 1: the frame keeps its orientation
+    structure = q.mT @ (md.lam[:, :, None] * q)  # L = Q^T diag(lam) Q
+    worst = 0.0
+    for r, field in ((1, sigma), (2, sigma), (3, member)):
+        closed = lie3.horizontal_tension(md, field, r)
+        oracle = lie3._frame_horizontal(structure, np.vecdot(q.mT, field[:, None, :]), r)
+        gap = np.abs(closed - np.vecdot(q, oracle[:, None, :])).max(-1)
+        worst = max(worst, float(np.max(gap / np.maximum(1.0, np.abs(closed).max(-1)))))
+    return _within("horizontal_tension_oracle", worst, 1e-10)
 
 
 def check_sphere_multiplier(rng: np.random.Generator, trials: int) -> PropertyResult:
@@ -658,6 +682,7 @@ BATTERY: tuple[tuple, ...] = (
     (check_skyrmion_coincidence, 100),
     (check_harmonic_map_cases, 50),
     (check_flip_invariance, 100),
+    (check_horizontal_oracle, 100),
 )
 
 

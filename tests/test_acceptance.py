@@ -104,3 +104,10 @@ def test_criterion_15_skyrmion_coincidence():
     # 500 random (lambda, coupling > 0), 10^3 sampled fields each: the
     # twisted-skyrmion locus equals the harmonic locus, zero counterexamples
     _report("C15", verify.check_skyrmion_coincidence(_rng(15), trials=500))
+
+
+def test_criterion_16_horizontal_tension_oracle():
+    # closed-form horizontal tension vs the connection engine in a random
+    # SO(3) frame, rel 1e-10: 1000 random (lambda, frame), general fields at
+    # r = 1, 2 and H1 members at r = 3
+    _report("C16", verify.check_horizontal_oracle(_rng(16), trials=1000))

@@ -106,6 +106,25 @@ def _tension_loop(rng, trials):
     return worst
 
 
+def _horizontal_oracle_loop(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        lam = verify._random_lambda(rng)
+        q, upper = np.linalg.qr(rng.normal(size=(3, 3)))
+        sigma = _random_unit(rng)
+        member = verify._sample_descriptor_member(rng, lie3.classify_sets(lam)["H1"])
+        md = MilnorData.normalize(lam)
+        q = q * np.copysign(1.0, np.diag(upper))
+        q = q * np.sign(np.linalg.det(q))
+        structure = q.T @ (md.lam[:, None] * q)
+        for r, field in ((1, sigma), (2, sigma), (3, member)):
+            closed = lie3.horizontal_tension(md, field, r)
+            oracle = np.vecdot(q, lie3._frame_horizontal(structure, np.vecdot(q.T, field), r))
+            scale = max(1.0, float(np.max(np.abs(closed))))
+            worst = max(worst, float(np.max(np.abs(closed - oracle))) / scale)
+    return worst
+
+
 def _sphere_multiplier_loop(rng, trials):
     worst = 0.0
     for _ in range(trials):
@@ -206,6 +225,7 @@ RESIDUAL_PROPERTIES = (
     verify.check_tension_oracles,
     verify.check_sphere_multiplier,
     verify.check_first_variation,
+    verify.check_horizontal_oracle,
 )
 
 
@@ -215,6 +235,7 @@ RESIDUAL_PROPERTIES = (
         (verify.check_wedge_gram, _wedge_gram_loop, None),
         (verify.check_divergence_oracles, _divergence_loop, None),
         (verify.check_tension_oracles, _tension_loop, None),
+        (verify.check_horizontal_oracle, _horizontal_oracle_loop, None),
         (verify.check_sphere_multiplier, _sphere_multiplier_loop, None),
         (verify.check_first_variation, _first_variation_loop, None),
         (verify.check_harmonic_map_cases, _harmonic_map_loop, None),

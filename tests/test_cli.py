@@ -669,6 +669,18 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
 
+    # A horizontal tension off by 1e-3 fails against the connection engine.
+    monkeypatch.undo()
+    true_horizontal = lie3.horizontal_tension
+
+    def bent(md, sigma, r):
+        return true_horizontal(md, sigma, r) + np.array([0.0, 0.0, 1e-3])
+
+    monkeypatch.setattr(lie3, "horizontal_tension", bent)
+    code, out, _ = _run(capsys, ["verify", "--seed", "42", "--trials", "3"])
+    assert code == 1
+    assert "FAIL horizontal_tension_oracle" in out
+
 
 def test_density_runs_without_scipy():
     # Fresh interpreter: the import and a density call must not pull in scipy.

@@ -91,10 +91,11 @@ CASES = {
         lambda: lie3.tension_assembled(BIG, SIGMA, 1),
         "the assembled degree-1 tension overflows the float range",
     ),
-    # The degree-2 assembly reads the degree-1 Newton tensor, which overflows first.
+    # The degree-2 assembly is one engine call under one refusal: its Newton
+    # tensor overflows inside it, so the refusal names the tension.
     "overflowing tension_assembled r=2": (
         lambda: lie3.tension_assembled(BIG, SIGMA, 2),
-        "the degree-1 vertical Newton tensor overflows the float range",
+        "the assembled degree-2 tension overflows the float range",
     ),
     "overflowing divergence": (
         lambda: lie3.divergence_invariant_tensor(BIG, np.full((3, 3), 1e200)),

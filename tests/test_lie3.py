@@ -8,8 +8,6 @@ from hpharmonics.invariants import elementary_invariants_newton
 from hpharmonics.lie3 import (
     PreconditionError,
     StructureConstants,
-    _covariant_derivative,
-    _second_covariant,
     check_predicates,
     classify_algebra,
     classify_sets,
@@ -210,18 +208,61 @@ def test_milnor_iterate():
         milnor_iterate(md, v, -1)
 
 
-def test_covariant_derivative_frame_relations():
+def _connection_rows(md, sigma):
+    # The engine's rows nabla_{e_a} sigma = A_a sigma in the principal frame, L = diag(lam).
+    return lie3._connection(np.diag(md.lam), np.asarray(sigma, dtype=float))[1]
+
+
+def _connection_matrices(structure, sigma):
+    # The engine's connection matrices A_a, indexed [a, c, b] = <nabla_{f_a} f_b, f_c>.
+    return np.moveaxis(lie3._connection(structure, np.asarray(sigma, dtype=float))[0], 1, 0)
+
+
+def _rotation(rng):
+    # A random rotation: the frame it gives keeps its orientation.
+    q, upper = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.copysign(1.0, np.diag(upper))
+    return q * np.sign(np.linalg.det(q))
+
+
+def test_connection_principal_frame():
+    # In the principal frame the engine's A_a sigma is (mu_a e_a) x sigma.
     md = classify_algebra((2.0, 1.0, -1.0))  # mu = (-1, 0, 2)
-    np.testing.assert_allclose(_covariant_derivative(md, E[0], E[1]), [0.0, 0.0, -1.0])
+    np.testing.assert_allclose(_connection_rows(md, E[1])[0], [0.0, 0.0, -1.0])
     rng = np.random.default_rng(51)
     for _ in range(20):
         md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
+        conn = _connection_matrices(np.diag(md.lam), E[0])
         for i in range(3):
             # frame fields are geodesic
-            np.testing.assert_allclose(_covariant_derivative(md, E[i], E[i]), np.zeros(3))
+            np.testing.assert_allclose(conn[i] @ E[i], np.zeros(3), atol=1e-15)
             for j in range(3):
-                expected = np.cross(md.mu[i] * E[i], E[j])
-                np.testing.assert_allclose(_covariant_derivative(md, E[i], E[j]), expected)
+                np.testing.assert_allclose(conn[i] @ E[j], np.cross(md.mu[i] * E[i], E[j]))
+        sigma = rng.uniform(-2.0, 2.0, size=3)
+        expected = [np.cross(md.mu[a] * E[a], sigma) for a in range(3)]
+        np.testing.assert_allclose(_connection_rows(md, sigma), expected, atol=1e-15)
+
+
+def test_connection_frame_sums():
+    abelian = classify_algebra((0.0, 0.0, 0.0))
+    rng = np.random.default_rng(61)
+    np.testing.assert_allclose(_connection_matrices(np.diag(abelian.lam), _unit(rng)), 0.0)
+    for _ in range(50):
+        md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
+        sigma = rng.uniform(-1.5, 1.5, size=3)
+        # Unimodular: sum_a A_a f_a = sum_a nabla_{f_a} f_a = 0 in any oriented frame.
+        q = _rotation(rng)
+        conn = _connection_matrices(q.T @ np.diag(md.lam) @ q, sigma)
+        np.testing.assert_allclose(sum(conn[a][:, a] for a in range(3)), np.zeros(3), atol=1e-14)
+        # A_i^2 sigma in the principal frame, and its frame sum the rough Laplacian tau_1.
+        conn, rows = _connection_matrices(np.diag(md.lam), sigma), _connection_rows(md, sigma)
+        for i in range(3):
+            expected = md.mu[i] ** 2 * sigma[i] * E[i] - md.mu[i] ** 2 * sigma
+            np.testing.assert_allclose(conn[i] @ rows[i], expected, atol=1e-13)
+        trace = sum(conn[a] @ rows[a] for a in range(3))
+        np.testing.assert_allclose(trace, tension_t1(md, sigma), atol=1e-12)
+        expected = milnor_iterate(md, sigma, 2) - float(np.sum(md.mu**2)) * sigma
+        np.testing.assert_allclose(trace, expected, atol=1e-12)
 
 
 def test_cross_is_bitwise_numpy_cross():
@@ -247,10 +288,7 @@ def test_grad_norm_sq():
     for _ in range(100):
         md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
         sigma = rng.uniform(-2.0, 2.0, size=3)
-        oracle = sum(
-            float(np.dot(d, d))
-            for d in (_covariant_derivative(md, E[i], sigma) for i in range(3))
-        )
+        oracle = sum(float(np.dot(d, d)) for d in _connection_rows(md, sigma))
         assert grad_norm_sq(md, sigma) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
@@ -266,7 +304,7 @@ def test_wedge_norm_sq():
     for _ in range(200):
         md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
         sigma = rng.uniform(-1.5, 1.5, size=3)
-        rows = [_covariant_derivative(md, E[i], sigma) for i in range(3)]
+        rows = _connection_rows(md, sigma)
         oracle = 0.0
         for i in range(3):
             for j in range(i + 1, 3):
@@ -275,26 +313,6 @@ def test_wedge_norm_sq():
                 ) ** 2
         closed = wedge_norm_sq(md, sigma)
         assert closed == pytest.approx(oracle, rel=1e-11, abs=1e-13)
-
-
-def test_second_covariant():
-    abelian = classify_algebra((0.0, 0.0, 0.0))
-    rng = np.random.default_rng(61)
-    np.testing.assert_allclose(
-        _second_covariant(abelian, _unit(rng), _unit(rng), _unit(rng)), np.zeros(3)
-    )
-    for _ in range(50):
-        md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))
-        sigma = rng.uniform(-1.5, 1.5, size=3)
-        for i in range(3):
-            expected = md.mu[i] ** 2 * sigma[i] * E[i] - md.mu[i] ** 2 * sigma
-            np.testing.assert_allclose(
-                _second_covariant(md, E[i], E[i], sigma), expected, atol=1e-13
-            )
-        # trace over the frame is the rough Laplacian
-        trace = sum(_second_covariant(md, E[i], E[i], sigma) for i in range(3))
-        expected = milnor_iterate(md, sigma, 2) - float(np.sum(md.mu**2)) * sigma
-        np.testing.assert_allclose(trace, expected, atol=1e-12)
 
 
 def test_riemann_action():

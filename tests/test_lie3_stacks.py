@@ -87,6 +87,11 @@ _PER_FIELD = (
 )
 
 
+# A fixed rotation, det 1, for the engine's frame.
+_Q = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+_Q = _Q * np.sign(np.linalg.det(_Q))
+
+
 @settings(max_examples=40)
 @given(_DRAWS)
 def test_stacked_calls_match_row_calls_bitwise(draws):
@@ -114,14 +119,16 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
         # k takes row k of the geometry and of every array.
         zeta = raw_sigma[::-1] - np.vecdot(raw_sigma[::-1], sigma)[:, None] * sigma
         tensors = np.broadcast_to(np.outer(raw_sigma[0], sigma[-1]), (len(rows), 3, 3))
+        # The connection engine in one rotated frame: L = Q^T diag(lam) Q.
+        structure = _Q.T @ (md.lam[:, :, None] * _Q)
         cases = [(fn, (md, sigma)) for fn in _PER_FIELD] + [
             (lie3.is_eigendirection, (md.lam, sigma)),
             (lie3.in_skyrmion_locus, (md, sigma, coupling)),
-            (lie3._covariant_derivative, (md, raw_sigma, sigma)),
-            (lie3._second_covariant, (md, raw_sigma, zeta, sigma)),
             (lie3.divergence_invariant_tensor, (md, tensors)),
         ]
         cases += [(lie3.tension_assembled, (md, sigma, r)) for r in (1, 2)]
+        cases += [(lie3._frame_vertical, (structure, sigma, r)) for r in (1, 2)]
+        cases += [(lie3._frame_horizontal, (structure, sigma, r)) for r in (1, 2)]
         cases += [(lie3.first_variation_fd, (md, sigma, zeta, r)) for r in (1, 2)]
         cases += [(lie3.horizontal_tension, (md, sigma, r)) for r in (1, 2, 3)]
         for fn, args in cases:
@@ -130,6 +137,10 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
                 for k in range(len(rows))
             ]
             _assert_rows_match(fn, args, row_args)
+        # The degree-3 horizontal engine on the rows in H1.
+        on = np.flatnonzero(lie3.in_h1(md, sigma))
+        row_args = [(structure[k], sigma[k], 3) for k in on]
+        _assert_rows_match(lie3._frame_horizontal, (structure[on], sigma[on], 3), row_args)
 
         # check_predicates: a row reported as None is nan in the stack.
         verdicts = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
