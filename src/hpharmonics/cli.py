@@ -194,6 +194,9 @@ def _print_classify_table(report: dict, sets: dict) -> None:
         print(f"{name:<16} : {sets[name]}")
 
 
+# A report gives null for each value that leaves the float range, so numpy's
+# warnings would only repeat that on stderr; verify keeps them, as faults.
+@np.errstate(all="ignore")
 def cmd_classify(args) -> int:
     lam_input = _parse_triple(args.lam, "--lambda")
     md = lie3.classify_algebra(lam_input)
@@ -206,6 +209,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
+@np.errstate(all="ignore")
 def cmd_check(args) -> int:
     lam_input = _parse_triple(args.lam, "--lambda")
     sigma_input = _parse_triple(args.sigma, "--sigma")
@@ -294,6 +298,7 @@ def _print_density(doc: dict) -> None:
         print(f"invariance resid: {block['residual']} (rho={block['probe_rho']})")
 
 
+@np.errstate(all="ignore")
 def cmd_density(args) -> int:
     points, listed = _load_density_payload(args)
     docs = _each_point(lambda arrays: _density_doc(arrays, args.r), points, listed)
@@ -363,11 +368,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A report already gives null for each value that leaves the float
-        # range, so numpy's floating-point warnings would only repeat that
-        # on stderr, with internal file paths.
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,13 +16,13 @@ and the vertical tension fields of unit sigma reduce to polynomial
 expressions in mu, rho, and a.  The diagonal map a_i -> mu_i * a_i (the
 Milnor map) and its iterates are the basic building blocks.
 
-Everything here is a pure function of these triples.  The oracle of every
-tension closed form is one connection engine that reads no mu (see
-:func:`tension_assembled`).  Every function broadcasts over leading axes of
-(..., 3) inputs, each row computed exactly as alone; a single triple is a
-batch of one that returns Python scalars.  Input is checked as
-``invariants`` states; a closed form leaving the float range refuses
-(:func:`check_predicates` reports None).
+Everything here is a pure function of these triples.  Every oracle here is
+one connection engine on lam that reads no mu (:func:`tension_assembled`,
+:func:`vertical_cauchy_green`, :func:`divergence_invariant_tensor`).  Every
+function broadcasts over leading axes of (..., 3) inputs, each row computed
+exactly as alone; a single triple is a batch of one that returns Python
+scalars.  Input is checked as ``invariants`` states; a closed form leaving
+the float range refuses (:func:`check_predicates` reports None).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ _DIAG = np.arange(3)
 # one take gathers the entries k+1 then k+2, the other k+2 then k+1.
 _NEXT_PREV = np.array([1, 2, 0, 2, 0, 1])
 _PREV_NEXT = np.array([2, 0, 1, 1, 2, 0])
-_NEXT, _PREV = _NEXT_PREV[:3], _NEXT_PREV[3:]
 # e_a x e_b = eps_abk e_k: k = _THIRD[a, b] (3 - a - b for a != b), eps_abk = _EPS[a, b].
 _THIRD, _EPS = (3 - _DIAG[:, None] - _DIAG) % 3, np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0.0]])
 
@@ -308,20 +307,16 @@ def _ricci_terms(md: MilnorData, arr: np.ndarray):
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
-    """Gram matrix of the covariant derivative over the principal frame,
-    [i, j] entry <mu_i e_i x sigma, mu_j e_j x sigma>.
+    """Gram matrix <nabla_{e_i} sigma, nabla_{e_j} sigma> over the principal
+    frame, from the connection engine on L = diag(lam), which reads no mu.
 
     Its trace is :func:`grad_norm_sq`; for unit ``sigma`` it is the matrix
     of phi -> phi^(2) - <phi, sigma^(1)> sigma^(1) in Milnor-iterate
     notation.
     """
-    arr = _triple(sigma, "sigma")[..., None, :]
-
-    def gram():
-        deriv = md.mu[..., :, None] * _cross(_EYE3, arr)
-        return deriv @ np.swapaxes(deriv, -1, -2)
-
-    return _refused(gram, "the vertical Gram matrix", 2)
+    arr = _triple(sigma, "sigma")
+    structure = md.lam[..., None] * _EYE3
+    return _refused(lambda: _connection(structure, arr)[2], "the vertical Gram matrix", 2)
 
 
 def vertical_invariants(md: MilnorData, sigma) -> np.ndarray:
@@ -450,20 +445,19 @@ def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
 
 
 def divergence_invariant_tensor(md: MilnorData, tensor) -> np.ndarray:
-    """Divergence of an invariant (1,1)-tensor, sum_i mu_i e_i x (T e_i),
-    in components (mu2 T32 - mu3 T23, mu3 T13 - mu1 T31, mu1 T21 - mu2 T12).
+    """Divergence of an invariant (1,1)-tensor T, sum_a A_a T e_a, from the
+    connection engine on L = diag(lam): it reads no mu, so it is an oracle
+    of the closed-form divergences of the Newton tensors.
 
-    Valid for any invariant tensor because the principal frame fields are
-    geodesic; multiples of the identity contribute nothing.
+    Valid for any invariant tensor because sum_a nabla_{e_a} e_a = 0 on a
+    unimodular group; multiples of the identity contribute nothing.
     """
     t = _real(tensor, "tensor")
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"tensor must be 3x3, got shape {t.shape}")
     _finite(t, "tensor", 2)
-    mu, upper, lower = md.mu, t[..., _PREV, _NEXT], t[..., _NEXT, _PREV]
-    return _refused(
-        lambda: mu.take(_NEXT, -1) * upper - mu.take(_PREV, -1) * lower, "the divergence", 1
-    )
+    structure = md.lam[..., None] * _EYE3
+    return _refused(lambda: _frame_sum(_koszul(structure), t.mT), "the divergence", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +499,15 @@ def tension_assembled(md: MilnorData, sigma, r: int) -> np.ndarray:
 # = 0, so each tension is a frame sum; T_r is read off the Newton chain.
 
 
-def _connection(structure: np.ndarray, arr: np.ndarray):
-    # A as [..., c, a, b] = A_a[c, b], the rows A_a sigma = nabla_{f_a} sigma, their Gram matrix C.
+def _koszul(structure: np.ndarray) -> np.ndarray:
+    # A as [..., c, a, b] = A_a[c, b].
     c = structure[..., :, _THIRD] * _EPS  # [..., c, a, b] = c_abc
-    conn = 0.5 * (c - np.moveaxis(c, -1, -3) + np.moveaxis(c, -3, -1))
+    return 0.5 * (c - np.moveaxis(c, -1, -3) + np.moveaxis(c, -3, -1))
+
+
+def _connection(structure: np.ndarray, arr: np.ndarray):
+    # A (see _koszul), the rows A_a sigma = nabla_{f_a} sigma and their Gram matrix C.
+    conn = _koszul(structure)
     rows = _dot(conn, arr[..., None, None, :]).swapaxes(-1, -2)
     return conn, rows, _dot(rows[..., :, None, :], rows[..., None, :, :])
 

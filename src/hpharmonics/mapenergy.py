@@ -38,8 +38,9 @@ floats and bools.  A refusal names the first offending row of a stack
 ("domain metric row 7 is not positive-definite"), as ``invariants`` states.
 
 Each metric is factored by one LAPACK call, and a row that is not definite is
-refused by name from the NaN that LAPACK leaves in its factor.
-:func:`cauchy_green` still solves through ``np.linalg``, as the battery's oracle.
+refused by name from the NaN that LAPACK leaves in its factor.  Only the
+battery's ``cauchy_green_gram_oracle`` reads :func:`cauchy_green`, which solves
+through ``np.linalg`` as its oracle.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import hpharmonics.lie3 as lie3
-from hpharmonics import cli, mapenergy
+from hpharmonics import cli, mapenergy, verify
 
 
 def _run(capsys, argv):
@@ -680,6 +681,35 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     code, out, _ = _run(capsys, ["verify", "--seed", "42", "--trials", "3"])
     assert code == 1
     assert "FAIL horizontal_tension_oracle" in out
+
+    # Invariants of the shipped density path with e_m off by 1e-3: the
+    # map-energy properties read them, so more than the minors oracle fails.
+    monkeypatch.undo()
+    true_report = mapenergy.density_report
+
+    def shifted(point):
+        report = true_report(point)
+        eps = report.eps + 1e-3 * (np.arange(point.m + 1) == point.m)
+        return dataclasses.replace(report, eps=eps)
+
+    monkeypatch.setattr(mapenergy, "density_report", shifted)
+    code, out, _ = _run(capsys, ["verify", "--seed", "42", "--trials", "3"])
+    assert code == 1
+    for name in ("cauchy_green_gram_oracle", "codomain_homogeneity", "rank_vanishing"):
+        assert f"FAIL {name}" in out
+
+
+def test_verify_keeps_numpy_warnings(monkeypatch):
+    # classify, check and density silence numpy's floating-point warnings;
+    # verify must not, so a property that overflows raises under the suite's
+    # filter (and under python -W error::RuntimeWarning).
+    def overflowing(rng, trials):
+        worst = float(np.max(np.array([1e308]) * 10.0))  # inf, and numpy's overflow warning
+        return verify.PropertyResult("overflow", worst <= 1.0, worst, 1.0)
+
+    monkeypatch.setattr(verify, "BATTERY", verify.BATTERY + ((overflowing, 1),))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        cli.main(["verify", "--seed", "42", "--trials", "1"])
 
 
 def test_density_runs_without_scipy():

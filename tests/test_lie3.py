@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hpharmonics import lie3
 from hpharmonics.invariants import elementary_invariants_newton
 from hpharmonics.lie3 import (
+    MilnorData,
     PreconditionError,
     StructureConstants,
     check_predicates,
@@ -523,6 +525,30 @@ def test_tension_closed_forms_match_assembly():
                 np.testing.assert_allclose(closed, assembled, atol=1e-11)
     with pytest.raises(ValueError):
         tension_assembled(md, E[0], 3)
+
+
+def test_oracles_read_no_mu():
+    # Every oracle of a closed form is the connection engine on lam alone: with
+    # mu and every quantity derived from it set to NaN, each returns the same
+    # bits as on the genuine geometry, stacked and for one triple.
+    rng = np.random.default_rng(90)
+    lam = np.concatenate([np.array(REPRESENTATIVES), rng.uniform(-1.5, 1.5, size=(20, 3))])
+    raw = rng.normal(size=(len(lam), 3))
+    sigma = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    tensor = rng.normal(size=(len(lam), 3, 3))
+    for md, rows in ((MilnorData.normalize(lam), slice(None)), (classify_algebra(lam[3]), 3)):
+        blind = dataclasses.replace(
+            md, **{name: np.full_like(getattr(md, name), np.nan)
+                   for name in ("mu", "ricci", "sectional", "scaled")}
+        )
+        s, t = sigma[rows], tensor[rows]
+        for oracle, args in (
+            (tension_assembled, (s, 1)),
+            (tension_assembled, (s, 2)),
+            (vertical_cauchy_green, (s,)),
+            (divergence_invariant_tensor, (t,)),
+        ):
+            assert oracle(blind, *args).tobytes() == oracle(md, *args).tobytes(), oracle
 
 
 def test_sphere_bundle_multiplier_general():
