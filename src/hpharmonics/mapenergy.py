@@ -88,18 +88,22 @@ def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise InvalidMetricError(f"{name} must be square, got shape {g.shape}")
     _finite(g, name, 2, error=InvalidMetricError)
-    asym = np.abs(g - g.mT)
-    # Each row's tolerance is 1e-12 max(1, max |g|): a stack within 1e-12
-    # passes without forming them.
-    if (worst := asym.max(initial=0.0)) > 1e-12:
-        sym_tol = 1e-12 * np.abs(g).max(axis=(-2, -1), initial=1.0)
-        symmetric = asym.max(axis=(-2, -1)) <= sym_tol
-        if not symmetric.all():
-            raise InvalidMetricError(f"{name}{_row(symmetric)} is not symmetric")
-    # Exactly symmetric: g itself; else halve first, so entries near the float max stay finite.
-    sym = g if worst == 0.0 else 0.5 * g + 0.5 * g.mT
-    low = _cholesky(sym, signature="d->d")
-    return sym, _finite(low, name, 2, "is not positive-definite", InvalidMetricError)
+    # Equal bytes prove exact symmetry before any arithmetic; only a metric
+    # whose bytes differ (within tolerance, or a +-0.0 pair) forms |g - g^T|.
+    if g.tobytes() != g.mT.tobytes():
+        asym = np.abs(g - g.mT)
+        # Each row's tolerance is 1e-12 max(1, max |g|): a stack within 1e-12
+        # passes without forming them.
+        if (worst := asym.max(initial=0.0)) > 1e-12:
+            sym_tol = 1e-12 * np.abs(g).max(axis=(-2, -1), initial=1.0)
+            symmetric = asym.max(axis=(-2, -1)) <= sym_tol
+            if not symmetric.all():
+                raise InvalidMetricError(f"{name}{_row(symmetric)} is not symmetric")
+        # Halve first, so entries near the float max stay finite.
+        if worst != 0.0:
+            g = 0.5 * g + 0.5 * g.mT
+    low = _cholesky(g, signature="d->d")
+    return g, _finite(low, name, 2, "is not positive-definite", InvalidMetricError)
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,8 @@ class DensityReport:
 
 
 def _volume_density(eps: np.ndarray) -> np.ndarray:
-    # sqrt(e_m), with a roundoff-negative e_m read as 0.
-    return np.sqrt(np.maximum(eps[..., -1], 0.0))
+    # sqrt(e_m), with a roundoff-negative e_m read as 0; a numpy scalar for one point.
+    return np.sqrt(np.maximum(eps[..., -1][()], 0.0))
 
 
 def _pullback(point: PointData) -> np.ndarray:
@@ -312,10 +316,11 @@ def r_conformal_check(point: PointData, r: int):
     """
     _check_order(r, point.m)
     ev = point._spectrum.w
-    floor = _CONFORMAL_TOL * ev[..., -1]
+    low, rth, top = ev[..., 0][()], ev[..., -r][()], ev[..., -1][()]  # scalars for one point
+    floor = _CONFORMAL_TOL * top
     # ev ascends, so fewer than r stretches exceed the floor exactly when
     # the r-th largest does not (which covers a top stretch <= 0 too).
-    return _scalars((ev[..., -1] - ev[..., 0] <= floor) | (ev[..., -r] <= floor))
+    return _scalars((top - low <= floor) | (rth <= floor))
 
 
 def _scale_powers(rho, r: int) -> tuple[np.ndarray, np.ndarray]:

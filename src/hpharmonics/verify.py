@@ -43,7 +43,8 @@ CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = (
 
 # Read-only arrays that the draw helpers index.
 _REPRESENTATIVES, _EYE3 = np.array(CLASS_REPRESENTATIVES), np.eye(3)
-_REPRESENTATIVES.flags.writeable = _EYE3.flags.writeable = False
+_POLES = np.concatenate([_EYE3, -_EYE3])
+_REPRESENTATIVES.flags.writeable = _EYE3.flags.writeable = _POLES.flags.writeable = False
 
 #: Exactly one generic representative per algebra class.
 ONE_PER_CLASS: tuple[tuple[float, float, float], ...] = (
@@ -103,8 +104,9 @@ def _rel(a, b):
 
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     # n unit vectors; the whole block is drawn again while a norm is < 1e-8.
+    # The norms here and below are np.linalg.norm's own sum, without its dispatch.
     v = rng.normal(size=(n, 3))
-    while np.any((norms := np.linalg.norm(v, axis=-1, keepdims=True)) < 1e-8):
+    while np.any((norms := np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))) < 1e-8):
         v = rng.normal(size=(n, 3))
     return v / norms
 
@@ -112,14 +114,14 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 def _direction(rng: np.random.Generator) -> np.ndarray:
     # One raw normal triple, drawn again while its norm is < 1e-8.
     v = rng.normal(size=3)
-    while np.linalg.norm(v, axis=-1) < 1e-8:
+    while np.sqrt(np.add.reduce(v * v, axis=-1)) < 1e-8:
         v = rng.normal(size=3)
     return v
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     # Each direction of a (..., 3) stack divided by its norm.
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def _random_spd(rng: np.random.Generator, m: int) -> tuple:
@@ -165,7 +167,7 @@ def _stacks(draws: list[tuple]):
 def _random_lambda(rng: np.random.Generator) -> np.ndarray:
     # Mix generic draws with every listed representative (scaled) so the
     # degenerate branches are exercised.
-    if rng.uniform() < 0.5:
+    if rng.random() < 0.5:  # rng.uniform() is 0 + 1 * rng.random(), bit for bit
         return rng.uniform(-1.5, 1.5, size=3)
     return _REPRESENTATIVES[rng.integers(len(_REPRESENTATIVES))] * rng.uniform(0.4, 1.4)
 
@@ -187,12 +189,11 @@ def _field_samples(rng: np.random.Generator, n: int, structured: int) -> np.ndar
 def _descriptor_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     # Structured unit vectors: poles and coordinate-circle points, the
     # boundary cases of every descriptor.
-    poles = np.concatenate([np.eye(3), -np.eye(3)])
-    chunks = [poles]
+    chunks = [_POLES]
     count = max(n - 6, 0)
     per_circle = count // 3 + 1
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        t = rng.uniform(0.0, 2.0 * np.pi, size=per_circle)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(3, per_circle))  # one circle a row
+    for (i, j), t in zip(((0, 1), (0, 2), (1, 2)), angles):
         pts = np.zeros((per_circle, 3))
         pts[:, i] = np.cos(t)
         pts[:, j] = np.sin(t)
@@ -494,10 +495,10 @@ def _sample_descriptor_member(
     if desc.kind == "Sphere":  # normalised alone: stacked with poles and circle points
         return _unit(_direction(rng))
     if desc.kind == "PolarPair":
-        sign = -1.0 if rng.uniform() < 0.5 else 1.0
+        sign = -1.0 if rng.random() < 0.5 else 1.0
         return sign * _EYE3[desc.indices[0] - 1]
     if desc.kind == "PolarSet":
-        sign = -1.0 if rng.uniform() < 0.5 else 1.0
+        sign = -1.0 if rng.random() < 0.5 else 1.0
         return sign * _EYE3[rng.integers(3)]
     if desc.kind == "Circle":
         t = rng.uniform(0.0, 2.0 * np.pi)

@@ -467,13 +467,50 @@ def _frozen_pole(rng, desc):
     return sign * np.eye(3)[k]
 
 
+def _frozen_direction(rng):
+    v = rng.normal(size=3)
+    while np.linalg.norm(v, axis=-1) < 1e-8:
+        v = rng.normal(size=3)
+    return v
+
+
+def _frozen_random_unit(rng, n):
+    v = rng.normal(size=(n, 3))
+    while np.any((norms := np.linalg.norm(v, axis=-1, keepdims=True)) < 1e-8):
+        v = rng.normal(size=(n, 3))
+    return v / norms
+
+
+def _frozen_descriptor_samples(rng, n):
+    chunks = [np.concatenate([np.eye(3), -np.eye(3)])]
+    per_circle = max(n - 6, 0) // 3 + 1
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        t = rng.uniform(0.0, 2.0 * np.pi, size=per_circle)
+        pts = np.zeros((per_circle, 3))
+        pts[:, i] = np.cos(t)
+        pts[:, j] = np.sin(t)
+        chunks.append(pts)
+    return np.concatenate(chunks)[:n]
+
+
 def test_draw_helpers_match_their_frozen_forms_bitwise():
-    # _random_lambda, the Jacobian of _random_point and the poles of
-    # _sample_descriptor_member against the forms they replaced: the same
-    # values, bit for bit, from the same generator calls.
+    # _random_lambda, the Jacobian of _random_point, the poles of
+    # _sample_descriptor_member, _direction, _random_unit, _unit and
+    # _descriptor_samples against the forms they replaced: the same values,
+    # bit for bit, from the same generator calls.
     ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(300):
         assert verify._random_lambda(ours).tobytes() == _frozen_random_lambda(theirs).tobytes()
+    for _ in range(300):
+        direction = verify._direction(ours)
+        assert direction.tobytes() == _frozen_direction(theirs).tobytes()
+        unit = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+        assert verify._unit(direction).tobytes() == unit.tobytes()
+    for n in (1, 2, 7, 40):
+        assert verify._random_unit(ours, n).tobytes() == _frozen_random_unit(theirs, n).tobytes()
+    for n in (0, 1, 6, 7, 8, 9, 10, 31):
+        samples = verify._descriptor_samples(ours, n)
+        assert samples.tobytes() == _frozen_descriptor_samples(theirs, n).tobytes()
     for m, n in ((2, 2), (3, 5), (6, 9)):
         jac = verify._random_point(ours, m, n)[0]
         assert jac.tobytes() == (theirs.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(n)).tobytes()

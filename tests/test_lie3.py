@@ -584,6 +584,18 @@ def test_first_variation():
         first_variation_fd(round_su2, E[0], E[1], 3)
 
 
+def test_first_variation_refusal_names_the_caller_row():
+    # Both displaced fields are evaluated as one stack, yet a refusal names
+    # no row for one field and the row of the caller's stack, not of the pair.
+    sigma, zeta = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, -0.6])
+    huge = (2e60, 1e60, -1e60)  # e_3 of the vertical Gram matrix overflows
+    with pytest.raises(ValueError, match="^the invariant vector overflows the float range$"):
+        first_variation_fd(classify_algebra(huge), sigma, zeta, 1)
+    md = MilnorData.normalize(np.array([(2.0, 1.0, -1.0), huge, huge]))
+    with pytest.raises(ValueError, match="^the invariant vector row 1 overflows the float range$"):
+        first_variation_fd(md, sigma, zeta, 1)
+
+
 def test_horizontal_tension_principal_directions():
     for rep in REPRESENTATIVES:
         md = classify_algebra(rep)

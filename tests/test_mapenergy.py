@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -190,6 +191,64 @@ def test_symmetrization_keeps_the_bits_of_the_summed_form():
         sym, _ = mapenergy._check_metric(skew, "g")
         assert sym is not skew
         assert sym.tobytes() == (0.5 * (skew + skew.T)).tobytes()
+
+
+def _reference_check_metric(g, name):
+    # The symmetry test of _check_metric with |g - g^T| formed for every
+    # metric, exact or not; the Cholesky factor is left to the tested code.
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        ok = np.isfinite(g).all(axis=(-2, -1))
+        raise InvalidMetricError(f"{name}{mapenergy._row(ok)} has non-finite entries")
+    asym = np.abs(g - g.mT)
+    if (worst := asym.max(initial=0.0)) > 1e-12:
+        symmetric = asym.max(axis=(-2, -1)) <= 1e-12 * np.abs(g).max(axis=(-2, -1), initial=1.0)
+        if not symmetric.all():
+            raise InvalidMetricError(f"{name}{mapenergy._row(symmetric)} is not symmetric")
+    return g if worst == 0.0 else 0.5 * g + 0.5 * g.mT
+
+
+def _near_symmetric_stack():
+    g = np.tile(np.array([[2.0, 1.0], [1.0, 2.0]]), (4, 1, 1))
+    g[2, 0, 1] += 4e-13
+    return g
+
+
+def _asymmetric_stack():
+    g = _near_symmetric_stack()
+    g[1, 1, 0] += 1e-6
+    g[3, 0, 1] -= 1e-3
+    return g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        np.array([[2.0, 1.0], [1.0, 2.0]]),
+        np.array([[2.0, 0.0, 1.0], [-0.0, 2.0, 0.5], [1.0, 0.5, 3.0]]),
+        np.array([[1e8, 1.0], [1.0 + 1e-12, 1.0]]),
+        _near_symmetric_stack(),
+        _asymmetric_stack(),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 5.0], [-np.inf, 1.0]]]),
+    ],
+    ids=["exact", "signed-zero-pair", "within-tolerance", "stack-within-tolerance",
+         "stack-beyond-tolerance", "nan", "stack-inf-and-asymmetric"],
+)
+def test_byte_symmetry_test_keeps_the_bits_and_messages_of_the_arithmetic_one(g):
+    # Only a metric whose bytes differ from its transpose forms |g - g^T|;
+    # every metric gets what forming it for all gave: the same array (g
+    # itself when exactly symmetric, +-0.0 included), factor and refusal.
+    try:
+        expected = _reference_check_metric(g, "domain metric")
+    except InvalidMetricError as exc:
+        with pytest.raises(InvalidMetricError, match=f"^{re.escape(str(exc))}$"):
+            mapenergy._check_metric(g, "domain metric")
+        return
+    sym, low = mapenergy._check_metric(g, "domain metric")
+    assert (sym is g) == (expected is g)
+    assert sym.tobytes() == expected.tobytes()
+    assert low.tobytes() == np.linalg.cholesky(expected).tobytes()
 
 
 def test_point_keeps_read_only_copies_of_its_inputs():

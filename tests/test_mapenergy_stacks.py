@@ -104,8 +104,13 @@ def test_single_point_returns_python_scalars():
     assert type(mapenergy.majorisation_gap(point)) is float
     assert type(mapenergy.conformal_scaling_residual(point, 1.7, 2)) is float
     stack = PointData(*(np.stack([a, a]) for a in (point.jacobian, np.eye(4), np.eye(4))))
-    assert mapenergy.r_conformal_check(stack, 2).shape == (2,)
-    assert mapenergy.density_report(stack).volume_density.shape == (2,)
+    for value in (
+        mapenergy.r_conformal_check(stack, 2),
+        mapenergy.density_report(stack).volume_density,
+        mapenergy.majorisation_gap(stack),
+        mapenergy.conformal_scaling_residual(stack, 1.7, 2),
+    ):
+        assert type(value) is np.ndarray and value.shape == (2,)
 
 
 def _eyes(rows, m):
