@@ -559,14 +559,12 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int):
     else:
         raise ValueError(f"first variation supports r in (1, 2), got {r}")
 
-    # sigma moved by t = +h and -h, both evaluated as one stack.
-    moved = np.stack([arr + _FD_STEP * z, arr - _FD_STEP * z])
-    moved = moved / _norm(moved)[..., None]
-    try:
-        plus, minus = 0.5 * vertical_invariants(md, moved)[..., r]
-    except ValueError:  # refused: name the row as each side alone does, + first
-        plus, minus = [0.5 * vertical_invariants(md, side)[..., r] for side in moved]
-    fd = (plus - minus) / (2.0 * _FD_STEP)
+    def half_density(t: float):
+        moved = arr + t * z
+        moved = moved / _norm(moved)[..., None]
+        return 0.5 * vertical_invariants(md, moved)[..., r]
+
+    fd = (half_density(_FD_STEP) - half_density(-_FD_STEP)) / (2.0 * _FD_STEP)
     return _scalars(np.abs(fd + _dot(tension, z)))
 
 

@@ -102,11 +102,15 @@ def _rel(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
+def _norms(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    # The norms of the last axis: np.linalg.norm's own sum, bit for bit, without its dispatch.
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+
+
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     # n unit vectors; the whole block is drawn again while a norm is < 1e-8.
-    # The norms here and below are np.linalg.norm's own sum, without its dispatch.
     v = rng.normal(size=(n, 3))
-    while np.any((norms := np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))) < 1e-8):
+    while np.any((norms := _norms(v, keepdims=True)) < 1e-8):
         v = rng.normal(size=(n, 3))
     return v / norms
 
@@ -114,14 +118,14 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 def _direction(rng: np.random.Generator) -> np.ndarray:
     # One raw normal triple, drawn again while its norm is < 1e-8.
     v = rng.normal(size=3)
-    while np.sqrt(np.add.reduce(v * v, axis=-1)) < 1e-8:
+    while _norms(v) < 1e-8:
         v = rng.normal(size=3)
     return v
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     # Each direction of a (..., 3) stack divided by its norm.
-    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    return v / _norms(v, keepdims=True)
 
 
 def _random_spd(rng: np.random.Generator, m: int) -> tuple:

@@ -584,16 +584,33 @@ def test_first_variation():
         first_variation_fd(round_su2, E[0], E[1], 3)
 
 
+def test_first_variation_broadcasts_one_field_over_stacked_algebras():
+    # One sigma and zeta against md stacks of 2 and 3 rows: each row is what
+    # that algebra alone gives, bit for bit (a 2-row md must not pair its
+    # rows with the two displaced fields).
+    sigma, zeta = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, -0.6])
+    lams = [(2.0, 1.0, -1.0), (1.0, 1.0, 0.0), (0.5, -1.5, 1.0)]
+    for rows in (2, 3):
+        md = MilnorData.normalize(np.array(lams[:rows]))
+        for r in (1, 2):
+            stacked = first_variation_fd(md, sigma, zeta, r)
+            alone = [first_variation_fd(classify_algebra(lam), sigma, zeta, r) for lam in lams[:rows]]
+            assert stacked.shape == (rows,)
+            assert stacked.tobytes() == np.array(alone).tobytes()
+
+
 def test_first_variation_refusal_names_the_caller_row():
-    # Both displaced fields are evaluated as one stack, yet a refusal names
-    # no row for one field and the row of the caller's stack, not of the pair.
+    # A refusal names no row for one field, and the caller's row for a
+    # stacked md, with one sigma or with a sigma stack of md's rows.
     sigma, zeta = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, -0.6])
     huge = (2e60, 1e60, -1e60)  # e_3 of the vertical Gram matrix overflows
     with pytest.raises(ValueError, match="^the invariant vector overflows the float range$"):
         first_variation_fd(classify_algebra(huge), sigma, zeta, 1)
-    md = MilnorData.normalize(np.array([(2.0, 1.0, -1.0), huge, huge]))
-    with pytest.raises(ValueError, match="^the invariant vector row 1 overflows the float range$"):
-        first_variation_fd(md, sigma, zeta, 1)
+    for rows in (2, 3):
+        md = MilnorData.normalize(np.array([(2.0, 1.0, -1.0)] + [huge] * (rows - 1)))
+        for s, z in ((sigma, zeta), (np.tile(sigma, (rows, 1)), np.tile(zeta, (rows, 1)))):
+            with pytest.raises(ValueError, match="^the invariant vector row 1 overflows the float range$"):
+                first_variation_fd(md, s, z, 1)
 
 
 def test_horizontal_tension_principal_directions():
