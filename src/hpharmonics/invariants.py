@@ -22,7 +22,9 @@ Every public function takes a stack of matrices, shape (..., m, m), and
 treats each matrix on its own: a single (m, m) matrix is a stack with no
 leading axes.  Results carry the same leading axes; a single matrix gives
 an (m+1,) vector of invariants, an (m+1, m, m) array of endomorphisms, or
-one residual as a Python float.
+one Cayley-Hamilton residual as a Python float.  The derivative and the
+shift and scaling identities give every order from one Newton chain, as an
+(m+1,) vector indexed by r like the invariants, whose entry 0 is exactly 0.
 
 The package's input contract lives here, in helpers that ``lie3`` and
 ``mapenergy`` share: complex input is refused, not cast, non-finite input is
@@ -209,61 +211,61 @@ def cayley_hamilton_residual(a):
     return _scalars(np.max(mags[..., -1, :, :], axis=(-2, -1)) / scale)
 
 
-def invariant_derivative(a, b, r: int):
-    """Exact derivative d/dt e_r(A + t*B) at t = 0, namely trace(B chi_{r-1}(A)).
+def invariant_derivative(a, b) -> np.ndarray:
+    """Exact derivatives d/dt e_r(A + t*B) at t = 0, namely trace(B chi_{r-1}(A)).
 
-    ``a`` and ``b`` are stacks of the same shape (..., m, m); the result has
-    one value per pair, shape (...).
+    ``a`` and ``b`` are stacks of the same shape (..., m, m); the result is
+    indexed by r as the invariants are, shape (..., m+1), and its entry 0
+    (the derivative of e_0 = 1) is exactly 0.
     """
     arr = as_square_matrix(a)
     brr = as_square_matrix(b)
     if arr.shape != brr.shape:
         raise ValueError(f"stacks must share one shape, got {arr.shape} and {brr.shape}")
-    _check_order(r, arr.shape[-1])
-    chi = newton_endomorphisms(arr)[..., r - 1, :, :]
-    return _scalars(np.trace(brr @ chi, axis1=-2, axis2=-1))
+    chis = newton_endomorphisms(arr)
+    derivatives = np.zeros(chis.shape[:-2])
+    derivatives[..., 1:] = np.trace(brr[..., None, :, :] @ chis[..., :-1, :, :], axis1=-2, axis2=-1)
+    return derivatives
 
 
-def check_shift_identity(a, r: int):
-    """Residual of the shift identities for e_r and chi_r under A -> I + A.
+def check_shift_identity(a) -> np.ndarray:
+    """Residuals of the shift identities for e_r and chi_r under A -> I + A.
 
     Both expansions
 
         e_r(I + A)   = sum_k binom(m-k,   r-k) e_k(A)
         chi_r(I + A) = sum_k binom(m-1-k, r-k) chi_k(A)
 
-    are evaluated and the larger absolute residual is returned, one value
-    per matrix of the (..., m, m) stack: shape (...).
+    are evaluated for every order r and the larger absolute residual is
+    returned, indexed by r: shape (..., m+1), with entry 0 exactly 0.
     """
     arr = as_square_matrix(a)
     m = arr.shape[-1]
-    _check_order(r, m)
     shifted = np.eye(m) + arr
-
     values = elementary_invariants_newton(arr)
     shifted_values = elementary_invariants_newton(shifted)
-    lhs_e = shifted_values[..., r]
-    rhs_e = sum(_binom(m - k, r - k) * values[..., k] for k in range(r + 1))
-
     chis = _newton_chain(arr, values)
-    lhs_chi = _newton_chain(shifted, shifted_values)[..., r, :, :]
-    rhs_chi = np.zeros(arr.shape)
-    for k in range(r + 1):
-        rhs_chi = rhs_chi + _binom(m - 1 - k, r - k) * chis[..., k, :, :]
+    # Each order r sums its terms k = 0..r in turn, from zero, as it would alone.
+    rhs_e, rhs_chi = np.zeros(values.shape), np.zeros(chis.shape)
+    for k in range(m + 1):
+        n = m - k  # term k joins the orders r = k + j, j = 0..n
+        binoms = np.array([(_binom(n, j), _binom(n - 1, j)) for j in range(n + 1)])
+        rhs_e[..., k:] += binoms[:, 0] * values[..., k, None]
+        rhs_chi[..., k:, :, :] += binoms[:, 1, None, None] * chis[..., k, None, :, :]
+    chi_gap = np.max(np.abs(_newton_chain(shifted, shifted_values) - rhs_chi), axis=(-2, -1))
+    return np.maximum(np.abs(shifted_values - rhs_e), chi_gap)
 
-    chi_gap = np.max(np.abs(lhs_chi - rhs_chi), axis=(-2, -1))
-    return _scalars(np.maximum(np.abs(lhs_e - rhs_e), chi_gap))
 
-
-def check_scaling_identity(a, r: int, c):
-    """Residual of the homogeneity chi_{cA,r}(cA) = c^r chi_{A,r}(A).
+def check_scaling_identity(a, c) -> np.ndarray:
+    """Residuals of the homogeneity chi_{cA,r}(cA) = c^r chi_{A,r}(A).
 
     ``c`` broadcasts against the leading axes of the (..., m, m) stack; the
-    result has one value per matrix.
+    result is indexed by r, shape (..., m+1), with entry 0 exactly 0.
     """
     arr = as_square_matrix(a)
-    _check_order(r, arr.shape[-1])
     c = _finite(_real(c, "scaling factor"), "scaling factor", 0)[..., None, None]
-    lhs = newton_endomorphisms(c * arr)[..., r, :, :]
-    rhs = c**r * newton_endomorphisms(arr)[..., r, :, :]
-    return _scalars(np.max(np.abs(lhs - rhs), axis=(-2, -1)))
+    lhs = newton_endomorphisms(c * arr)
+    # One c**r per order: numpy squares c for r = 2, where a power by an array
+    # of orders would round differently.
+    powers = np.stack([c**r for r in range(arr.shape[-1] + 1)], axis=-3)
+    return np.max(np.abs(lhs - powers * newton_endomorphisms(arr)), axis=(-2, -1))

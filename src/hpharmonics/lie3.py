@@ -559,10 +559,13 @@ def first_variation_fd(md: MilnorData, sigma, zeta, r: int):
     else:
         raise ValueError(f"first variation supports r in (1, 2), got {r}")
 
+    name = f"the degree-{r} bending density"
+
     def half_density(t: float):
         moved = arr + t * z
         moved = moved / _norm(moved)[..., None]
-        return 0.5 * vertical_invariants(md, moved)[..., r]
+        gram = vertical_cauchy_green(md, moved)  # e_r alone: a higher e_k may overflow
+        return 0.5 * _refused(lambda: _newton_girard(gram)[..., r], name, 0)
 
     fd = (half_density(_FD_STEP) - half_density(-_FD_STEP)) / (2.0 * _FD_STEP)
     return _scalars(np.abs(fd + _dot(tension, z)))

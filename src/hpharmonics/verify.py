@@ -9,6 +9,8 @@ results.
 Checks draw one trial at a time, in RNG order, and keep the draws raw
 (normal matrices, eigenvalues, unnormalised directions); then every numpy
 operation runs once per stack of draws: QR, metric assembly, normalisation.
+The invariant identities are read for every order r at once, so each
+dimension's invariants and Newton chains are formed once, not once per r.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ ONE_PER_CLASS: tuple[tuple[float, float, float], ...] = (
     (3.0, 1.0, -1.0),
     (1.0, 1.0, 1.0),
 )
+_ONE_PER_CLASS = np.array(ONE_PER_CLASS)  # read-only rows that check_tension_oracles scales
+_ONE_PER_CLASS.flags.writeable = False
 
 
 def golden_classification() -> dict[tuple[float, float, float], dict]:
@@ -252,11 +256,10 @@ def check_shift_scaling(rng: np.random.Generator, trials: int) -> PropertyResult
         draws = rng.uniform(-1.0, 1.0, size=(trials, m * m + 1))
         a = draws[:, :-1].reshape(trials, m, m)
         c = 2.0 * draws[:, -1]
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-        for r in range(1, m + 1):
-            shift = invariants.check_shift_identity(a, r) / scale
-            scaling = invariants.check_scaling_identity(a, r, c) / scale
-            worst = max(worst, float(np.max(shift)), float(np.max(scaling)))
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))[:, None]
+        shift = invariants.check_shift_identity(a) / scale  # every order r at once
+        scaling = invariants.check_scaling_identity(a, c) / scale
+        worst = max(worst, float(np.max(shift)), float(np.max(scaling)))
     return _within("shift_scaling_identities", worst, 1e-9)
 
 
@@ -271,9 +274,8 @@ def check_derivative_fd(rng: np.random.Generator, trials: int) -> PropertyResult
         plus = invariants.elementary_invariants_newton(a + step * b)
         minus = invariants.elementary_invariants_newton(a - step * b)
         fd = (plus - minus) / (2.0 * step)
-        for r in range(1, m + 1):
-            exact = invariants.invariant_derivative(a, b, r)
-            worst = max(worst, float(np.max(np.abs(exact - fd[:, r]))))
+        exact = invariants.invariant_derivative(a, b)  # every order r at once
+        worst = max(worst, float(np.max(np.abs(exact - fd))))
     return _within("derivative_finite_difference", worst, 1e-6)
 
 
@@ -434,8 +436,8 @@ def check_divergence_oracles(rng: np.random.Generator, trials: int) -> PropertyR
 def check_tension_oracles(rng: np.random.Generator, trials: int) -> PropertyResult:
     """Closed-form tension fields against the connection-engine oracle, per class."""
     draws = [
-        (np.asarray(rep) * rng.uniform(0.4, 1.4), _direction(rng))
-        for rep in ONE_PER_CLASS
+        (rep * rng.uniform(0.4, 1.4), _direction(rng))
+        for rep in _ONE_PER_CLASS
         for _ in range(trials)
     ]
     lam, sigma = (np.array(column) for column in zip(*draws))
@@ -609,12 +611,9 @@ def check_harmonic_map_cases(rng: np.random.Generator, trials: int) -> PropertyR
     at every degree; in the subalgebra circle of the e11 geometry with
     l1 = -l3 the degree-1 and degree-2 horizontal tensions are nonzero
     while degree 3 vanishes identically."""
-    frames = np.array([sign * np.eye(3)[k] for k in range(3) for sign in (1.0, -1.0)])
-    md = lie3.MilnorData.normalize(np.repeat(CLASS_REPRESENTATIVES, len(frames), axis=0))
-    sigma = np.tile(frames, (len(CLASS_REPRESENTATIVES), 1))
-    worst = max(
-        float(np.max(_norm(lie3.horizontal_tension(md, sigma, r)))) for r in (1, 2, 3)
-    )
+    # Each representative normalized once, (14, 1, 3), broadcast over the six poles.
+    md = lie3.MilnorData.normalize(_REPRESENTATIVES[:, None, :])
+    worst = max(float(np.max(_norm(lie3.horizontal_tension(md, _POLES, r)))) for r in (1, 2, 3))
     md = lie3.classify_algebra((1.0, 0.0, -1.0))
     t = [rng.uniform(0.05, np.pi / 2 - 0.05) for _ in range(trials)]
     sigma = np.array([[np.cos(x), 0.0, np.sin(x)] for x in t])
@@ -642,8 +641,8 @@ def check_flip_invariance(rng: np.random.Generator, trials: int) -> PropertyResu
     sigma_raw = _unit(sigma_raw)
     keys = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
     verdicts = []
-    for lam, s_sign in ((raw, 1.0), (raw, -1.0), (-raw, 1.0)):
-        md = lie3.MilnorData.normalize(lam)
+    md_raw = lie3.MilnorData.normalize(raw)  # once for both signs of sigma
+    for md, s_sign in ((md_raw, 1.0), (md_raw, -1.0), (lie3.MilnorData.normalize(-raw), 1.0)):
         sigma = s_sign * md.permute(sigma_raw)
         # Every degree on every field, then each field's own degree.
         reports = [lie3.check_predicates(md, sigma, r) for r in (1, 2, 3)]

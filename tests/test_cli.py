@@ -763,17 +763,33 @@ def test_overflow_prints_no_numpy_warnings(capsys):
 def test_benchmark_tracing_installs_on_the_package():
     # The benchmark's tracer rebinds each traced public name of the package;
     # a fresh interpreter installs it, so removing a traced name fails here.
+    # A traced battery run must give the untraced results, and the reworked
+    # all-orders identities must each record spans, so a signature the
+    # tracer cannot carry fails here too.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
         "import tracing\n"
-        "tracing.install(tracing.Tracer())\n"
+        "from hpharmonics import verify\n"
+        "untraced = verify.run_battery(42, trials=1)\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
         'print("installed")\n'
+        "print(verify.run_battery(42, trials=1) == untraced)\n"
+        "recorded = {span[0] for span in tracer.spans}\n"
+        "for name in ('invariant_derivative', 'check_shift_identity', 'check_scaling_identity'):\n"
+        "    print(name, f'invariants.{name}' in recorded)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "installed"
+    assert proc.stdout.splitlines()[-5:] == [
+        "installed",
+        "True",
+        "invariant_derivative True",
+        "check_shift_identity True",
+        "check_scaling_identity True",
+    ]

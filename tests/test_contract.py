@@ -36,7 +36,7 @@ CASES = {
         "tensor has complex entries",
     ),
     "complex derivative direction": (
-        lambda: invariants.invariant_derivative(np.eye(2), 1j * np.eye(2), 1),
+        lambda: invariants.invariant_derivative(np.eye(2), 1j * np.eye(2)),
         "matrix has complex entries",
     ),
     "nan tensor": (
@@ -44,11 +44,11 @@ CASES = {
         "tensor has non-finite entries",
     ),
     "nan scaling factor": (
-        lambda: invariants.check_scaling_identity(np.eye(2), 1, np.nan),
+        lambda: invariants.check_scaling_identity(np.eye(2), np.nan),
         "scaling factor has non-finite entries",
     ),
     "nan scaling factor row": (
-        lambda: invariants.check_scaling_identity(np.zeros((3, 2, 2)), 1, [1.0, 2.0, np.nan]),
+        lambda: invariants.check_scaling_identity(np.zeros((3, 2, 2)), [1.0, 2.0, np.nan]),
         "scaling factor row 2 has non-finite entries",
     ),
     "nan sigma row": (

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hpharmonics import verify
+from hpharmonics import invariants, verify
 from hpharmonics.invariants import (
     cayley_hamilton_residual,
     check_scaling_identity,
@@ -115,8 +115,7 @@ def test_trace_identity_random():
 def test_shift_identity_zero_matrix():
     for m in (2, 3, 5):
         a = np.zeros((m, m))
-        for r in range(1, m + 1):
-            assert check_shift_identity(a, r) == 0.0
+        assert check_shift_identity(a).tobytes() == np.zeros(m + 1).tobytes()
         # invariants of the identity are plain binomial coefficients
         np.testing.assert_allclose(
             elementary_invariants_newton(np.eye(m)),
@@ -129,7 +128,7 @@ def test_shift_identity_diagonal_example():
     # e_2 of diag(2, 3, 4) is 26 = 11 + 2*6 + 3
     shifted = elementary_invariants_newton(np.eye(3) + a)
     assert shifted[2] == pytest.approx(26.0)
-    assert check_shift_identity(a, 2) <= 1e-12
+    assert check_shift_identity(a)[2] <= 1e-12
 
 
 def test_shift_and_scaling_random():
@@ -137,21 +136,20 @@ def test_shift_and_scaling_random():
     for m in range(2, 7):
         a = rng.uniform(-1.0, 1.0, size=(m, m))
         c = rng.uniform(-2.0, 2.0)
-        for r in range(1, m + 1):
-            assert check_shift_identity(a, r) <= 1e-9
-            assert check_scaling_identity(a, r, c) <= 1e-9
+        assert np.max(check_shift_identity(a)) <= 1e-9
+        assert np.max(check_scaling_identity(a, c)) <= 1e-9
 
 
 def test_invariant_derivative_r1_is_trace():
     rng = np.random.default_rng(17)
     a = rng.uniform(-1.0, 1.0, size=(4, 4))
     b = rng.uniform(-1.0, 1.0, size=(4, 4))
-    assert invariant_derivative(a, b, 1) == pytest.approx(np.trace(b))
+    assert invariant_derivative(a, b)[1] == pytest.approx(np.trace(b))
 
 
 def test_invariant_derivative_diagonal_example():
     a = np.diag([1.0, 2.0, 3.0])
-    assert invariant_derivative(a, np.eye(3), 2) == pytest.approx(12.0)
+    assert invariant_derivative(a, np.eye(3))[2] == pytest.approx(12.0)
     step = 1e-5
     fd = (
         elementary_invariants_newton(a + step * np.eye(3))[2]
@@ -166,13 +164,12 @@ def test_invariant_derivative_matches_fd_random():
     for m in range(2, 7):
         a = rng.uniform(-1.0, 1.0, size=(m, m))
         b = rng.uniform(-1.0, 1.0, size=(m, m))
-        for r in range(1, m + 1):
-            exact = invariant_derivative(a, b, r)
-            fd = (
-                elementary_invariants_newton(a + step * b)[r]
-                - elementary_invariants_newton(a - step * b)[r]
-            ) / (2 * step)
-            assert abs(exact - fd) <= 1e-6
+        exact = invariant_derivative(a, b)
+        fd = (
+            elementary_invariants_newton(a + step * b) - elementary_invariants_newton(a - step * b)
+        ) / (2 * step)
+        assert exact[0] == 0.0
+        assert np.max(np.abs(exact - fd)) <= 1e-6
 
 
 def test_input_validation():
@@ -185,14 +182,11 @@ def test_input_validation():
     with pytest.raises(ValueError):
         elementary_invariants_newton(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        invariant_derivative(np.eye(3), np.eye(4), 1)
+        invariant_derivative(np.eye(3), np.eye(4))
     with pytest.raises(ValueError):
-        invariant_derivative(np.eye(3), np.eye(3), 4)
+        check_shift_identity(np.zeros((3, 4)))
     with pytest.raises(ValueError):
-        check_shift_identity(np.eye(3), 0)
-    for r in (0, 4):
-        with pytest.raises(ValueError):
-            check_scaling_identity(np.eye(3), r, 2.0)
+        check_scaling_identity(np.eye(3), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +215,99 @@ def test_stacks_match_single_matrix_calls_bitwise(m, batch):
         (newton_endomorphisms, (a,)),
         (cayley_hamilton_residual, (a,)),
     ]
-    for r in range(1, m + 1):
-        cases += [
-            (lambda x, y, r=r: invariant_derivative(x, y, r), (a, b)),
-            (lambda x, r=r: check_shift_identity(x, r), (a,)),
-            (lambda x, k, r=r: check_scaling_identity(x, r, k), (a, c)),
-            (lambda x, r=r: check_scaling_identity(x, r, -1.7), (a,)),
-        ]
+    cases += [
+        (invariant_derivative, (a, b)),
+        (check_shift_identity, (a,)),
+        (check_scaling_identity, (a, c)),
+        (lambda x: check_scaling_identity(x, -1.7), (a,)),
+    ]
     for fn, args in cases:
         stacked, looped = fn(*args), _per_matrix(fn, *args)
         assert stacked.shape == looped.shape
         assert np.array_equal(stacked, looped), (fn, m, batch)
+
+
+# Frozen copies of the per-order functions the all-orders ones replaced.
+
+
+def _frozen_invariant_derivative(a, b, r):
+    chi = newton_endomorphisms(a)[..., r - 1, :, :]
+    return np.trace(np.asarray(b, dtype=float) @ chi, axis1=-2, axis2=-1)
+
+
+def _frozen_shift_identity(a, r):
+    arr = np.asarray(a, dtype=float)
+    m = arr.shape[-1]
+    shifted = np.eye(m) + arr
+    values = elementary_invariants_newton(arr)
+    shifted_values = elementary_invariants_newton(shifted)
+    lhs_e = shifted_values[..., r]
+    rhs_e = sum(invariants._binom(m - k, r - k) * values[..., k] for k in range(r + 1))
+    chis = invariants._newton_chain(arr, values)
+    lhs_chi = invariants._newton_chain(shifted, shifted_values)[..., r, :, :]
+    rhs_chi = np.zeros(arr.shape)
+    for k in range(r + 1):
+        rhs_chi = rhs_chi + invariants._binom(m - 1 - k, r - k) * chis[..., k, :, :]
+    chi_gap = np.max(np.abs(lhs_chi - rhs_chi), axis=(-2, -1))
+    return np.maximum(np.abs(lhs_e - rhs_e), chi_gap)
+
+
+def _frozen_scaling_identity(a, r, c):
+    arr = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)[..., None, None]
+    lhs = newton_endomorphisms(c * arr)[..., r, :, :]
+    rhs = c**r * newton_endomorphisms(arr)[..., r, :, :]
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_all_orders_match_the_frozen_per_order_functions_bitwise(m):
+    # Entry r of each all-orders result is the per-order function's value at
+    # r, bit for bit, for one matrix and for stacks; entry 0 is exactly 0.
+    rng = np.random.default_rng(2500 + m)
+    for batch in ((), (4,), (2, 3)):
+        for scale in (1.0, 1e-3, 37.0):
+            a = scale * rng.uniform(-1.0, 1.0, size=batch + (m, m))
+            b = rng.uniform(-1.0, 1.0, size=batch + (m, m))
+            c = rng.uniform(-2.0, 2.0, size=batch)
+            results = [
+                (invariant_derivative(a, b), lambda r: _frozen_invariant_derivative(a, b, r)),
+                (check_shift_identity(a), lambda r: _frozen_shift_identity(a, r)),
+                (check_scaling_identity(a, c), lambda r: _frozen_scaling_identity(a, r, c)),
+                (check_scaling_identity(a, -1.7), lambda r: _frozen_scaling_identity(a, r, -1.7)),
+            ]
+            for value, frozen in results:
+                assert value.shape == batch + (m + 1,)
+                assert value[..., 0].tobytes() == np.zeros(batch).tobytes()
+                for r in range(1, m + 1):
+                    expected = np.asarray(frozen(r), dtype=float)
+                    assert value[..., r].tobytes() == expected.tobytes(), (m, batch, scale, r)
+
+
+def test_battery_forms_each_chain_once_per_dimension(monkeypatch):
+    # Newton-Girard and chain calls over m = 2..6: check_shift_scaling makes
+    # 4 and 4 per dimension, check_derivative_fd 3 and 1, whatever the order
+    # count, so recomputation per order cannot come back unnoticed.
+    counts = {}
+
+    def counted(name):
+        original = getattr(invariants, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(invariants, name, wrapper)
+
+    counted("_newton_girard")
+    counted("_newton_chain")
+    for check, expected in (
+        (verify.check_shift_scaling, {"_newton_girard": 20, "_newton_chain": 20}),
+        (verify.check_derivative_fd, {"_newton_girard": 15, "_newton_chain": 5}),
+    ):
+        counts.clear()
+        check(np.random.default_rng(0), 3)
+        assert counts == expected, check.__name__
 
 
 def test_single_matrix_shapes():
@@ -239,13 +315,14 @@ def test_single_matrix_shapes():
     assert elementary_invariants_minors(a).shape == (4,)
     assert elementary_invariants_newton(a).shape == (4,)
     assert newton_endomorphisms(a).shape == (4, 3, 3)
+    assert type(cayley_hamilton_residual(a)) is float
+    # The identities carry every order, indexed by r as the invariants are.
     for value in (
-        cayley_hamilton_residual(a),
-        invariant_derivative(a, np.eye(3), 2),
-        check_shift_identity(a, 2),
-        check_scaling_identity(a, 2, 2.0),
+        invariant_derivative(a, np.eye(3)),
+        check_shift_identity(a),
+        check_scaling_identity(a, 2.0),
     ):
-        assert type(value) is float
+        assert value.shape == (4,) and value[0] == 0.0
 
 
 def test_stack_validation():
@@ -261,13 +338,13 @@ def test_stack_validation():
     with pytest.raises(ValueError):
         cayley_hamilton_residual(stack)
     with pytest.raises(ValueError):
-        invariant_derivative(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), 1)
+        invariant_derivative(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        invariant_derivative(np.zeros((1, 2, 2)), np.zeros((2, 2)), 1)
+        invariant_derivative(np.zeros((1, 2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        check_shift_identity(np.zeros((2, 9, 9)), 1)
+        check_shift_identity(np.zeros((2, 9, 9)))
     with pytest.raises(ValueError):
-        check_scaling_identity(np.zeros((2, 3, 4)), 1, 2.0)
+        check_scaling_identity(np.zeros((2, 3, 4)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +397,9 @@ def _shift_scaling_loop(rng, trials):
             a = rng.uniform(-1.0, 1.0, size=(m, m))
             c = rng.uniform(-2.0, 2.0)
             scale = max(1.0, float(np.max(np.abs(a))))
+            shift, scaling = check_shift_identity(a), check_scaling_identity(a, c)
             for r in range(1, m + 1):
-                worst = max(worst, check_shift_identity(a, r) / scale)
-                worst = max(worst, check_scaling_identity(a, r, c) / scale)
+                worst = max(worst, float(shift[r]) / scale, float(scaling[r]) / scale)
     return worst
 
 
@@ -333,8 +410,9 @@ def _derivative_fd_loop(rng, trials):
         for _ in range(trials):
             a = rng.uniform(-1.0, 1.0, size=(m, m))
             b = rng.uniform(-1.0, 1.0, size=(m, m))
+            derivatives = invariant_derivative(a, b)
             for r in range(1, m + 1):
-                exact = invariant_derivative(a, b, r)
+                exact = float(derivatives[r])
                 plus = elementary_invariants_newton(a + step * b)[r]
                 minus = elementary_invariants_newton(a - step * b)[r]
                 fd = (plus - minus) / (2.0 * step)

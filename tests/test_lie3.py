@@ -603,14 +603,30 @@ def test_first_variation_refusal_names_the_caller_row():
     # A refusal names no row for one field, and the caller's row for a
     # stacked md, with one sigma or with a sigma stack of md's rows.
     sigma, zeta = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, -0.6])
-    huge = (2e60, 1e60, -1e60)  # e_3 of the vertical Gram matrix overflows
-    with pytest.raises(ValueError, match="^the invariant vector overflows the float range$"):
-        first_variation_fd(classify_algebra(huge), sigma, zeta, 1)
-    for rows in (2, 3):
-        md = MilnorData.normalize(np.array([(2.0, 1.0, -1.0)] + [huge] * (rows - 1)))
-        for s, z in ((sigma, zeta), (np.tile(sigma, (rows, 1)), np.tile(zeta, (rows, 1)))):
-            with pytest.raises(ValueError, match="^the invariant vector row 1 overflows the float range$"):
-                first_variation_fd(md, s, z, 1)
+    cases = (
+        # The degree-1 density and the tension overflow; the tension refuses first.
+        ((2e155, 1e155, -1e155), 1, "the degree-1 vertical tension{} overflows the float range"),
+        # Flat, so the tension is 0, but e_2's power traces overflow.
+        ((1e150, 1e150, 0.0), 2, "the degree-2 bending density{} overflows the float range"),
+    )
+    for huge, r, message in cases:
+        with pytest.raises(ValueError, match=f"^{message.format('')}$"):
+            first_variation_fd(classify_algebra(huge), sigma, zeta, r)
+        for rows in (2, 3):
+            md = MilnorData.normalize(np.array([(2.0, 1.0, -1.0)] + [huge] * (rows - 1)))
+            for s, z in ((sigma, zeta), (np.tile(sigma, (rows, 1)), np.tile(zeta, (rows, 1)))):
+                with pytest.raises(ValueError, match=f"^{message.format(' row 1')}$"):
+                    first_variation_fd(md, s, z, r)
+
+
+def test_first_variation_reads_its_own_degree_alone():
+    # Only e_3 of the vertical Gram matrix overflows here: the degree-1
+    # variation is a finite float, as tension_t1 of the same field is.
+    sigma, zeta = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, -0.6])
+    md = classify_algebra((2e60, 1e60, -1e60))
+    assert np.isfinite(tension_t1(md, sigma)).all()
+    value = first_variation_fd(md, sigma, zeta, 1)
+    assert type(value) is float and np.isfinite(value)
 
 
 def test_horizontal_tension_principal_directions():
