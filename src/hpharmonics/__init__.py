@@ -1,104 +1,11 @@
 """Higher-power energy densities, Newton tensors, and invariant harmonic
 vector fields on 3-dimensional unimodular Lie groups."""
 
-from .invariants import (
-    MAX_DIM,
-    cayley_hamilton_residual,
-    check_scaling_identity,
-    check_shift_identity,
-    elementary_invariants_minors,
-    elementary_invariants_newton,
-    invariant_derivative,
-    newton_endomorphisms,
-)
-from .lie3 import (
-    MilnorData,
-    PreconditionError,
-    PredicateReport,
-    StructureConstants,
-    SubsetDescriptor,
-    check_predicates,
-    classify_algebra,
-    classify_sets,
-    divergence_invariant_tensor,
-    first_variation_fd,
-    grad_norm_sq,
-    horizontal_tension,
-    in_h1,
-    in_h2,
-    in_skyrmion_locus,
-    in_z1,
-    in_z2,
-    is_eigendirection,
-    tension_assembled,
-    tension_t1,
-    tension_t2,
-    vertical_cauchy_green,
-    vertical_invariants,
-    vertical_newton_1,
-    vertical_newton_2,
-    wedge_norm_sq,
-)
-from .mapenergy import (
-    DensityReport,
-    InvalidMetricError,
-    PointData,
-    UnsupportedDimensionError,
-    cauchy_green,
-    conformal_scaling_residual,
-    density_report,
-    gram_invariants,
-    majorisation_gap,
-    r_conformal_check,
-    stretch_eigenvalues,
-)
+from . import invariants, lie3, mapenergy
+from .invariants import *  # noqa: F403
+from .lie3 import *  # noqa: F403
+from .mapenergy import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_DIM",
-    "DensityReport",
-    "InvalidMetricError",
-    "MilnorData",
-    "PointData",
-    "PreconditionError",
-    "PredicateReport",
-    "StructureConstants",
-    "SubsetDescriptor",
-    "UnsupportedDimensionError",
-    "cauchy_green",
-    "cayley_hamilton_residual",
-    "check_predicates",
-    "check_scaling_identity",
-    "check_shift_identity",
-    "classify_algebra",
-    "classify_sets",
-    "conformal_scaling_residual",
-    "density_report",
-    "divergence_invariant_tensor",
-    "elementary_invariants_minors",
-    "elementary_invariants_newton",
-    "first_variation_fd",
-    "grad_norm_sq",
-    "gram_invariants",
-    "horizontal_tension",
-    "in_h1",
-    "in_h2",
-    "in_skyrmion_locus",
-    "in_z1",
-    "in_z2",
-    "invariant_derivative",
-    "is_eigendirection",
-    "majorisation_gap",
-    "newton_endomorphisms",
-    "r_conformal_check",
-    "stretch_eigenvalues",
-    "tension_assembled",
-    "tension_t1",
-    "tension_t2",
-    "vertical_cauchy_green",
-    "vertical_invariants",
-    "vertical_newton_1",
-    "vertical_newton_2",
-    "wedge_norm_sq",
-]
+__all__ = invariants.__all__ + lie3.__all__ + mapenergy.__all__

@@ -40,6 +40,12 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "MAX_DIM", "cayley_hamilton_residual", "check_scaling_identity", "check_shift_identity",
+    "elementary_invariants_minors", "elementary_invariants_newton", "invariant_derivative",
+    "newton_endomorphisms",
+]
+
 #: Dimension cap keeping the 2^m principal-minor oracle trivially cheap.
 MAX_DIM = 8
 
@@ -158,7 +164,13 @@ def elementary_invariants_newton(a) -> np.ndarray:
 
 def _newton_girard(arr: np.ndarray) -> np.ndarray:
     # The invariants of the validated stack ``arr``; see elementary_invariants_newton.
+    # The recursion runs on A / 2^s, with 2^s read off each matrix's largest
+    # |entry|, and entry r is scaled back by 2^(s r): the scaled power traces
+    # stay below m^m, so only an e_r that leaves the float range overflows, and
+    # an exact power-of-two scaling changes no bit of a normal result.
     m = arr.shape[-1]
+    shift = np.frexp(np.max(np.abs(arr), axis=(-2, -1)))[1]
+    arr = np.ldexp(arr, -shift[..., None, None])
     powers = np.empty((m,) + arr.shape)  # powers[k - 1] = A^k
     powers[0] = arr
     for k in range(1, m):
@@ -174,7 +186,7 @@ def _newton_girard(arr: np.ndarray) -> np.ndarray:
         e.append(s / r)
     values = np.empty(arr.shape[:-2] + (m + 1,))
     for r, e_r in enumerate(e):
-        values[..., r] = e_r
+        values[..., r] = np.ldexp(e_r, shift * r)
     return values
 
 

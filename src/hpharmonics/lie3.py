@@ -37,6 +37,15 @@ import numpy as np
 from .invariants import _finite, _frozen, _newton_chain, _newton_girard, _real, _refused, _row
 from .invariants import _scalars, elementary_invariants_newton
 
+__all__ = [
+    "MilnorData", "PreconditionError", "PredicateReport", "StructureConstants", "SubsetDescriptor",
+    "check_predicates", "classify_algebra", "classify_sets", "divergence_invariant_tensor",
+    "first_variation_fd", "grad_norm_sq", "horizontal_tension", "in_h1", "in_h2",
+    "in_skyrmion_locus", "in_z1", "in_z2", "is_eigendirection", "tension_assembled", "tension_t1",
+    "tension_t2", "vertical_cauchy_green", "vertical_invariants", "vertical_newton_1",
+    "vertical_newton_2", "wedge_norm_sq",
+]
+
 _TINY = 1e-300
 _BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
 _EYE3 = np.eye(3)

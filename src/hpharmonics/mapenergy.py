@@ -56,6 +56,12 @@ from numpy.linalg import _umath_linalg
 from .invariants import MAX_DIM, _check_order, _finite, _frozen, _real, _refused, _row, _scalars
 from .invariants import elementary_invariants_minors
 
+__all__ = [
+    "DensityReport", "InvalidMetricError", "PointData", "UnsupportedDimensionError",
+    "cauchy_green", "conformal_scaling_residual", "density_report", "gram_invariants",
+    "majorisation_gap", "r_conformal_check", "stretch_eigenvalues",
+]
+
 
 #: Relative tolerance of :func:`r_conformal_check`.
 _CONFORMAL_TOL = 1e-9

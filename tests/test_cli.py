@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import hpharmonics.lie3 as lie3
-from hpharmonics import cli, mapenergy, verify
+from hpharmonics import cli, invariants, mapenergy, verify
 
 
 def _run(capsys, argv):
@@ -697,6 +698,60 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     assert code == 1
     for name in ("cauchy_green_gram_oracle", "codomain_homogeneity", "rank_vanishing"):
         assert f"FAIL {name}" in out
+
+
+def _with_nan(value):
+    # ``value`` with its last entry NaN; a density report with its last invariant NaN.
+    if isinstance(value, mapenergy.DensityReport):
+        return dataclasses.replace(value, eps=_with_nan(value.eps))
+    value = np.array(value, dtype=float)
+    value.flat[-1] = np.nan
+    return value
+
+
+def _plant_nan(monkeypatch, module, name):
+    true_fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: _with_nan(true_fn(*args)))
+
+
+# Each residual property and one shipped function it reads.
+NAN_PLANTS = (
+    (verify.check_invariant_oracles, invariants, "elementary_invariants_newton"),
+    (verify.check_cayley_hamilton, invariants, "cayley_hamilton_residual"),
+    (verify.check_newton_trace, invariants, "elementary_invariants_newton"),
+    (verify.check_shift_scaling, invariants, "check_shift_identity"),
+    (verify.check_derivative_fd, invariants, "invariant_derivative"),
+    (verify.check_cauchy_green_gram, mapenergy, "stretch_eigenvalues"),
+    (verify.check_metric_homogeneity, mapenergy, "density_report"),
+    (verify.check_conformal_invariance, mapenergy, "conformal_scaling_residual"),
+    (verify.check_majorisation, mapenergy, "majorisation_gap"),
+    (verify.check_wedge_gram, lie3, "wedge_norm_sq"),
+    (verify.check_divergence_oracles, lie3, "divergence_invariant_tensor"),
+    (verify.check_tension_oracles, lie3, "tension_t1"),
+    (verify.check_sphere_multiplier, lie3, "tension_t1"),
+    (verify.check_first_variation, lie3, "first_variation_fd"),
+    (verify.check_harmonic_map_cases, lie3, "horizontal_tension"),
+    (verify.check_horizontal_oracle, lie3, "horizontal_tension"),
+)
+
+
+@pytest.mark.parametrize(
+    ("check", "module", "name"), NAN_PLANTS, ids=[check.__name__ for check, *_ in NAN_PLANTS]
+)
+def test_verify_fails_a_nan_residual(monkeypatch, check, module, name):
+    # One NaN entry in what a property reads is its worst residual, not a 0.
+    _plant_nan(monkeypatch, module, name)
+    result = check(np.random.default_rng(42), dict(verify.BATTERY)[check])
+    assert result.passed is False
+    assert math.isnan(result.residual)
+    assert "residual nan" in result.line()
+
+
+def test_verify_exits_one_on_a_nan_residual(monkeypatch, capsys):
+    _plant_nan(monkeypatch, invariants, "elementary_invariants_newton")
+    code, out, _ = _run(capsys, ["verify", "--seed", "42", "--trials", "3"])
+    assert code == 1
+    assert "FAIL invariant_oracle_equivalence: residual nan" in out
 
 
 def test_verify_keeps_numpy_warnings(monkeypatch):

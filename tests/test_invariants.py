@@ -33,6 +33,17 @@ def test_rotation_generator():
     np.testing.assert_allclose(elementary_invariants_newton(a), [1.0, 0.0, 1.0])
 
 
+def test_power_traces_are_scaled_before_they_can_overflow():
+    # trace(A^2) of diag(1e200, 0) is 1e400, but e_1 = 1e200 and e_2 = 0.
+    expected = [1.0, 1e200, 0.0]
+    np.testing.assert_array_equal(elementary_invariants_newton(np.diag([1e200, 0.0])), expected)
+    # Scaling A by 2^k scales e_r by 2^(k r), bit for bit.
+    a = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 5, 5))
+    for k in (-150, 3, 150):
+        expected = np.ldexp(elementary_invariants_newton(a), k * np.arange(6))
+        np.testing.assert_array_equal(elementary_invariants_newton(np.ldexp(a, k)), expected)
+
+
 def test_dimension_cap_boundary():
     # m = 8 is the largest supported dimension (255 principal minors)
     np.testing.assert_allclose(

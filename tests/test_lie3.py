@@ -606,8 +606,8 @@ def test_first_variation_refusal_names_the_caller_row():
     cases = (
         # The degree-1 density and the tension overflow; the tension refuses first.
         ((2e155, 1e155, -1e155), 1, "the degree-1 vertical tension{} overflows the float range"),
-        # Flat, so the tension is 0, but e_2's power traces overflow.
-        ((1e150, 1e150, 0.0), 2, "the degree-2 bending density{} overflows the float range"),
+        # The degree-2 tension overflows and refuses first.
+        ((2e80, 1e80, -1e80), 2, "the degree-2 vertical tension{} overflows the float range"),
     )
     for huge, r, message in cases:
         with pytest.raises(ValueError, match=f"^{message.format('')}$"):
@@ -627,6 +627,9 @@ def test_first_variation_reads_its_own_degree_alone():
     assert np.isfinite(tension_t1(md, sigma)).all()
     value = first_variation_fd(md, sigma, zeta, 1)
     assert type(value) is float and np.isfinite(value)
+    # Flat, so e_2 of a vertical Gram matrix of about 1e300 is exactly 0: its
+    # power traces stay finite because the recursion scales the matrix first.
+    assert first_variation_fd(classify_algebra((1e150, 1e150, 0.0)), sigma, zeta, 2) == 0.0
 
 
 def test_horizontal_tension_principal_directions():
