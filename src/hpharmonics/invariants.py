@@ -29,7 +29,8 @@ shift and scaling identities give every order from one Newton chain, as an
 The package's input contract lives here, in helpers that ``lie3`` and
 ``mapenergy`` share: complex input is refused, not cast, non-finite input is
 refused naming the first bad row of a stack ("matrix row 3 has ..."), and so
-is a result that leaves the float range.
+is a result that leaves the float range.  So is the tolerance policy ``TOL``
+of every verdict that treats a quantity as zero.
 """
 
 from __future__ import annotations
@@ -41,13 +42,17 @@ import math
 import numpy as np
 
 __all__ = [
-    "MAX_DIM", "cayley_hamilton_residual", "check_scaling_identity", "check_shift_identity",
+    "MAX_DIM", "TOL", "cayley_hamilton_residual", "check_scaling_identity", "check_shift_identity",
     "elementary_invariants_minors", "elementary_invariants_newton", "invariant_derivative",
     "newton_endomorphisms",
 ]
 
 #: Dimension cap keeping the 2^m principal-minor oracle trivially cheap.
 MAX_DIM = 8
+
+#: Tolerance policy of every verdict: a quantity counts as zero when it is
+#: at most ``TOL`` times its scale.
+TOL = 1e-9
 
 
 def _row(ok: np.ndarray) -> str:
@@ -73,6 +78,20 @@ def _finite(values, name: str, axes: int, problem="has non-finite entries", erro
     if 0 in flags.tobytes():
         raise error(f"{name}{_row(flags.all(axis=tuple(range(-axes, 0))))} {problem}")
     return values
+
+
+def _positive(values, name: str, problem=lambda x: None) -> np.ndarray:
+    # ``values`` as a float array whose entries are positive finite reals that
+    # ``problem`` (a message, or None) passes; the first entry that is not is
+    # refused naming its row.
+    arr = _real(values, name)
+    for k, x in enumerate(arr.ravel().tolist()):
+        if not 0.0 < x < math.inf:
+            fault = f"must be {'positive' if x <= 0.0 else 'finite'}, got {x}"
+        elif not (fault := problem(x)):
+            continue
+        raise ValueError(f"{name}{_row(np.arange(arr.size).reshape(arr.shape) != k)} {fault}")
+    return arr
 
 
 def _refused(form, name: str, axes: int):

@@ -34,8 +34,8 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .invariants import _finite, _frozen, _newton_chain, _newton_girard, _real, _refused, _row
-from .invariants import _scalars, elementary_invariants_newton
+from .invariants import TOL, _finite, _frozen, _newton_chain, _newton_girard, _positive, _real
+from .invariants import _refused, _row, _scalars, elementary_invariants_newton
 
 __all__ = [
     "MilnorData", "PreconditionError", "PredicateReport", "StructureConstants", "SubsetDescriptor",
@@ -57,9 +57,6 @@ _PREV_NEXT = np.array([2, 0, 1, 1, 2, 0])
 # e_a x e_b = eps_abk e_k: k = _THIRD[a, b] (3 - a - b for a != b), eps_abk = _EPS[a, b].
 _THIRD, _EPS = (3 - _DIAG[:, None] - _DIAG) % 3, np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0.0]])
 
-#: Tolerance policy of every verdict: a quantity counts as zero when it is
-#: at most ``TOL`` times its scale (see :func:`_negligible`).
-TOL = 1e-9
 #: Step of the central difference in :func:`first_variation_fd`.
 _FD_STEP = 1e-5
 
@@ -428,16 +425,8 @@ def in_skyrmion_locus(md: MilnorData, sigma, coupling):
     when the same two entries of mu^2 do: the locus is H1 (:func:`in_h1`).
     Deciding it on d itself would mix degrees 2 and 4 in lambda.
     """
-    _require_coupling(coupling)
+    _positive(coupling, "coupling")
     return in_h1(md, sigma)
-
-
-def _require_coupling(coupling) -> None:
-    values = _real(coupling, "coupling")
-    if not all(0.0 < c < math.inf for c in values.ravel().tolist()):
-        ok = (0.0 < values) & (values < math.inf)
-        got = coupling if values.ndim == 0 else values.ravel()[np.argmin(ok)]
-        raise ValueError(f"coupling{_row(ok)} must be positive, got {got}")
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -683,7 +672,7 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
-    _require_coupling(coupling)
+    _positive(coupling, "coupling")
     # One gather, one membership test: Z_r, H_r, H1 (the skyrmion locus), map.
     verdicts = _member(_VERDICTS, (md.mu_pattern, md.lam_ties, r - 1, slice(None)), arr)
     # One field: four Python bools; a stack: four bool arrays.

@@ -54,25 +54,21 @@ through ``np.linalg`` as its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from math import comb
+from functools import cached_property
+from math import comb, inf
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .invariants import MAX_DIM, _check_order, _finite, _frozen, _real, _refused, _row, _scalars
-from .invariants import elementary_invariants_minors
+from .invariants import MAX_DIM, TOL, _check_order, _finite, _frozen, _positive, _real, _refused
+from .invariants import _row, _scalars, elementary_invariants_minors
 
 __all__ = [
     "DensityReport", "InvalidMetricError", "PointData", "UnsupportedDimensionError",
     "cauchy_green", "conformal_scaling_residual", "density_report", "gram_invariants",
     "majorisation_gap", "r_conformal_check", "stretch_eigenvalues",
 ]
-
-
-#: Relative tolerance of :func:`r_conformal_check`.
-_CONFORMAL_TOL = 1e-9
 
 
 # np.linalg's LAPACK gufuncs, unwrapped: a row that fails is NaN and sets the invalid flag.
@@ -97,14 +93,6 @@ class InvalidMetricError(ValueError):
 
 class UnsupportedDimensionError(ValueError):
     """The operation requires an even domain dimension."""
-
-
-@lru_cache(maxsize=None)  # a few (m, dtype) keys, m <= MAX_DIM
-def _eye(m: int, dtype: type) -> np.ndarray:
-    # np.eye(m, dtype=dtype), built once and shared read-only.
-    eye = np.eye(m, dtype=dtype)
-    eye.flags.writeable = False
-    return eye
 
 
 def _check_metric(g, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -294,13 +282,13 @@ class DensityReport:
             # chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T for every
             # r at once: column i of ``values`` is w with w_i set to 0.  chi_m
             # vanishes exactly, since each e_m(w without w_i) is 0.
-            values = np.where(_eye(m, bool), 0.0, spec.w[..., None])
+            values = np.where(np.eye(m, dtype=bool), 0.0, spec.w[..., None])
             leave_one_out = _product_invariants(values)
             left = point._inv_domain_factor.mT @ q
             right = (point._domain_factor @ q).mT
             scaled_left = left[..., None, :, :] * leave_one_out[..., :, None, :]
             newton = scaled_left @ right[..., None, :, :]
-            newton[..., 0, :, :] = _eye(m, float)
+            newton[..., 0, :, :] = np.eye(m)
             return newton
 
         return _refused(form, "the stack of Newton tensors", 3)
@@ -377,13 +365,14 @@ def r_conformal_check(point: PointData, r: int):
     """Pointwise r-conformality test: a bool, or a (...) bool array.
 
     True when the squared stretches are all equal within a relative spread
-    of 1e-9 (a conformal point), or when fewer than r of them exceed 1e-9
-    times the largest (the rank of the differential is below r).
+    of ``TOL`` = 1e-9 (a conformal point), or when fewer than r of them
+    exceed ``TOL`` times the largest (the rank of the differential is below
+    r): the tolerance policy of every ``lie3`` verdict.
     """
     _check_order(r, point.m)
     ev = point._spectrum.w
     low, rth, top = ev[..., 0][()], ev[..., -r][()], ev[..., -1][()]  # scalars for one point
-    floor = _CONFORMAL_TOL * top
+    floor = TOL * top
     # ev ascends, so fewer than r stretches exceed the floor exactly when
     # the r-th largest does not (which covers a top stretch <= 0 too).
     return _scalars((top - low <= floor) | (rth <= floor))
@@ -391,27 +380,25 @@ def r_conformal_check(point: PointData, r: int):
 
 def _scale_powers(rho, r: int) -> tuple[np.ndarray, np.ndarray]:
     # (rho^2, rho^(2r)) for each scale factor, each power taken in Python
-    # float arithmetic (C pow) as for a scalar rho.  A factor that is not
-    # positive, or whose powers leave the float range, is refused.
-    rho = _real(rho, "scale factor")
+    # float arithmetic (C pow) as for a scalar rho.  A factor that is not a
+    # positive finite real, or whose powers leave the float range, is refused;
+    # the powers of each factor that passes are kept as it is checked.
     squares, tops = [], []
-    for x in rho.ravel().tolist():
-        if not 0.0 < x < float("inf"):
-            problem = f"must be positive, got {x}"
-        else:
-            try:
-                square, top = x**2, x ** (2 * r)
-            except OverflowError:
-                square = top = float("inf")
-            if 0.0 < square < float("inf") and 0.0 < top < float("inf"):
-                squares.append(square)
-                tops.append(top)
-                continue
-            powers = "rho^2" if r == 1 else f"rho^2 and rho^{2 * r}"
-            problem = f"{x!r} is out of range: {powers} must be finite and nonzero"
-        ok = np.arange(rho.size).reshape(rho.shape) != len(squares)
-        raise ValueError(f"scale factor{_row(ok)} {problem}")
-    return np.array(squares).reshape(rho.shape), np.array(tops).reshape(rho.shape)
+
+    def out_of_range(x: float):
+        try:
+            square, top = x**2, x ** (2 * r)
+        except OverflowError:
+            square = top = inf
+        if 0.0 < square < inf and 0.0 < top < inf:
+            squares.append(square)
+            tops.append(top)
+            return None
+        powers = "rho^2" if r == 1 else f"rho^2 and rho^{2 * r}"
+        return f"{x!r} is out of range: {powers} must be finite and nonzero"
+
+    shape = _positive(rho, "scale factor", out_of_range).shape
+    return np.array(squares).reshape(shape), np.array(tops).reshape(shape)
 
 
 def conformal_scaling_residual(point: PointData, rho, r: int):

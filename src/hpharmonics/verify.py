@@ -26,23 +26,22 @@ import numpy as np
 
 from . import invariants, lie3, mapenergy
 
-#: One structure-constant triple per algebra class and degenerate branch.
-CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = (
-    (0.0, 0.0, 0.0),  # abelian
-    (1.0, 0.0, 0.0),  # nil
-    (1.0, 0.0, -1.0),  # e11, l1 = -l3 (degenerate Ricci)
-    (2.0, 0.0, -1.0),  # e11 generic
-    (1.0, 1.0, 0.0),  # e2, flat
-    (2.0, 1.0, 0.0),  # e2 generic
-    (1.0, 1.0, -1.0),  # sl2, l1 = l2
-    (2.0, 1.0, -1.0),  # sl2, l1 = l2 - l3
-    (3.0, 1.0, -1.0),  # sl2 generic
-    (1.0, 1.0, 1.0),  # su2 round
-    (2.0, 1.0, 1.0),  # su2, l2 = l3 = l1/2
-    (3.0, 1.0, 1.0),  # su2, l2 = l3
-    (2.0, 2.0, 1.0),  # su2, l1 = l2
-    (4.0, 1.0, 1.0),  # su2, l2 = l3, wider gap
-)
+
+def golden_classification() -> dict[tuple[float, float, float], dict]:
+    """Expected classification of every representative, keyed by the triple.
+
+    Read from the packaged ``data/classification_golden.json``; each value
+    holds ``algebra_class``, ``flat`` and the ``to_json()`` form of the
+    descriptors H1..H3 and Z1..Z3.
+    """
+    path = resources.files(__package__) / "data" / "classification_golden.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    return {tuple(float(v) for v in key.split(",")): entry for key, entry in golden.items()}
+
+
+#: One structure-constant triple per algebra class and degenerate branch: the
+#: keys of the golden file, in its order, which every seed's draws index.
+CLASS_REPRESENTATIVES: tuple[tuple[float, float, float], ...] = tuple(golden_classification())
 
 # Read-only arrays that the draw helpers index.
 _REPRESENTATIVES, _EYE3 = np.array(CLASS_REPRESENTATIVES), np.eye(3)
@@ -60,18 +59,6 @@ ONE_PER_CLASS: tuple[tuple[float, float, float], ...] = (
 )
 _ONE_PER_CLASS = np.array(ONE_PER_CLASS)  # read-only rows that check_tension_oracles scales
 _ONE_PER_CLASS.flags.writeable = False
-
-
-def golden_classification() -> dict[tuple[float, float, float], dict]:
-    """Expected classification of every representative, keyed by the triple.
-
-    Read from the packaged ``data/classification_golden.json``; each value
-    holds ``algebra_class``, ``flat`` and the ``to_json()`` form of the
-    descriptors H1..H3 and Z1..Z3.
-    """
-    path = resources.files(__package__) / "data" / "classification_golden.json"
-    golden = json.loads(path.read_text(encoding="utf-8"))
-    return {tuple(float(v) for v in key.split(",")): entry for key, entry in golden.items()}
 
 
 @dataclass(frozen=True)

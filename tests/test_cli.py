@@ -226,6 +226,12 @@ def test_check_skyrmion_any_coupling(capsys):
             ],
         )
         assert code == 0
+    # A coupling that is not a positive finite real is refused by that name.
+    argv = ["check", "--lambda", "2,1,1", "--sigma", "0,0.6,0.8", "--r", "2", "--kind", "skyrmion"]
+    for coupling, problem in (("inf", "finite"), ("nan", "finite"), ("-1", "positive")):
+        code, out, err = _run(capsys, argv + [f"--coupling={coupling}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: coupling must be {problem}, got {float(coupling)}\n"
 
 
 def test_check_sigma_follows_input_order(capsys):

@@ -11,12 +11,13 @@ import re
 import numpy as np
 import pytest
 
-from hpharmonics import invariants, lie3
+from hpharmonics import invariants, lie3, mapenergy
 
 MD = lie3.classify_algebra((2.0, 1.0, -1.0))
 # mu^2 overflows at this scale.
 BIG = lie3.classify_algebra(np.array([2.0, 1.0, -1.0]) * 1e200)
 SIGMA = np.array([0.6, 0.0, 0.8])
+POINTS = mapenergy.PointData(*[np.array([np.eye(2)] * 2)] * 3)
 
 CASES = {
     "complex lambda": (
@@ -125,6 +126,20 @@ CASES = {
     "non-positive coupling row": (
         lambda: lie3.in_skyrmion_locus(MD, np.array([SIGMA] * 3), np.array([0.5, -1.0, 0.0])),
         "coupling row 1 must be positive, got -1.0",
+    ),
+    # One positivity rule for the coupling and the scale factor: inf and nan
+    # are refused as not finite, every value <= 0 as not positive.
+    "infinite coupling": (
+        lambda: lie3.check_predicates(MD, SIGMA, 1, coupling=np.inf),
+        "coupling must be finite, got inf",
+    ),
+    "nan coupling row": (
+        lambda: lie3.in_skyrmion_locus(MD, np.array([SIGMA] * 3), np.array([0.5, np.nan, -1.0])),
+        "coupling row 1 must be finite, got nan",
+    ),
+    "nan scale factor row": (
+        lambda: mapenergy.conformal_scaling_residual(POINTS, [2.0, np.nan], 1),
+        "scale factor row 1 must be finite, got nan",
     ),
 }
 

@@ -2,6 +2,7 @@
 and must give, row by row, exactly what a call on that row alone gives."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpharmonics import invariants, lie3, mapenergy, verify
+from hpharmonics import lie3, mapenergy, verify
 from hpharmonics.lie3 import MilnorData, SubsetDescriptor
 
 E = np.eye(3)
@@ -137,23 +138,11 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
                 for k in range(len(rows))
             ]
             _assert_rows_match(fn, args, row_args)
-        # The degree-3 horizontal engine on the rows in H1.
+        # The degree-3 horizontal engine on the rows in H1.  check_predicates'
+        # stacks are checked against its rows by _check_verdicts.
         on = np.flatnonzero(lie3.in_h1(md, sigma))
         row_args = [(structure[k], sigma[k], 3) for k in on]
         _assert_rows_match(lie3._frame_horizontal, (structure[on], sigma[on], 3), row_args)
-
-        # check_predicates: a row reported as None is nan in the stack.
-        verdicts = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
-        values = (("vertical_tension", [np.nan] * 3), ("horizontal_tension", [np.nan] * 3))
-        values += (("vertical_energy", np.nan),)
-        for r in (1, 2, 3):
-            report = lie3.check_predicates(md, sigma, r, coupling=0.5)
-            singles = [lie3.check_predicates(rw, s, r, coupling=0.5) for rw, s in zip(rows, sigma)]
-            for name in verdicts:
-                assert getattr(report, name).tolist() == [getattr(x, name) for x in singles]
-            for name, nan in values:
-                expected = [nan if getattr(x, name) is None else getattr(x, name) for x in singles]
-                assert _bits(getattr(report, name)) == _bits(expected), (name, r)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +262,10 @@ def test_normalize_row_matches_the_list_form_bitwise(row):
 
 
 # ---------------------------------------------------------------------------
-# the locus rules against frozen copies: membership in descriptors read off
-# masks that numpy computes from the unit-scale geometry
+# the locus rules against frozen copies: membership, by member weights, in
+# descriptors read off masks that plain floats compute from the unit-scale
+# geometry; and the fields check_predicates reports against the public
+# functions it reports
 # ---------------------------------------------------------------------------
 
 
@@ -290,83 +281,30 @@ def _frozen_eigendirections(values):
 
 def _frozen_loci(md):
     # The frozen classify_sets, with the harmonic-map locus of r = 1, 2 from
-    # the ties of lam / 2^e.
-    loci = _frozen_classify_sets(md)
-    loci["map"] = _frozen_eigendirections(_unit_geometry(md).lam)
-    return loci
+    # the ties of lam / 2^e, the exact rescaling to max |lam| ~ 1.
+    unit = _unit_geometry(md)
+    return dict(_frozen_classify_sets(unit.mu), map=_frozen_eigendirections(unit.lam))
 
 
-def _frozen_contains(descriptor, arr):
-    # Membership by member weights: for some member (PolarSet: its pairs),
-    # every coefficient of weight 1, one it requires to vanish, is at most TOL.
+@functools.cache
+def _member_weights(descriptor):
+    # One row per member (PolarSet: its pairs): weight 1 on each coefficient
+    # that the member requires to vanish.
     members = descriptor.members or (descriptor,)
     members = [p for m in members for p in (lie3._PAIRS if m.kind == "PolarSet" else (m,))]
     weights = [[m.kind != "Sphere" and k not in m.indices for k in (1, 2, 3)] for m in members]
-    weights = np.array([w for w, m in zip(weights, members) if m.kind != "Empty"], float)
-    return np.bool_((np.abs(arr) * weights.reshape(-1, 3) <= lie3.TOL).all(-1).any())
+    weights = [w for w, m in zip(weights, members) if m.kind != "Empty"]
+    return np.array(weights, float).reshape(-1, 3)
 
 
-def _frozen_in(md, arr, key):
-    # Membership in the frozen locus ``key``, row by row.
-    if md.lam.ndim == 1:
-        return _frozen_contains(_frozen_loci(md)[key], arr)
-    rows = [MilnorData.normalize(lam) for lam in md.lam]
-    return np.array([_frozen_contains(_frozen_loci(row)[key], a) for row, a in zip(rows, arr)])
+def _frozen_contains(descriptor, arr):
+    # Membership by member weights: for some member, every coefficient of
+    # weight 1 is at most TOL.
+    return np.bool_((np.abs(arr) * _member_weights(descriptor) <= lie3.TOL).all(-1).any())
 
 
-def _frozen_horizontal(md, arr, r):
-    # mu and K rescaled by np.frexp of max |mu| on every call.
-    cross = lie3._cross
-    e = np.frexp(np.abs(md.mu).max(-1, keepdims=True))[1]
-    mu, sectional = np.ldexp(md.mu, -e), np.ldexp(md.sectional, -2 * e)
-    s1 = mu * arr
-    if r == 1:
-        return np.ldexp(cross(sectional * arr, s1), 3 * e)
-    (delta, c), *second = lie3._newton_parts(md, arr, r - 1)
-    delta = delta + (2.0 if r == 2 else 1.0)
-    for delta2, c2 in second:
-        delta, c = delta + delta2, c + c2
-    c = np.asarray(c)[..., None]
-    out = cross(sectional * arr, delta * s1)
-    s2 = mu * s1
-    bend = cross(s1, sectional * cross(arr, cross(s2, arr)))
-    bent = out + c * (cross(s2, s1) + np.ldexp(bend, 2 * e))
-    if r == 3:
-        bent = np.where(c == 0.0, out, bent)
-    return np.ldexp(bent, 3 * e)
-
-
-def _frozen_report(md, arr, r):
-    h1 = _frozen_in(md, arr, "H1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if r < 3:
-            vertical, energy = lie3._vertical(md, arr, r)
-            parallel = _frozen_in(md, arr, f"Z{r}")
-            harmonic_unit = h1 if r == 1 else h1 | parallel
-            harmonic_map = _frozen_in(md, arr, "map")
-            horizontal = _frozen_horizontal(md, arr, r)
-        else:
-            energy = np.zeros(np.shape(h1))
-            vertical = np.zeros(energy.shape + (3,))
-            parallel = harmonic_unit = h1 | True
-            harmonic_map, horizontal = h1, vertical + np.nan
-            if np.count_nonzero(h1):
-                on = np.asarray(h1)[..., None]
-                horizontal = np.where(on, _frozen_horizontal(md, arr * on, 3), horizontal)
-    scalar = invariants._scalars
-    return (
-        scalar(parallel),
-        scalar(harmonic_unit),
-        scalar(h1),
-        scalar(harmonic_map),
-        lie3._reported(vertical, True),
-        lie3._reported(horizontal, True),
-        lie3._reported(energy, False),
-    )
-
-
-def _frozen_classify_sets(md):
-    unit_mu = _unit_geometry(md).mu
+def _frozen_classify_sets(unit_mu):
+    # The loci from mu of lam / 2^e, as classify_sets gives them.
     mu_zero = _reference_zero_mask(unit_mu.tolist())
     zeros = sum(mu_zero)
     h1 = _frozen_eigendirections(unit_mu**2)
@@ -396,8 +334,62 @@ def _same(got, expected) -> bool:
     return _int_bits([got]) == _int_bits([expected])
 
 
+_RULES = ((lie3.in_z1, "Z1"), (lie3.in_z2, "Z2"), (lie3.in_h1, "H1"), (lie3.in_h2, "H2"),
+          (lambda md, sigma: lie3.in_skyrmion_locus(md, sigma, 0.5), "H1"))
+
+
+def _check_verdicts(draws):
+    """Every locus rule, and every check_predicates verdict at r = 1, 2, 3, on
+    the stack of ``draws`` (lam, raw sigma) and on each row, against
+    membership by member weights in the row's frozen loci.  Returns the
+    rows, their loci, the unit fields and the reports by r: (stack, rows)."""
+    lam = np.array([d[0] for d in draws], dtype=float)
+    raw_sigma = np.array([d[1] for d in draws], dtype=float)
+    sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
+    md = MilnorData.normalize(lam)
+    rows = [MilnorData.normalize(row) for row in lam]
+    loci = [_frozen_loci(row) for row in rows]
+    members = {key: [_frozen_contains(locus[key], s) for locus, s in zip(loci, sigma)]
+               for key in loci[0]}
+    for rule, key in _RULES:
+        assert rule(md, sigma).tolist() == members[key], (key, lam, sigma)
+        singles = [rule(row, s) for row, s in zip(rows, sigma)]
+        assert all(map(_same, singles, members[key])), (key, lam, sigma)
+    reports = {}
+    for r in (1, 2, 3):
+        verdicts = {"r_parallel": f"Z{r}", "r_harmonic_unit": f"H{r}", "twisted_2_skyrmion": "H1",
+                    "r_harmonic_map": "map" if r < 3 else "H1"}
+        stacked = lie3.check_predicates(md, sigma, r)
+        singles = [lie3.check_predicates(row, s, r) for row, s in zip(rows, sigma)]
+        for name, key in verdicts.items():
+            expected = [bool(member) for member in members[key]]
+            assert getattr(stacked, name).tolist() == expected, (name, r, lam, sigma)
+            got = [getattr(x, name) for x in singles]
+            assert got == expected and all(type(v) is bool for v in got), (name, r, lam, sigma)
+        reports[r] = stacked, singles
+    return rows, loci, sigma, reports
+
+
+def _reported_fields(md, sigma, r):
+    # The vertical tension, horizontal tension and vertical energy that
+    # check_predicates reports for one field: each the public function it
+    # reports, or None where that function refuses; at r = 3 the vertical
+    # tension and energy vanish identically.
+    def public(fn, *args):
+        value = _outcome(fn, md, sigma, *args)
+        return None if isinstance(value, type) else value
+
+    if r == 3:
+        vertical, energy = np.zeros(3), 0.0
+    else:
+        vertical = public((lie3.tension_t1, lie3.tension_t2)[r - 1])
+        energy = public((lie3.grad_norm_sq, lie3.wedge_norm_sq)[r - 1])
+    return vertical, public(lie3.horizontal_tension, r), energy
+
+
 _CORNERS = ((1.000001e-6, 1.000000000001, 1.000001), (0.0, 1.0, 1.000000000000341))
 _CORNER_SIGMAS = ((0.6, 0.8, 0.0), (0.0, 0.6, 0.8), (0.6, 0.0, 0.8), (0.0, 0.0, 1.0))
+_FIELDS = ("vertical_tension", "horizontal_tension", "vertical_energy")
 
 
 @settings(max_examples=150)
@@ -405,29 +397,20 @@ _CORNER_SIGMAS = ((0.6, 0.8, 0.0), (0.0, 0.6, 0.8), (0.6, 0.0, 0.8), (0.0, 0.0, 
 @example([(lam, sigma) for lam in _CORNERS for sigma in _CORNER_SIGMAS])
 @example([(tuple(1e-170 * v for v in _CORNERS[1]), (0.6, 0.8, 0.0))])
 def test_rules_match_their_frozen_numpy_forms(draws):
-    lam = np.array([d[0] for d in draws], dtype=float)
-    raw_sigma = np.array([d[1] for d in draws], dtype=float)
-    sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
-    md = MilnorData.normalize(lam)
-    rows = [MilnorData.normalize(row) for row in lam]
-    cases = [(md, sigma)] + list(zip(rows, sigma))
-    for geometry, arr in cases:
-        for rule, frozen in (
-            (lie3.in_h1, lambda g, a: _frozen_in(g, a, "H1")),
-            (lie3.in_z1, lambda g, a: _frozen_in(g, a, "Z1")),
-            (lie3.in_z2, lambda g, a: _frozen_in(g, a, "Z2")),
-            (lambda g, a: lie3.in_skyrmion_locus(g, a, 0.5), lambda g, a: _frozen_in(g, a, "H1")),
-        ):
-            assert _same(rule(geometry, arr), frozen(geometry, arr)), (rule, geometry.lam, arr)
-        for r in (1, 2, 3):
-            report = lie3.check_predicates(geometry, arr, r)
-            got = (report.r_parallel, report.r_harmonic_unit, report.twisted_2_skyrmion)
-            got += (report.r_harmonic_map, report.vertical_tension, report.horizontal_tension)
-            got += (report.vertical_energy,)
-            expected = _frozen_report(geometry, arr, r)
-            assert all(map(_same, got, expected)), (r, geometry.lam, arr, got, expected)
-    for row in rows:
-        assert lie3.classify_sets(row) == _frozen_classify_sets(row), row.lam
+    rows, loci, sigma, reports = _check_verdicts(draws)
+    for row, locus in zip(rows, loci):
+        assert dict(lie3.classify_sets(row), map=locus["map"]) == locus, row.lam
+    # Each reported field is the public function it reports, row by row; a
+    # row of the stack is the single field, nan where that is None.
+    for r, (stacked, singles) in reports.items():
+        expected = [_reported_fields(row, s, r) for row, s in zip(rows, sigma)]
+        for single, want, row in zip(singles, expected, rows):
+            got = tuple(getattr(single, name) for name in _FIELDS)
+            assert all(map(_same, got, want)), (r, row.lam, got, want)
+        for name, column in zip(_FIELDS, zip(*expected)):
+            nan = np.nan if name == "vertical_energy" else [np.nan] * 3
+            rows_of_stack = [nan if value is None else value for value in column]
+            assert _bits(getattr(stacked, name)) == _bits(rows_of_stack), (name, r)
 
 
 # lam_i = mu_j + mu_k from mu with two, or one, entries small against the
@@ -486,12 +469,6 @@ _ZERO_LOCUS_SIGMAS = (
 )
 
 
-def _map_locus(md):
-    # The harmonic-map locus at r = 1, 2: the eigenvectors of diag(lam), read
-    # off the ties of lam / 2^e, the exact rescaling to max |lam| ~ 1.
-    return _frozen_eigendirections(_unit_geometry(md).lam)
-
-
 @settings(max_examples=200)
 @given(st.lists(st.tuples(_ZERO_LOCUS_LAMBDAS, _BAND_SIGMAS), min_size=1, max_size=6))
 @example([(lam, sigma) for lam in _ZERO_LOCUS_CORNERS for sigma in _ZERO_LOCUS_SIGMAS])
@@ -505,44 +482,9 @@ def _map_locus(md):
 )
 def test_zero_locus_rules_are_descriptor_membership(draws):
     # One rule per locus: every locus rule and every check_predicates verdict
-    # is membership in its descriptor, on stacks and rows.  Z1, Z2 and H1, H2
-    # are those of classify_sets; the map locus at r = 1, 2 is built here.
-    lam = np.array([d[0] for d in draws], dtype=float)
-    raw_sigma = np.array([d[1] for d in draws], dtype=float)
-    sigma = raw_sigma / np.sqrt(np.vecdot(raw_sigma, raw_sigma))[:, None]
-    with np.errstate(all="ignore"):
-        md = MilnorData.normalize(lam)
-        rows = [MilnorData.normalize(row) for row in lam]
-        loci = [dict(lie3.classify_sets(row), map=_map_locus(row)) for row in rows]
-
-        def members(key):
-            return [locus[key].contains(s) for locus, s in zip(loci, sigma)]
-
-        rules = [
-            (lie3.in_z1, "Z1"),
-            (lie3.in_z2, "Z2"),
-            (lie3.in_h1, "H1"),
-            (lie3.in_h2, "H2"),
-            (lambda g, s: lie3.in_skyrmion_locus(g, s, 0.5), "H1"),
-        ]
-        for rule, key in rules:
-            expected = members(key)
-            assert rule(md, sigma).tolist() == expected, (key, lam, sigma)
-            for row, s, want in zip(rows, sigma, expected):
-                assert bool(rule(row, s)) is want, (key, row.lam, s)
-        for r in (1, 2, 3):
-            stacked = lie3.check_predicates(md, sigma, r)
-            singles = [lie3.check_predicates(row, s, r) for row, s in zip(rows, sigma)]
-            verdicts = {
-                "r_parallel": f"Z{r}",
-                "r_harmonic_unit": f"H{r}",
-                "twisted_2_skyrmion": "H1",
-                "r_harmonic_map": "map" if r < 3 else "H1",
-            }
-            for name, key in verdicts.items():
-                expected = members(key)
-                assert getattr(stacked, name).tolist() == expected, (name, r, lam, sigma)
-                assert [getattr(x, name) for x in singles] == expected, (name, r, lam, sigma)
+    # is membership in its descriptor, on stacks and rows, for geometries
+    # near the zero and tie strata and fields in the TOL band.
+    _check_verdicts(draws)
 
 
 def test_single_triples_keep_python_scalars():

@@ -456,6 +456,23 @@ def test_conformal_check_rank_two():
     assert r_conformal_check(point, 3)
 
 
+def test_conformal_check_band_edges_are_the_tolerance_policy():
+    # Stretches whose squares are exact floats, and the SVD of a diagonal
+    # Jacobian returns them exactly: a spread, or an r-th largest stretch, of
+    # exactly TOL * top counts as zero, and one ulp more does not.
+    top, low = 1.0013580322265625, 1.0013580317258834
+    assert top * top - low * low == 1e-9 * (top * top)
+    for s, conformal in ((low, True), (np.nextafter(low, 0.0), False)):
+        point = _point(np.diag([s, top]))
+        assert stretch_eigenvalues(point).tolist() == [s * s, top * top]
+        assert r_conformal_check(point, 1) is conformal
+    rth = 3.1622776601683795e-05  # rth^2 is exactly 1e-9
+    for s, low_rank in ((rth, True), (np.nextafter(rth, 1.0), False)):
+        point = _point(np.diag([s, 1.0]))
+        assert stretch_eigenvalues(point).tolist() == [s * s, 1.0]
+        assert r_conformal_check(point, 2) is low_rank
+
+
 def test_majorisation_equality_iff_conformal():
     # equality case: conformal
     assert majorisation_gap(_point(np.eye(4))) == pytest.approx(0.0, abs=1e-12)
