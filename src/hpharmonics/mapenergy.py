@@ -26,15 +26,19 @@ Then
 
     e_r(alpha) = e_r(w),    chi_r(alpha) = L_G^{-T} Q diag(e_r(w without w_i)) Q^T L_G^T,
 
-and each e_r is built by the product recursion e <- e + w_i * shift(e).
-Every w_i is a square, so every term is >= 0 and nothing cancels, however
-ill-conditioned G is.  Taking s from W rather than eigenvalues of its normal
-matrix W^T W keeps the small stretches relatively accurate: each s has an
-absolute error of about u |W| (u the unit roundoff), so w_i has about
-u |W| / s_i relative error, not u |W|^2 / s_i^2 (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 20).  A :class:`DensityReport` forms
-alpha, the right singular vectors Q and the chi_r on first read, so a caller
-that reads only the invariants pays for the singular values alone.
+and each e_r is built by multiplying out prod_i (1 + w_i t) one stretch at a
+time: the i-th stretch updates e_r <- e_r + w_i * e_{r-1} for r = i down to
+1 and nothing above, the triangle of terms that can be nonzero.  A single
+point runs it on Python floats, a stack on arrays over its rows, with the
+same bits.  Every w_i is a square, so every term is >= 0 and nothing
+cancels, however ill-conditioned G is.  Taking s from W rather than
+eigenvalues of its normal matrix W^T W keeps the small stretches relatively
+accurate: each s has an absolute error of about u |W| (u the unit roundoff),
+so w_i has about u |W| / s_i relative error, not u |W|^2 / s_i^2 (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 20).  A
+:class:`DensityReport` forms alpha, the right singular vectors Q and the
+chi_r on first read, so a caller that reads only the invariants pays for the
+singular values alone.
 
 A :class:`PointData` holds one point or a stack of points of one shape:
 Jacobians (..., n, m) with metrics (..., m, m) and (..., n, n) that share
@@ -202,7 +206,7 @@ class _Spectrum(NamedTuple):
 
 def _stretches(inv_low: np.ndarray, framed: np.ndarray) -> _Spectrum:
     # Whiten L_H^T J by L_G^{-1}, take the singular values s of W alone and
-    # build the invariants of w = s^2 by the product recursion.  When n < m,
+    # build the invariants of w = s^2 by _product_invariants.  When n < m,
     # W has n singular values and the m - n missing stretches are exact zeros.
     # Callers ignore overflow and invalid values: a W or an s^2 that leaves
     # the float range, or an SVD that does not converge, is refused here.
@@ -237,16 +241,26 @@ def _right_vectors(whitened: np.ndarray) -> np.ndarray:
 
 def _product_invariants(values: np.ndarray) -> np.ndarray:
     # Elementary symmetric functions (e_0, ..., e_m) of each column of the
-    # (..., m, k) ``values``, as (..., m+1, k): multiply out
-    # prod_j (1 + v_j t) one factor at a time, e <- e + v_j * shift(e).
-    m = values.shape[-2]
-    e = np.zeros(values.shape[:-2] + (m + 1, values.shape[-1]))
-    e[..., 0, :] = 1.0
-    lo, hi = e[..., :-1, :], e[..., 1:, :]
-    term = np.empty_like(lo)
-    for j in range(m):
-        hi += np.multiply(values[..., j, None, :], lo, out=term)
-    return e
+    # (..., m, k) ``values``, as (..., m+1, k): multiply out prod_j (1 + v_j t)
+    # one factor at a time.  Factor j (from 0) opens e_{j+1} = v_j * e_j and
+    # updates e_r <- e_r + v_j * e_{r-1} for r = j down to 1; a term above
+    # that triangle would add v_j * 0.0 to 0.0, as every v_j is finite and
+    # >= 0.  One point runs each column on Python floats, a stack each v_j as
+    # an array over its rows: both round each product and each sum once,
+    # unfused, so a row's bits do not depend on the carrier.
+    def expand(stretches, one):
+        e = [one]
+        for v in stretches:
+            e.append(v * e[-1])
+            for r in range(len(e) - 2, 0, -1):
+                e[r] += v * e[r - 1]
+        return e
+
+    if values.ndim == 2:
+        return np.array([expand(column, 1.0) for column in values.T.tolist()]).T
+    # swapaxes(0, -2) is its own inverse; the copy keeps each v_j contiguous.
+    stretches = values.swapaxes(0, -2).copy()
+    return np.array(expand(stretches, np.ones(stretches.shape[1:]))).swapaxes(0, -2)
 
 
 @dataclass(frozen=True)

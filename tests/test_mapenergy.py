@@ -9,7 +9,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from hpharmonics import cli, mapenergy
-from hpharmonics.invariants import elementary_invariants_newton, newton_endomorphisms
+from hpharmonics.invariants import MAX_DIM, elementary_invariants_newton, newton_endomorphisms
 from hpharmonics.mapenergy import (
     InvalidMetricError,
     PointData,
@@ -107,6 +107,58 @@ def test_ill_conditioned_metric_exact_invariants():
     for r in range(5):
         exact = sum((prod(c) for c in combinations(stretches, r)), Fraction(0))
         assert abs(Fraction(eps[r]) - exact) <= Fraction(1, 10**7) * exact
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DIM + 1))
+def test_dyadic_stretches_give_exact_invariants(m):
+    # A diagonal J with entries in {0, 1/2, 1, 2} and G = H = I: W = J, and
+    # LAPACK returns its singular values exactly, since they differ by powers
+    # of two.  Every product and sum of the recursion is then exact too (each
+    # e_r needs fewer than 53 bits), so one point's eps, run on Python floats,
+    # and each row of a stack, run on arrays, equal the rational e_r, with
+    # m - n zero stretches when n < m.
+    dyadic = (0.5, 1.0, 2.0, 0.0)
+    for n in (m - 1, m):
+        jacobians = np.zeros((3, n, m))
+        for k, jac in enumerate(jacobians):
+            jac[range(n), range(n)] = [dyadic[(i * (k + 1) + k) % 4] for i in range(n)]
+        rows = density_report(PointData(jacobians, _eyes(3, m), _eyes(3, n))).eps
+        for k, jac in enumerate(jacobians):
+            stretches = [Fraction(x) ** 2 for x in np.diagonal(jac)] + [Fraction(0)] * (m - n)
+            exact = [sum(map(prod, combinations(stretches, r)), Fraction(0)) for r in range(m + 1)]
+            alone = density_report(PointData(jac, np.eye(m), np.eye(n))).eps
+            assert [Fraction(x) for x in alone] == exact, (n, k)
+            assert [Fraction(x) for x in rows[k]] == exact, (n, k)
+
+
+def _eyes(rows, m):
+    return np.tile(np.eye(m), (rows, 1, 1))
+
+
+def _full_width_products(values):
+    # Reference: each factor updates every e_r at once, e[1:] += v_j * e[:-1],
+    # also the terms v_j * 0.0 above the triangle that _product_invariants skips.
+    e = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1]))
+    e[..., 0, :] = 1.0
+    for j in range(values.shape[-2]):
+        e[..., 1:, :] = e[..., 1:, :] + values[..., j, None, :] * e[..., :-1, :]
+    return e
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DIM + 1))
+def test_product_invariants_match_the_full_width_recursion_bitwise(m):
+    # The triangular recursion, on one point's Python floats and on a stack's
+    # arrays, gives the bits of the full-width one for the stretches (a column)
+    # and for Newton's leave-one-out columns, with padded zeros first.
+    rng = np.random.default_rng(m)
+    w = np.sort(rng.uniform(0.0, 2.0, size=(2, 3, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, 3, m)))
+    w[0, 1, : (m + 1) // 2] = 0.0
+    for values in (w[..., None], np.where(np.eye(m, dtype=bool), 0.0, w[..., None])):
+        grid = mapenergy._product_invariants(values)
+        assert np.ascontiguousarray(grid).tobytes() == _full_width_products(values).tobytes()
+        for index in np.ndindex(w.shape[:-1]):
+            alone = mapenergy._product_invariants(values[index])
+            assert alone.tobytes() == np.ascontiguousarray(grid[index]).tobytes()
 
 
 def _exact(a):
@@ -219,6 +271,31 @@ def test_overflowing_invariants_refuse_the_gap_and_newton_tensors_by_name():
     doc = cli._density_doc((np.eye(2), 1e-300 * np.eye(2), np.eye(2)), 1)
     assert doc["majorisation_gap"] is None and doc["newton"] is None
     assert doc["eps"][:2] == [1.0, report.eps[1]] and doc["volume_density"] == np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m, scale, first_inf", [(4, 1e60, 3), (8, 1e40, 4)])
+def test_overflowing_top_invariant_is_inf_on_one_point(m, scale, first_inf):
+    # J = scale * I: the squared stretches are finite, but e_r overflows from
+    # r = first_inf on.  One point's recursion runs on Python floats, whose
+    # product gives inf without raising, so its eps holds inf where a stack
+    # row does, bit for bit; the gap and the Newton tensors (whose
+    # leave-one-out e_{m-1} overflows too) are still refused by name.
+    eye = np.eye(m)
+    point = PointData(scale * eye, eye, eye)
+    eps = density_report(point).eps
+    assert np.isinf(eps).tolist() == [r >= first_inf for r in range(m + 1)]
+    assert eps[1] == pytest.approx(m * scale**2)
+    stack = PointData(np.array([eye, scale * eye]), _eyes(2, m), _eyes(2, m))
+    assert density_report(stack).eps[1].tobytes() == eps.tobytes()
+    with pytest.raises(ValueError, match="^the majorisation gap overflows the float range$"):
+        majorisation_gap(point)
+    with pytest.raises(ValueError, match="^the stack of Newton tensors overflows the float range$"):
+        density_report(point).newton
+    with pytest.raises(ValueError, match="^the majorisation gap row 1 overflows the float range$"):
+        majorisation_gap(stack)
+    with pytest.raises(ValueError, match="^the stack of Newton tensors row 1 overflows"):
+        density_report(stack).newton
 
 
 def test_one_eigendecomposition_per_point(monkeypatch):
