@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -62,18 +62,11 @@ _FD_STEP = 1e-5
 
 #: Ricci kernel dimension by the number of vanishing mu_i: rho_i = 2 mu_j mu_k
 #: vanishes for both i != k when mu_k does, and every rho_i when two mu do.
-_KERNEL_BY_ZERO_MU = (0, 2, 3, 3)
+_KERNEL_BY_ZERO_MU = np.array([0, 2, 3, 3])
 
-#: Algebra class labels keyed by (number of positive, number of negative)
-#: structure constants after sign normalization.
-_CLASS_BY_SIGNS = {
-    (0, 0): "abelian",
-    (1, 0): "nil",
-    (1, 1): "e11",
-    (2, 0): "e2",
-    (2, 1): "sl2",
-    (3, 0): "su2",
-}
+#: Algebra class labels by (number of positive, number of negative)
+#: structure constants after sign normalization, which leaves at most one negative.
+_CLASS_BY_SIGNS = np.array([["abelian", ""], ["nil", "e11"], ["e2", "sl2"], ["su2", ""]])
 
 
 class PreconditionError(ValueError):
@@ -118,25 +111,51 @@ def _unit_triple(sigma) -> np.ndarray:
     return arr
 
 
-def _normalize_row(vals: list) -> tuple:
-    # One raw triple of floats, flipped and sorted, and every fact of it that
-    # depends on lam alone (see MilnorData): lam, mu, rho, K and the rows of
-    # ``scaled`` as 18 floats, then the class, kernel dimension, order, flip,
-    # f, pattern and the tie mask of lam.  Plain float arithmetic, which
-    # rounds as numpy does; the half-sums use sum(), which compensates from
-    # 3.12 on.  Conditional expressions pick what max() would, at a fraction
-    # of its cost; mu ascends, so max |mu_i| is max(-mu_1, mu_3).
-    a, b, c = vals
-    top, e = math.frexp(max(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
-    ua, ub, uc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+def _normalize_row(a, b, c, frexp, ldexp, pick, max3, sort3) -> tuple:
+    # One raw triple, flipped and sorted, and every fact of it that depends on
+    # lam alone (see MilnorData): lam, mu, rho, K and ``scaled`` as 18 numbers,
+    # the sign counts, zero-mu count, order, flip, f, pattern and tie mask of
+    # lam.  Its carrier, Python floats (_FLOATS) or numpy columns (_COLUMNS),
+    # supplies frexp, ldexp, a pick, max of three and a stable descending sort,
+    # each rounding as numpy does.  Half-sums are plain (sum() compensates from
+    # 3.12 on); counts start at 1 * flag, as bool + bool is an or on arrays.
+    top, e = frexp(max3(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
+    ua, ub, uc = ldexp(a, -e), ldexp(b, -e), ldexp(c, -e)
     cut = TOL * top  # entries within it count as zero, differences as ties
-    npos = (ua > cut) + (ub > cut) + (uc > cut)
-    nneg = (ua < -cut) + (ub < -cut) + (uc < -cut)
+    npos = 1 * (ua > cut) + (ub > cut) + (uc > cut)
+    nneg = 1 * (ua < -cut) + (ub < -cut) + (uc < -cut)
     flip = nneg > npos
-    if flip:
-        a, b, c, ua, ub, uc, npos, nneg = -a, -b, -c, -ua, -ub, -uc, nneg, npos
-    # Descending by value, with each unit value and input slot, by insertion:
-    # the sort is stable, so ties keep input order.
+    s = pick(flip, -1.0, 1.0)
+    signs = pick(flip, nneg, npos), pick(flip, npos, nneg)
+    (l0, l1, l2), (u0, u1, u2), order = sort3(s * a, s * b, s * c, s * ua, s * ub, s * uc)
+    # The tie mask of unit lam, its flags as those of mu^2 below; u0 >= u1 >= u2.
+    ties = 4 * (u1 - u2 <= cut) + 2 * (u0 - u2 <= cut) + (u0 - u1 <= cut)
+    half = 0.5 * ((l0 + l1) + l2)
+    m0, m1, m2 = half - l0, half - l1, half - l2
+    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
+    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
+    half = 0.5 * ((u0 + u1) + u2)
+    n0, n1, n2 = half - u0, half - u1, half - u2
+    top = pick(-n0 > n2, -n0, n2)  # mu ascends, so max |mu_i| = max(-mu_1, mu_3)
+    cut = TOL * top
+    z0, z1, z2 = abs(n0) <= cut, abs(n1) <= cut, abs(n2) <= cut
+    s0, s1, s2 = n0 * n0, n1 * n1, n2 * n2
+    cut = TOL * (top * top)  # max s_i
+    # The zero mask of unit mu, then its tie mask (flag k: the two s_i other
+    # than s_k coincide), read as one 6-bit number, first flag highest.
+    pattern = 32 * z0 + 16 * z1 + 8 * z2 + 4 * (abs(s1 - s2) <= cut)
+    pattern += 2 * (abs(s0 - s2) <= cut) + (abs(s0 - s1) <= cut)
+    f = frexp(pick(-m0 > m2, -m0, m2))[1]
+    numbers = [
+        l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12,
+        ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
+        ldexp(k23, -2 * f), ldexp(k13, -2 * f), ldexp(k12, -2 * f),
+    ]
+    return numbers, signs, 1 * z0 + z1 + z2, order, flip, f, pattern, ties
+
+
+def _sort_floats(a, b, c, ua, ub, uc):
+    # Descending by value, with each unit value and input slot; insertion is stable.
     x, y, z = (a, ua, 0), (b, ub, 1), (c, uc, 2)
     if b > a:
         x, y = y, x
@@ -144,33 +163,18 @@ def _normalize_row(vals: list) -> tuple:
         y, z = z, y
         if c > x[0]:
             x, y = y, x
-    (l0, u0, i), (l1, u1, j), (l2, u2, k) = x, y, z
-    # The tie mask of unit lam, its flags as those of mu^2 below; u0 >= u1 >= u2.
-    ties = 4 * (u1 - u2 <= cut) + 2 * (u0 - u2 <= cut) + (u0 - u1 <= cut)
-    half = 0.5 * sum((l0, l1, l2))
-    m0, m1, m2 = half - l0, half - l1, half - l2
-    r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
-    k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
-    half = 0.5 * sum((u0, u1, u2))
-    n0, n1, n2 = half - u0, half - u1, half - u2
-    top = -n0 if -n0 > n2 else n2
-    cut = TOL * top
-    z0, z1, z2 = -cut <= n0 <= cut, -cut <= n1 <= cut, -cut <= n2 <= cut
-    s0, s1, s2 = n0 * n0, n1 * n1, n2 * n2
-    cut = TOL * (top * top)  # max s_i
-    # The zero mask of unit mu, then its tie mask (flag k: the two s_i other
-    # than s_k coincide), read as one 6-bit number, first flag highest.
-    pattern = 32 * z0 + 16 * z1 + 8 * z2 + 4 * (-cut <= s1 - s2 <= cut)
-    pattern += 2 * (-cut <= s0 - s2 <= cut) + (-cut <= s0 - s1 <= cut)
-    f = math.frexp(-m0 if -m0 > m2 else m2)[1]
-    ldexp = math.ldexp
-    numbers = [
-        l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12,
-        ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
-        ldexp(k23, -2 * f), ldexp(k13, -2 * f), ldexp(k12, -2 * f),
-    ]
-    kernel = _KERNEL_BY_ZERO_MU[z0 + z1 + z2]
-    return numbers, _CLASS_BY_SIGNS[npos, nneg], kernel, (i, j, k), flip, f, pattern, ties
+    return zip(x, y, z)
+
+
+def _sort_columns(a, b, c, ua, ub, uc):
+    # The same sort on columns, by a stable argsort of -lam.
+    both = np.array([[a, b, c], [ua, ub, uc]])
+    order = np.argsort(-both[0], 0, kind="stable")
+    return *np.take_along_axis(both, order[None], 1), np.moveaxis(order, 0, -1).copy()
+
+
+_FLOATS = (math.frexp, math.ldexp, lambda flag, x, y: x if flag else y, max, _sort_floats)
+_COLUMNS = (np.frexp, np.ldexp, np.where, lambda a, b, c: np.maximum(np.maximum(a, b), c), _sort_columns)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,18 +224,22 @@ class MilnorData:
     @classmethod
     def normalize(cls, raw) -> "MilnorData":
         """Validate, flip and sort raw triples (a (..., 3) array) and derive
-        their geometry."""
+        their geometry.  The shape alone picks the row kernel's carrier: a
+        (3,) triple runs on Python floats, any stack (empty too) on numpy
+        columns, bit for bit alike, with plain half-sums on every Python."""
         vals = _triple(raw, "structure constants")
         lead = vals.shape[:-1]
-        rows = [_normalize_row(row) for row in vals.reshape(-1, 3).tolist()]
-        numbers = np.fromiter(chain.from_iterable([row[0] for row in rows]), float, 18 * len(rows))
-        numbers = numbers.reshape(lead + (6, 3))
+        if lead:  # a row scaled to 1e155 or more overflows to inf/nan silently, as on floats
+            with np.errstate(all="ignore"):
+                row = _normalize_row(*np.moveaxis(vals, -1, 0), *_COLUMNS)
+            numbers, signs, zeros, order, flipped, f, pattern, ties = row
+            label, kernel, f = _CLASS_BY_SIGNS[signs], _KERNEL_BY_ZERO_MU[zeros], f[..., None].astype(int)
+        else:
+            row = _normalize_row(*vals.tolist(), *_FLOATS)
+            numbers, signs, zeros, order, flipped, f, pattern, ties = row
+            label, kernel = _CLASS_BY_SIGNS.item(signs), _KERNEL_BY_ZERO_MU.item(zeros)
+        numbers = (np.stack(numbers, -1) if lead else np.array(numbers)).reshape(lead + (6, 3))
         numbers.setflags(write=False)
-        # The per-row facts: scalars for one triple, arrays only for a stack.
-        label, kernel, order, flipped, f, pattern, ties = rows[0][1:] if not lead else (
-            np.array(column).reshape(lead + np.shape(column[0]))
-            for column in zip(*(row[1:] for row in rows))
-        )
         return _frozen(cls, {
             "lam": numbers[..., 0, :],
             "mu": numbers[..., 1, :],
@@ -243,7 +251,7 @@ class MilnorData:
             "permutation": order,
             "sign_flipped": flipped,
             "scaled": numbers[..., 4:, :],
-            "mu_exponent": f if not lead else f[..., None],
+            "mu_exponent": f,
             "mu_pattern": pattern,
             "lam_ties": ties,
         })

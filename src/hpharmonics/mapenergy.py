@@ -222,7 +222,7 @@ def _stretches(inv_low: np.ndarray, framed: np.ndarray) -> _Spectrum:
         _finite(whitened, "the whitened Jacobian L_H^T J L_G^-T", 2, "overflows the float range")
         _finite(s, "the singular values of the whitened Jacobian", 1, "did not converge")
         raise
-    spec = _Spectrum(framed, whitened, w, _product_invariants(w[..., None])[..., 0])
+    spec = _Spectrum(framed, whitened, w, _product_invariants(w))
     # Every caller shares the two arrays that leave the module.
     w.setflags(write=False)
     spec.eps.setflags(write=False)
@@ -239,28 +239,37 @@ def _right_vectors(whitened: np.ndarray) -> np.ndarray:
     return vt[..., ::-1, :].mT
 
 
-def _product_invariants(values: np.ndarray) -> np.ndarray:
-    # Elementary symmetric functions (e_0, ..., e_m) of each column of the
-    # (..., m, k) ``values``, as (..., m+1, k): multiply out prod_j (1 + v_j t)
-    # one factor at a time.  Factor j (from 0) opens e_{j+1} = v_j * e_j and
-    # updates e_r <- e_r + v_j * e_{r-1} for r = j down to 1; a term above
-    # that triangle would add v_j * 0.0 to 0.0, as every v_j is finite and
-    # >= 0.  One point runs each column on Python floats, a stack each v_j as
-    # an array over its rows: both round each product and each sum once,
-    # unfused, so a row's bits do not depend on the carrier.
-    def expand(stretches, one):
-        e = [one]
-        for v in stretches:
-            e.append(v * e[-1])
-            for r in range(len(e) - 2, 0, -1):
-                e[r] += v * e[r - 1]
-        return e
+def _absorb(e: list, stretches) -> list:
+    # Multiply the coefficients e = [e_0, ..., e_j] by each (1 + v t) in turn,
+    # in place: v opens e_{j+1} = v * e_j and updates e_r <- e_r + v * e_{r-1}
+    # for r = j down to 1; a term above that triangle would add v * 0.0 to 0.0,
+    # as every v is finite and >= 0.  On Python floats or on arrays over rows,
+    # each product and sum rounds once, unfused: a row's bits ignore the carrier.
+    for v in stretches:
+        e.append(v * e[-1])
+        for r in range(len(e) - 2, 0, -1):
+            e[r] += v * e[r - 1]
+    return e
 
-    if values.ndim == 2:
-        return np.array([expand(column, 1.0) for column in values.T.tolist()]).T
-    # swapaxes(0, -2) is its own inverse; the copy keeps each v_j contiguous.
-    stretches = values.swapaxes(0, -2).copy()
-    return np.array(expand(stretches, np.ones(stretches.shape[1:]))).swapaxes(0, -2)
+
+def _product_invariants(w: np.ndarray) -> np.ndarray:
+    # e_0, ..., e_m of the last axis of (..., m) ``w``: one point on Python floats,
+    # a stack one contiguous array per stretch (.T twice is the identity).
+    one, stretches = (1.0, w.tolist()) if w.ndim == 1 else (np.ones(w.shape[:-1]).T, w.T.copy())
+    return np.array(_absorb([one], stretches)).T
+
+
+def _leave_one_out(w: np.ndarray) -> np.ndarray:
+    # e_r(w without w_i) as (..., m+1, m), column i.  A factor 1 + 0 t only
+    # appends a 0.0, so one point continues the prefix after w_0..w_{i-1}
+    # by w_{i+1}..w_{m-1}, sharing prefixes; a stack sets w_i to 0 in lane i.
+    if w.ndim > 1:
+        return _product_invariants(np.where(np.eye(w.shape[-1], dtype=bool), 0.0, w[..., None, :])).mT
+    stretches, prefix, columns = w.tolist(), [1.0], []
+    for i, v in enumerate(stretches):
+        columns.append(_absorb(prefix[:], stretches[i + 1:]) + [0.0])
+        _absorb(prefix, (v,))
+    return np.array(columns).T
 
 
 @dataclass(frozen=True)
@@ -294,10 +303,8 @@ class DensityReport:
 
         def form():
             # chi_r(alpha) = L^{-T} Q diag(e_r(w without w_i)) Q^T L^T for every
-            # r at once: column i of ``values`` is w with w_i set to 0.  chi_m
-            # vanishes exactly, since each e_m(w without w_i) is 0.
-            values = np.where(np.eye(m, dtype=bool), 0.0, spec.w[..., None])
-            leave_one_out = _product_invariants(values)
+            # r at once.  chi_m vanishes exactly, since each e_m(w without w_i) is 0.
+            leave_one_out = _leave_one_out(spec.w)
             left = point._inv_domain_factor.mT @ q
             right = (point._domain_factor @ q).mT
             scaled_left = left[..., None, :, :] * leave_one_out[..., :, None, :]

@@ -110,8 +110,10 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
         unit, unit_rows = _unit_geometry(md), [_unit_geometry(r) for r in rows]
         for name in ("mu", "ricci"):
             assert _bits(getattr(unit, name)) == _bits([getattr(u, name) for u in unit_rows]), name
-        for name in ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped", "mu_pattern"):
+        facts = ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped", "mu_pattern", "lam_ties")
+        for name in facts:
             assert getattr(md, name).tolist() == [getattr(r, name) for r in rows], name
+        assert md.mu_exponent.tolist() == [[r.mu_exponent] for r in rows]
         assert [tuple(p) for p in md.permutation.tolist()] == [r.permutation for r in rows]
         permuted = md.permute(raw_sigma)
         assert _bits(permuted) == _bits([r.permute(s) for r, s in zip(rows, raw_sigma)])
@@ -175,7 +177,8 @@ def _reference_zero_mask(values):
 
 
 def _reference_geometry(lam):
-    half_sum = 0.5 * sum(lam)
+    # Plain addition: sum() compensates its rounding from Python 3.12 on.
+    half_sum = 0.5 * ((lam[0] + lam[1]) + lam[2])
     m0, m1, m2 = (half_sum - v for v in lam)
     r0, r1, r2 = 2.0 * (m1 * m2), 2.0 * (m0 * m2), 2.0 * (m0 * m1)
     k23, k13, k12 = 0.5 * (r1 + r2 - r0), 0.5 * (r0 + r2 - r1), 0.5 * (r0 + r1 - r2)
@@ -194,8 +197,8 @@ def _reference_normalize_row(vals):
     numbers = _reference_geometry([sign * vals[i] for i in order])
     unit_lam = [sign * unit[i] for i in order]
     unit_mu = _reference_geometry(unit_lam)[3:6]
-    kernel = lie3._KERNEL_BY_ZERO_MU[sum(_reference_zero_mask(unit_mu))]
-    label = lie3._CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)]
+    kernel = int(lie3._KERNEL_BY_ZERO_MU[sum(_reference_zero_mask(unit_mu))])
+    label = str(lie3._CLASS_BY_SIGNS[max(npos, nneg), min(npos, nneg)])
     return numbers, label, kernel, tuple(order), sign < 0.0, unit_lam, unit_mu
 
 
@@ -239,9 +242,11 @@ _ROWS = st.one_of(
 @example([-2.0, 1.0, -2.0])
 def test_normalize_row_matches_the_list_form_bitwise(row):
     row = [float(v) for v in row]
-    numbers, *facts = lie3._normalize_row(row)
+    md = MilnorData.normalize(row)
+    numbers = np.concatenate([md.lam, md.mu, md.ricci, md.sectional, md.scaled.ravel()])
+    facts = [md.algebra_class, md.ricci_kernel_dim, md.permutation, md.sign_flipped]
+    facts += [md.mu_exponent, md.mu_pattern, md.lam_ties]
     expected, *expected_facts, unit_lam, unit_mu = _reference_normalize_row(row)
-    assert len(numbers) == 18 and len(facts) == 7
     # Bit patterns, so that signed zeros, inf and nan compare exactly.
     assert _int_bits(numbers[:12]) == _int_bits(expected)
     assert facts[:4] == expected_facts
@@ -259,6 +264,31 @@ def test_normalize_row_matches_the_list_form_bitwise(row):
     # The tie mask of lam / 2^e, which fixes the harmonic-map locus.
     assert facts[6] == sum(flag << (2 - k) for k, flag in enumerate(_reference_tie_mask(unit_lam)))
     assert type(facts[5]) is int and type(facts[6]) is int
+
+    # The row on numpy columns, in one stack with its reversal and its
+    # negation: each stacked row is bit for bit the triple alone, fact for fact.
+    rows = [row, row[::-1], [-v for v in row]]
+    stack = MilnorData.normalize(rows)
+    for k, alone in enumerate(rows):
+        single = MilnorData.normalize(alone)
+        for field in dataclasses.fields(MilnorData):
+            stacked = np.ravel(getattr(stack, field.name)[k])
+            value = np.ravel(getattr(single, field.name))
+            if value.dtype == float:
+                assert _int_bits(stacked) == _int_bits(value), field.name
+            else:
+                assert stacked.tolist() == value.tolist(), field.name
+
+
+def test_empty_stacks_normalize_to_empty_fields():
+    for lead in ((0,), (2, 0)):
+        md = MilnorData.normalize(np.empty(lead + (3,)))
+        for name in ("lam", "mu", "ricci", "sectional", "permutation", "mu_exponent"):
+            assert getattr(md, name).shape == lead + ((1,) if name == "mu_exponent" else (3,)), name
+        assert md.scaled.shape == lead + (2, 3)
+        facts = ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped", "mu_pattern", "lam_ties")
+        for name in facts:
+            assert getattr(md, name).shape == lead, name
 
 
 # ---------------------------------------------------------------------------

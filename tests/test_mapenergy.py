@@ -149,16 +149,20 @@ def _full_width_products(values):
 def test_product_invariants_match_the_full_width_recursion_bitwise(m):
     # The triangular recursion, on one point's Python floats and on a stack's
     # arrays, gives the bits of the full-width one for the stretches (a column)
-    # and for Newton's leave-one-out columns, with padded zeros first.
+    # and for Newton's leave-one-out columns (w_i set to 0 in column i; one
+    # point shares their prefixes), with padded zeros first.
     rng = np.random.default_rng(m)
     w = np.sort(rng.uniform(0.0, 2.0, size=(2, 3, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, 3, m)))
     w[0, 1, : (m + 1) // 2] = 0.0
-    for values in (w[..., None], np.where(np.eye(m, dtype=bool), 0.0, w[..., None])):
-        grid = mapenergy._product_invariants(values)
-        assert np.ascontiguousarray(grid).tobytes() == _full_width_products(values).tobytes()
+    forms = [
+        (lambda w: mapenergy._product_invariants(w)[..., None], w[..., None]),
+        (mapenergy._leave_one_out, np.where(np.eye(m, dtype=bool), 0.0, w[..., None])),
+    ]
+    for form, values in forms:
+        grid = np.ascontiguousarray(form(w))
+        assert grid.tobytes() == _full_width_products(values).tobytes()
         for index in np.ndindex(w.shape[:-1]):
-            alone = mapenergy._product_invariants(values[index])
-            assert alone.tobytes() == np.ascontiguousarray(grid[index]).tobytes()
+            assert np.ascontiguousarray(form(w[index])).tobytes() == grid[index].tobytes()
 
 
 def _exact(a):
