@@ -46,14 +46,11 @@ __all__ = [
     "vertical_newton_2", "wedge_norm_sq",
 ]
 
-_TINY = 1e-300
 _BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
 _EYE3 = np.eye(3)
 _DIAG = np.arange(3)
-# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3);
-# one take gathers the entries k+1 then k+2, the other k+2 then k+1.
+# Gathers the entries k+1 then k+2 of a triple (indices mod 3).
 _NEXT_PREV = np.array([1, 2, 0, 2, 0, 1])
-_PREV_NEXT = np.array([2, 0, 1, 1, 2, 0])
 # e_a x e_b = eps_abk e_k: k = _THIRD[a, b] (3 - a - b for a != b), eps_abk = _EPS[a, b].
 _THIRD, _EPS = (3 - _DIAG[:, None] - _DIAG) % 3, np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0.0]])
 
@@ -92,8 +89,8 @@ def _negligible(magnitude, scale=1.0):
     return magnitude <= TOL * scale
 
 
-# Dot products over the last axis; np.vecdot evaluates each row as a single
-# 3-vector product would, so stacks and single triples agree bit for bit.
+# Dot products over the last axis: np.vecdot rounds each row as one 3-vector product,
+# stacks and single triples alike, in the bits of its BLAS kernel, which may differ by platform.
 _dot = np.vecdot
 
 
@@ -177,11 +174,40 @@ _FLOATS = (math.frexp, math.ldexp, lambda flag, x, y: x if flag else y, max, _so
 _COLUMNS = (np.frexp, np.ldexp, np.where, lambda a, b, c: np.maximum(np.maximum(a, b), c), _sort_columns)
 
 
+def _ldexp_float(x: float, n: int) -> float:
+    try:  # math.ldexp raises where np.ldexp gives the signed inf
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+# A field's carrier: split (..., 3) into components, pack them back, ldexp, a pick
+# and |v|^2 of each component triple v, from _dot on both.  One field (md and sigma
+# of shape (3,)) runs on Python floats, any stack on (..., 1) numpy columns.
+_FIELD_FLOATS = (np.ndarray.tolist, np.array, _ldexp_float, lambda flag, x, y: x if flag else y,
+                 lambda *v: _dot(w := np.array(v), w).tolist())
+_FIELD_COLUMNS = (lambda v: (v[..., :1], v[..., 1:2], v[..., 2:]), lambda c: np.concatenate(c, -1),
+                  np.ldexp, np.where,
+                  lambda *v: [_dot(w := np.concatenate(x, -1), w, keepdims=True) for x in v])
+
+
+def _carrier(md: MilnorData, arr: np.ndarray) -> tuple:
+    return _FIELD_FLOATS if md.lam.ndim == arr.ndim == 1 else _FIELD_COLUMNS
+
+
+def _times(x, y) -> tuple:  # componentwise, on component triples of either carrier
+    return x[0] * y[0], x[1] * y[1], x[2] * y[2]
+
+
+def _cross3(x, y) -> tuple:  # the cross product, on component triples of either carrier
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    return x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Cross product over the last axis of (..., 3) arrays: numpy's products
-    # and differences without its axis bookkeeping, costly on 3-vectors.
-    products = a.take(_NEXT_PREV, -1) * b.take(_PREV_NEXT, -1)
-    return products[..., :3] - products[..., 3:]
+    # Over the last axis of (..., 3) arrays: np.cross's bits without its axis bookkeeping.
+    split, pack = _FIELD_COLUMNS[:2]
+    return pack(_cross3(split(a), split(b)))
 
 
 @dataclass(frozen=True)
@@ -286,12 +312,6 @@ def grad_norm_sq(md: MilnorData, sigma):
     return _scalars(_refused(lambda: _vertical(md, arr, 1)[1], "the degree-1 bending density", 0))
 
 
-def _grad_norm_sq(mu_sq: np.ndarray, arr: np.ndarray):
-    # sum_i a_i^2 (mu_j^2 + mu_k^2): no term is negative, so nothing cancels.
-    pairs = mu_sq.take(_NEXT_PREV, -1)
-    return _dot(arr * arr, pairs[..., :3] + pairs[..., 3:])
-
-
 def wedge_norm_sq(md: MilnorData, sigma):
     """Squared wedge of the covariant derivative with itself.
 
@@ -303,21 +323,16 @@ def wedge_norm_sq(md: MilnorData, sigma):
 
 
 def _vertical(md: MilnorData, arr: np.ndarray, r: int):
-    # Degree-r (1 or 2) vertical tension and bending density of validated
-    # coefficients: t1 = sigma^(2) - |M|^2 sigma with e1 = |nabla sigma|^2,
+    # Degree-r (1 or 2) vertical tension and bending density of validated coefficients:
+    # t1 = sigma^(2) - |M|^2 sigma with e1 = sum_i a_i^2 (mu_j^2 + mu_k^2), no term negative,
     # t2 = -(|Ric sigma|^2 sigma + Ric^2 sigma)/4 with e2 = |sigma|^2 |Ric sigma|^2/4.
     if r == 1:
-        mu_sq = md.mu**2
-        return mu_sq * arr - mu_sq.sum(-1)[..., None] * arr, _grad_norm_sq(mu_sq, arr)
-    ricci_sq, wedge = _ricci_terms(md, arr)
-    return -0.25 * (ricci_sq[..., None] * arr + md.ricci**2 * arr), wedge
-
-
-def _ricci_terms(md: MilnorData, arr: np.ndarray):
-    # |Ric sigma|^2 and the degree-2 density e2 = |sigma|^2 |Ric sigma|^2 / 4.
+        q = md.mu**2
+        pairs = q.take(_NEXT_PREV, -1)
+        return q * arr - q.sum(-1)[..., None] * arr, _dot(arr * arr, pairs[..., :3] + pairs[..., 3:])
     ric = md.ricci * arr
     ricci_sq = _dot(ric, ric)
-    return ricci_sq, 0.25 * _dot(arr, arr) * ricci_sq
+    return -0.25 * (ricci_sq[..., None] * arr + md.ricci**2 * arr), 0.25 * _dot(arr, arr) * ricci_sq
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
@@ -344,23 +359,25 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
 
     Matrix of phi -> |M|^2 phi - phi^(2) + <phi, s1> s1 - |s1|^2 phi with
     s1 = mu*sigma; equal to (trace of the vertical Gram matrix) * I minus
-    that matrix.
+    that matrix.  Formed from nonnegative terms, so nothing cancels: entry (k, k)
+    is mu_i^2 (a_j^2 + a_k^2) + mu_j^2 (a_i^2 + a_k^2) (i, j != k), (i, j) s1_i s1_j.
     """
     arr = _unit_triple(sigma)
     return _refused(lambda: _newton_matrix(md, arr, 1), "the degree-1 vertical Newton tensor", 2)
 
 
-def _newton_parts(md: MilnorData, arr: np.ndarray, degree: int) -> list:
+def _newton_parts(md: MilnorData, a, degree: int, split, norms) -> list:
     # Vertical Newton tensors of degrees 1..degree (<= 2) of the unit field
-    # as (delta, c), i.e. diag(delta) + c * s1 s1^T; degree 2 needs H1.
-    mu_sq = md.mu**2
-    s1 = md.mu * arr
-    s1_sq = _dot(s1, s1)
-    e1 = mu_sq.sum(-1) - s1_sq
-    parts = [(e1[..., None] - mu_sq, 1.0)]
+    # as (delta, c), i.e. diag(delta) + c * s1 s1^T; degree 2 needs H1 and e2
+    # (see _vertical).  Over the components a of sigma on the carrier of split, norms.
+    mu = split(md.mu)
+    s1 = _times(mu, a)
+    s1_sq, *e2 = norms(s1, a, _times(split(md.ricci), a)) if degree == 2 else norms(s1)
+    q0, q1, q2 = mu_sq = _times(mu, mu)
+    e1 = (q0 + q1) + q2 - s1_sq
+    parts = [((e1 - q0, e1 - q1, e1 - q2), 1.0)]
     if degree == 2:
-        wedge = _ricci_terms(md, arr)[1]
-        parts.append((mu_sq**2 - e1[..., None] * mu_sq + wedge[..., None], e1 - s1_sq))
+        parts.append(([q * q - e1 * q + 0.25 * e2[0] * e2[1] for q in mu_sq], e1 - s1_sq))
     return parts
 
 
@@ -373,11 +390,18 @@ def _require_h1(md: MilnorData, arr: np.ndarray) -> None:
 
 
 def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
-    delta, c = _newton_parts(md, arr, degree)[-1]
     s1 = md.mu * arr
-    out = np.zeros(delta.shape + (3,))
-    out[..., _DIAG, _DIAG] = delta
-    return out + np.asarray(c)[..., None, None] * (s1[..., :, None] * s1[..., None, :])
+    rank_one = s1[..., :, None] * s1[..., None, :]
+    if degree == 1:  # the Gram diagonal mu_i^2 (a_j^2 + a_k^2) at the other two indices
+        near = (arr * arr).take(_NEXT_PREV, -1)
+        gram = (md.mu**2 * (near[..., :3] + near[..., 3:])).take(_NEXT_PREV, -1)
+        rank_one[..., _DIAG, _DIAG] = gram[..., :3] + gram[..., 3:]
+        return rank_one
+    split, pack, *_, norms = _carrier(md, arr)
+    delta, c = _newton_parts(md, split(arr), degree, split, norms)[-1]
+    out = np.zeros(rank_one.shape)
+    out[..., _DIAG, _DIAG] = pack(delta)
+    return out + np.asarray(c)[..., None] * rank_one
 
 
 def is_eigendirection(diag_values, sigma):
@@ -387,7 +411,7 @@ def is_eigendirection(diag_values, sigma):
     battery's oracle: no verdict of this module reads it."""
     d = _triple(diag_values, "diag_values")
     arr = _triple(sigma, "sigma")
-    v = arr * (d / np.maximum(np.abs(d).max(-1, keepdims=True), _TINY))
+    v = arr * (d / np.maximum(np.abs(d).max(-1, keepdims=True), 1e-300))
     return _negligible(_norm(v - _dot(v, arr)[..., None] * arr))
 
 
@@ -602,25 +626,27 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     # nu = diag(delta) + c s1 s1^T (s1 = mu*sigma, s2 = mu*s1).  With the
     # curvature R(u, w) z = z x (K o (u x w)), the diagonal part gives
     # (K o sigma) x (delta o s1); the rank-one part gives c (s2 x s1 +
-    # R(sigma, s2 x sigma) s1), skipped where c = 0 (c = 1 at r = 2).  mu and
-    # K are taken in units of t = 2^e ~ max |mu|, an exact rescaling, so that
-    # no intermediate outgrows delta or c and a zero result stays zero.
-    # check_predicates reads it without the refusals.
-    e, mu, sectional = md.mu_exponent, md.scaled[..., 0, :], md.scaled[..., 1, :]
-    s1 = mu * arr
+    # R(sigma, s2 x sigma) s1), skipped where c = 0 (c = 1 at r = 2, where
+    # c * x is x bit for bit).  mu and K are taken in units of t = 2^e ~ max
+    # |mu|, an exact rescaling, so that no intermediate outgrows delta or c and
+    # a zero result stays zero.  Written once over the components of each
+    # vector: the shape alone picks the carrier, Python floats for one field and
+    # numpy columns for any stack, bit for bit alike, each addition in one order
+    # on both.  check_predicates reads it without the refusals.
+    (split, pack, ldexp, pick, norms), e = _carrier(md, arr), md.mu_exponent
+    a, mu, sectional = split(arr), split(md.scaled[..., 0, :]), split(md.scaled[..., 1, :])
+    s1, ka = _times(mu, a), _times(sectional, a)
     if r == 1:
-        return np.ldexp(_cross(sectional * arr, s1), 3 * e)
-    (delta, c), *second = _newton_parts(md, arr, r - 1)
-    delta = delta + (2.0 if r == 2 else 1.0)
+        return pack([ldexp(x, 3 * e) for x in _cross3(ka, s1)])
+    (delta, c), *second = _newton_parts(md, a, r - 1, split, norms)
+    delta = [d + (2.0 if r == 2 else 1.0) for d in delta]  # the shift, then delta_2
     for delta2, c2 in second:
-        delta, c = delta + delta2, c + c2
-    out = _cross(sectional * arr, delta * s1)
-    s2 = mu * s1
-    bend = _cross(s1, sectional * _cross(arr, _cross(s2, arr)))
-    rank_one = _cross(s2, s1) + np.ldexp(bend, 2 * e)
-    if r == 2:
-        return np.ldexp(out + rank_one, 3 * e)
-    return np.ldexp(np.where(c[..., None] == 0.0, out, out + c[..., None] * rank_one), 3 * e)
+        delta, c = [d + d2 for d, d2 in zip(delta, delta2)], c + c2
+    out = _cross3(ka, _times(delta, s1))
+    s2 = _times(mu, s1)
+    bend = _cross3(s1, _times(sectional, _cross3(a, _cross3(s2, a))))
+    return pack([ldexp(pick(c == 0.0, o, o + c * (x + ldexp(b, 2 * e))), 3 * e)
+                 for o, x, b in zip(out, _cross3(s2, s1), bend)])
 
 
 # ---------------------------------------------------------------------------

@@ -555,14 +555,18 @@ def check_union_consistency(rng: np.random.Generator, trials: int) -> PropertyRe
 
 
 def check_predicate_membership(rng: np.random.Generator, trials: int) -> PropertyResult:
-    """Residual predicates agree with descriptor membership on sampled fields."""
+    """in_h1 and in_h2 agree on sampled fields with membership by the members of
+    H1 and H2 (PolarSet: its pairs; Empty: all three vanish), not their admission rows."""
     bad = 0
     for rep in CLASS_REPRESENTATIVES:
         md = lie3.classify_algebra(rep)
         sets = lie3.classify_sets(md)
         samples = _field_samples(rng, trials, trials // 5)
-        bad += int(np.sum(lie3.in_h1(md, samples) != sets["H1"].contains(samples)))
-        bad += int(np.sum(lie3.in_h2(md, samples) != sets["H2"].contains(samples)))
+        for in_locus, d in ((lie3.in_h1, sets["H1"]), (lie3.in_h2, sets["H2"])):
+            members = [p for m in d.members or (d,) for p in (lie3._PAIRS if m.kind == "PolarSet" else [m])]
+            weights = [[m.kind != "Sphere" and k not in m.indices for k in (1, 2, 3)] for m in members]
+            by_members = ((np.abs(samples) > lie3.TOL) @ np.array(weights, float).T == 0.0).any(-1)
+            bad += int(np.sum(in_locus(md, samples) != by_members))
     return _none("predicate_membership", bad, f"{bad} disagreements")
 
 

@@ -754,6 +754,17 @@ def test_verify_fails_a_nan_residual(monkeypatch, check, module, name):
     assert "residual nan" in result.line()
 
 
+def test_predicate_membership_catches_a_fault_of_the_shared_rule(monkeypatch):
+    # in_h1, in_h2 and SubsetDescriptor.contains all decide through
+    # lie3._member; with a wrong cut in it, the property must still fail.
+    def loose(admits, key, sigma):
+        return admits[key + ((np.abs(sigma) > 0.5) @ lie3._BITS,)]
+
+    monkeypatch.setattr(lie3, "_member", loose)
+    result = verify.check_predicate_membership(np.random.default_rng(42), 200)
+    assert result.passed is False and result.residual > 0
+
+
 def test_verify_exits_one_on_a_nan_residual(monkeypatch, capsys):
     _plant_nan(monkeypatch, invariants, "elementary_invariants_newton")
     code, out, _ = _run(capsys, ["verify", "--seed", "42", "--trials", "3"])

@@ -365,6 +365,37 @@ def test_vertical_newton_1():
         vertical_newton_1(round_su2, np.array([1.0, 1.0, 0.0]))
 
 
+def _exact_newton_1(mu, sigma) -> list:
+    # trace(C) I - C in rationals, for the Gram matrix C_ij = <nabla_{e_i}
+    # sigma, nabla_{e_j} sigma> = mu_i mu_j (|sigma|^2 delta_ij - a_i a_j).
+    mu, a = [Fraction(x) for x in mu], [Fraction(x) for x in sigma]
+    norm_sq = sum(x * x for x in a)
+    gram = [[mu[i] * mu[j] * (norm_sq * (i == j) - a[i] * a[j]) for j in range(3)] for i in range(3)]
+    trace = gram[0][0] + gram[1][1] + gram[2][2]
+    return [[trace * (i == j) - gram[i][j] for j in range(3)] for i in range(3)]
+
+
+def test_vertical_newton_1_is_exact_at_wide_mu_spreads():
+    # Every entry within 8 units in the last place of the exact tensor of
+    # the float mu and sigma, where e1 - mu_k^2 + mu_k^2 a_k^2 cancels.
+    md = classify_algebra((3e8 + 1, 3e8 + 1, 2.0))  # mu = (1, 1, 3e8)
+    assert vertical_newton_1(md, E[2]).tolist() == np.diag([1.0, 1.0, 2.0]).tolist()
+    md = classify_algebra((1e8 + 1, 1e8 + 1, 2.0))
+    t1 = vertical_newton_1(md, np.array([0.6, 0.0, 0.8]))
+    assert abs(t1[2, 2] - 1.64) <= 1e-15
+    rng = np.random.default_rng(74)
+    cases = [(md, np.array([0.6, 0.0, 0.8]))]
+    for spread in 10.0 ** np.arange(0, 13):
+        lam = np.array([spread + 1.0, spread + rng.uniform(-1.0, 1.0), 2.0]) * rng.choice([-1.0, 1.0])
+        for sigma in (_unit(rng), E[0], E[2], np.array([0.6, 0.0, 0.8])):
+            cases.append((classify_algebra(lam[rng.permutation(3)]), sigma))
+    for md, sigma in cases:
+        got, exact = vertical_newton_1(md, sigma), _exact_newton_1(md.mu.tolist(), sigma.tolist())
+        for i in range(3):
+            for j in range(3):
+                assert abs(Fraction(got[i, j]) - exact[i][j]) <= abs(exact[i][j]) / 2**50, (md.lam, sigma, i, j)
+
+
 def test_divergence_invariant_tensor():
     rng = np.random.default_rng(79)
     md = classify_algebra(rng.uniform(-1.5, 1.5, size=3))

@@ -3,6 +3,7 @@ and must give, row by row, exactly what a call on that row alone gives."""
 
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpharmonics import lie3, mapenergy, verify
+from hpharmonics import cli, lie3, mapenergy, verify
 from hpharmonics.lie3 import MilnorData, SubsetDescriptor
 
 E = np.eye(3)
@@ -626,6 +627,142 @@ def test_stacks_broadcast_against_single_geometry():
         assert got[k].tolist() == [bool(lie3.in_h1(single, s)) for s in samples[k]]
         stacked = lie3.tension_t1(md, samples)[k]
         np.testing.assert_array_equal(lie3.tension_t1(single, samples[k]), stacked)
+
+
+# ---------------------------------------------------------------------------
+# one field's horizontal tension on Python floats against its stack row (the
+# suite turns numpy's RuntimeWarning into an error, see pyproject.toml)
+# ---------------------------------------------------------------------------
+
+_GENERIC = (0.6, 0.48, 0.64)
+
+
+def _field_and_row(lam, sigma, r):
+    # The degree-r horizontal tension of one field (Python floats) and of row
+    # 0 of a stack with a second, unrelated row (numpy columns), unrefused as
+    # check_predicates reads it: bit for bit alike, signed zeros included.
+    md = MilnorData.normalize(lam)
+    sigma = md.permute(sigma)
+    stack = MilnorData.normalize([lam, (2.0, 1.0, -1.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = lie3._horizontal_tension(md, sigma, r)
+        row = lie3._horizontal_tension(stack, np.array([sigma, E[0]]), r)[0]
+    assert type(one) is np.ndarray and one.shape == (3,)
+    assert _bits(one) == _bits(row), (lam, sigma, r, one, row)
+    return md, sigma, one
+
+
+def _frozen_horizontal_tension(md, arr, r):
+    # The array form that the component body replaced, kept frozen as its
+    # oracle: each addition in the order the body must keep on both carriers.
+    e, mu, sectional = md.mu_exponent, md.scaled[..., 0, :], md.scaled[..., 1, :]
+    mu_sq, s1 = md.mu**2, md.mu * arr
+    e1 = mu_sq.sum(-1) - np.vecdot(s1, s1)
+    delta, c = e1[..., None] - mu_sq + (2.0 if r == 2 else 1.0), 1.0
+    if r == 3:
+        ric = md.ricci * arr
+        wedge = 0.25 * np.vecdot(arr, arr) * np.vecdot(ric, ric)
+        delta = delta + (mu_sq**2 - e1[..., None] * mu_sq + wedge[..., None])
+        c = (c + (e1 - np.vecdot(s1, s1)))[..., None]
+    s1 = mu * arr
+    if r == 1:
+        return np.ldexp(np.cross(sectional * arr, s1), 3 * e)
+    out = np.cross(sectional * arr, delta * s1)
+    s2 = mu * s1
+    rank_one = np.cross(s2, s1) + np.ldexp(np.cross(s1, sectional * np.cross(arr, np.cross(s2, arr))), 2 * e)
+    if r == 2:
+        return np.ldexp(out + rank_one, 3 * e)
+    return np.ldexp(np.where(c == 0.0, out, out + c * rank_one), 3 * e)
+
+
+def test_horizontal_tension_keeps_the_frozen_bits():
+    # One field and a stack against the frozen array form, at scales from
+    # 1e-170 (underflow) to 1e200 (nan), on generic fields, poles and circles.
+    rng = np.random.default_rng(33)
+    lam = rng.uniform(-1.5, 1.5, size=(600, 3))
+    reps = np.array(verify.CLASS_REPRESENTATIVES)
+    lam[::2] = reps[rng.integers(len(reps), size=300)] * rng.uniform(0.4, 1.4, size=(300, 1))
+    exponent = rng.uniform(-120.0, 120.0, size=600) * (rng.uniform(size=600) < 0.5)
+    exponent[::9], exponent[3::9], exponent[5::9], exponent[7::9] = -170.0, -105.0, 150.0, 200.0
+    lam *= 10.0 ** exponent[:, None]
+    sigma = rng.normal(size=(600, 3)) * (rng.uniform(size=(600, 3)) < 0.7)
+    sigma[np.vecdot(sigma, sigma) == 0.0] = E[2]
+    sigma /= np.sqrt(np.vecdot(sigma, sigma))[:, None]
+    md = MilnorData.normalize(lam)
+    rows = [MilnorData.normalize(row) for row in lam]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in (1, 2, 3):
+            frozen = _frozen_horizontal_tension(md, sigma, r)
+            assert _bits(lie3._horizontal_tension(md, sigma, r)) == _bits(frozen), r
+            ones = [lie3._horizontal_tension(row, s, r) for row, s in zip(rows, sigma)]
+            assert _bits(ones) == _bits(frozen), r
+
+
+def test_float_ldexp_is_numpy_ldexp():
+    values = [0.0, -0.0, 1.5, -1.5, 5e-324, -2.2e-308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+    for x in values:
+        for n in (-2200, -1100, -60, 0, 60, 1100, 2200):
+            with np.errstate(over="ignore"):
+                want = np.ldexp(x, n)
+            assert _bits(lie3._ldexp_float(x, n)) == _bits(want), (x, n)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_one_field_overflows_as_its_stack_row(scale, capsys):
+    # At 1e150 math.ldexp overflows (numpy gives inf), at 1e200 the products
+    # do; either way the tension is refused, reported as None, printed as null.
+    lam = np.array([2.0, 1.0, -1.0]) * scale
+    for r in (1, 2):
+        md, sigma, one = _field_and_row(lam, _GENERIC, r)
+        assert not np.isfinite(one).all()
+        assert lie3.check_predicates(md, sigma, r).horizontal_tension is None
+        with pytest.raises(ValueError, match=f"degree-{r} horizontal tension overflows"):
+            lie3.horizontal_tension(md, sigma, r)
+        argv = ["check", "--lambda=" + ",".join(map(repr, lam.tolist())), "--sigma=0.6,0.48,0.64"]
+        cli.main(argv + [f"--r={r}", "--kind=map", "--json"])
+        assert json.loads(capsys.readouterr().out)["predicates"]["horizontal_tension"] is None
+
+
+@pytest.mark.parametrize("scale", [1e-105, 1e-170])
+def test_one_field_underflows_as_its_stack_row(scale):
+    # At 1e-105 the tensions are subnormal; at 1e-170 mu^2 underflows too and
+    # the tensions are signed zeros.
+    tiny = []
+    for sigma in (_GENERIC, (0.0, 0.6, 0.8), (0.0, 0.0, 1.0)):
+        for r in (1, 2, 3):
+            md, sigma, one = _field_and_row(np.array([2.0, 1.0, -1.0]) * scale, sigma, r)
+            tiny += [x for x in one.tolist() if 0.0 < abs(x) < np.finfo(float).tiny]
+            if r < 3 or lie3.in_h1(md, sigma):
+                assert _bits(lie3.horizontal_tension(md, sigma, r)) == _bits(one)
+    assert bool(tiny) == (scale == 1e-105)
+
+
+def test_one_field_at_degree_3_with_c_zero():
+    # c = 1 + e1 - |s1|^2, the rank-one coefficient of nu_2, is exactly 0 at
+    # the pole e3 of lam = (1, 1, 0), mu = (0, 0, 1), where the tension
+    # vanishes, and off H1 at lam = (3, 2, 1), where the pick keeps the
+    # nonzero diagonal part alone.
+    split, *_, norms = lie3._FIELD_FLOATS
+    cases = (((1.0, 1.0, 0.0), E[2], False), ((3.0, 2.0, 1.0), (0.0, 0.5773502691896258, 0.816496580927726), True))
+    for lam, sigma, nonzero in cases:
+        md, sigma, one = _field_and_row(lam, sigma, 3)
+        assert 1.0 + lie3._newton_parts(md, sigma.tolist(), 2, split, norms)[1][1] == 0.0
+        assert bool(one.any()) == nonzero and bool(lie3.in_h1(md, sigma)) != nonzero
+
+
+def test_no_overflow_error_escapes():
+    # math.ldexp raises OverflowError where numpy overflows to inf: neither
+    # check_predicates nor horizontal_tension lets it out, on H1 or off it.
+    for scale in (1e100, 1e120, 1e150, 1e200, 1e300):
+        md = MilnorData.normalize(np.array([2.0, 1.0, -1.0]) * scale)
+        for sigma in (E[0], E[1], np.array(_GENERIC)):
+            for r in (1, 2, 3):
+                report = lie3.check_predicates(md, sigma, r)
+                assert report.horizontal_tension is None or np.isfinite(report.horizontal_tension).all()
+                try:
+                    lie3.horizontal_tension(md, sigma, r)
+                except ValueError:  # the refusal, PreconditionError off H1 included
+                    pass
 
 
 # ---------------------------------------------------------------------------
