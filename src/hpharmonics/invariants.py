@@ -199,9 +199,9 @@ def _newton_girard(arr: np.ndarray) -> np.ndarray:
     # matrix, so a batch of one pays no array overhead here.
     e = [1.0]
     for r in range(1, m + 1):
-        s = 0.0
+        s = 0.0  # the odd-k terms added, the even-k ones subtracted: (-1) x and s + (-x) are exact
         for k in range(1, r + 1):
-            s = s + (-1.0) ** (k - 1) * e[r - k] * power_traces[k]
+            s = s + e[r - k] * power_traces[k] if k % 2 else s - e[r - k] * power_traces[k]
         e.append(s / r)
     values = np.empty(arr.shape[:-2] + (m + 1,))
     for r, e_r in enumerate(e):

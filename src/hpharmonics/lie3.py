@@ -46,7 +46,6 @@ __all__ = [
     "vertical_newton_2", "wedge_norm_sq",
 ]
 
-_BITS = np.array([4, 2, 1])  # reads flags over a triple's coefficients as a mask, first highest
 _EYE3 = np.eye(3)
 _DIAG = np.arange(3)
 # Gathers the entries k+1 then k+2 of a triple (indices mod 3).
@@ -181,14 +180,16 @@ def _ldexp_float(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
-# A field's carrier: split (..., 3) into components, pack them back, ldexp, a pick
-# and |v|^2 of each component triple v, from _dot on both.  One field (md and sigma
-# of shape (3,)) runs on Python floats, any stack on (..., 1) numpy columns.
-_FIELD_FLOATS = (np.ndarray.tolist, np.array, _ldexp_float, lambda flag, x, y: x if flag else y,
-                 lambda *v: _dot(w := np.array(v), w).tolist())
+# A field's carrier: split (..., 3) into components, pack them back, a component as
+# one number per row, ldexp, a pick and x . y of the component triples x of xs and
+# y of ys, from _dot on both.  One field (md and sigma of shape (3,)) runs on Python
+# floats, any stack on (..., 1) numpy columns.
+_FIELD_FLOATS = (np.ndarray.tolist, np.array, lambda x: x, _ldexp_float, lambda flag, x, y: x if flag else y,
+                 lambda xs, ys: _dot(w := np.array(xs), w if ys is xs else np.array(ys)).tolist())
 _FIELD_COLUMNS = (lambda v: (v[..., :1], v[..., 1:2], v[..., 2:]), lambda c: np.concatenate(c, -1),
-                  np.ldexp, np.where,
-                  lambda *v: [_dot(w := np.concatenate(x, -1), w, keepdims=True) for x in v])
+                  lambda x: x[..., 0], np.ldexp, np.where,
+                  lambda xs, ys: [_dot(w := np.concatenate(x, -1), w if y is x else np.concatenate(y, -1),
+                                       keepdims=True) for x, y in zip(xs, ys)])
 
 
 def _carrier(md: MilnorData, arr: np.ndarray) -> tuple:
@@ -309,7 +310,7 @@ def classify_algebra(x) -> MilnorData:
 def grad_norm_sq(md: MilnorData, sigma):
     """Squared full covariant derivative, sum_i mu_i^2 (|sigma|^2 - a_i^2)."""
     arr = _triple(sigma, "sigma")
-    return _scalars(_refused(lambda: _vertical(md, arr, 1)[1], "the degree-1 bending density", 0))
+    return _refused(lambda: _vertical(md, arr, 1)[1], "the degree-1 bending density", 0)
 
 
 def wedge_norm_sq(md: MilnorData, sigma):
@@ -319,20 +320,26 @@ def wedge_norm_sq(md: MilnorData, sigma):
     frame pairs gives the same number (oracle in the test battery).
     """
     arr = _triple(sigma, "sigma")
-    return _scalars(_refused(lambda: _vertical(md, arr, 2)[1], "the degree-2 bending density", 0))
+    return _refused(lambda: _vertical(md, arr, 2)[1], "the degree-2 bending density", 0)
 
 
 def _vertical(md: MilnorData, arr: np.ndarray, r: int):
     # Degree-r (1 or 2) vertical tension and bending density of validated coefficients:
     # t1 = sigma^(2) - |M|^2 sigma with e1 = sum_i a_i^2 (mu_j^2 + mu_k^2), no term negative,
     # t2 = -(|Ric sigma|^2 sigma + Ric^2 sigma)/4 with e2 = |sigma|^2 |Ric sigma|^2/4.
+    # Written once over components, on the carrier _carrier picks, as _horizontal_tension is.
+    split, pack, scalar, *_, dots = _carrier(md, arr)
+    a = split(arr)
     if r == 1:
-        q = md.mu**2
-        pairs = q.take(_NEXT_PREV, -1)
-        return q * arr - q.sum(-1)[..., None] * arr, _dot(arr * arr, pairs[..., :3] + pairs[..., 3:])
-    ric = md.ricci * arr
-    ricci_sq = _dot(ric, ric)
-    return -0.25 * (ricci_sq[..., None] * arr + md.ricci**2 * arr), 0.25 * _dot(arr, arr) * ricci_sq
+        mu = split(md.mu)
+        q0, q1, q2 = q = _times(mu, mu)
+        total = (q0 + q1) + q2
+        (e1,) = dots([_times(a, a)], [(q1 + q2, q2 + q0, q0 + q1)])
+        return pack([x * y - total * y for x, y in zip(q, a)]), scalar(e1)
+    ric = split(md.ricci)
+    norms = [_times(ric, a), a]
+    ricci_sq, norm_sq = dots(norms, norms)
+    return pack([-0.25 * (ricci_sq * y + x * x * y) for x, y in zip(ric, a)]), scalar(0.25 * norm_sq * ricci_sq)
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
@@ -366,13 +373,14 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     return _refused(lambda: _newton_matrix(md, arr, 1), "the degree-1 vertical Newton tensor", 2)
 
 
-def _newton_parts(md: MilnorData, a, degree: int, split, norms) -> list:
+def _newton_parts(md: MilnorData, a, degree: int, split, dots) -> list:
     # Vertical Newton tensors of degrees 1..degree (<= 2) of the unit field
     # as (delta, c), i.e. diag(delta) + c * s1 s1^T; degree 2 needs H1 and e2
-    # (see _vertical).  Over the components a of sigma on the carrier of split, norms.
+    # (see _vertical).  Over the components a of sigma on the carrier of split, dots.
     mu = split(md.mu)
     s1 = _times(mu, a)
-    s1_sq, *e2 = norms(s1, a, _times(split(md.ricci), a)) if degree == 2 else norms(s1)
+    norms = [s1, a, _times(split(md.ricci), a)] if degree == 2 else [s1]
+    s1_sq, *e2 = dots(norms, norms)
     q0, q1, q2 = mu_sq = _times(mu, mu)
     e1 = (q0 + q1) + q2 - s1_sq
     parts = [((e1 - q0, e1 - q1, e1 - q2), 1.0)]
@@ -397,8 +405,8 @@ def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
         gram = (md.mu**2 * (near[..., :3] + near[..., 3:])).take(_NEXT_PREV, -1)
         rank_one[..., _DIAG, _DIAG] = gram[..., :3] + gram[..., 3:]
         return rank_one
-    split, pack, *_, norms = _carrier(md, arr)
-    delta, c = _newton_parts(md, split(arr), degree, split, norms)[-1]
+    split, pack, *_, dots = _carrier(md, arr)
+    delta, c = _newton_parts(md, split(arr), degree, split, dots)[-1]
     out = np.zeros(rank_one.shape)
     out[..., _DIAG, _DIAG] = pack(delta)
     return out + np.asarray(c)[..., None] * rank_one
@@ -417,9 +425,12 @@ def is_eigendirection(diag_values, sigma):
 
 def _member(admits: np.ndarray, key: tuple, sigma):
     # The one membership test of every verdict and descriptor: the mask of the
-    # coefficients of sigma not negligible against 1 picks the entry of the
-    # admission rows admits[key] (SubsetDescriptor._admits); sigma is finite.
-    return admits[key + ((np.abs(sigma) > TOL) @ _BITS,)]
+    # coefficients of sigma not negligible against 1, first highest, picks the
+    # entry of the admission rows admits[key] (SubsetDescriptor._admits); sigma
+    # is finite.  Exact integer arithmetic over its components, Python floats
+    # for one triple and one array per component for a stack.
+    a0, a1, a2 = sigma.tolist() if sigma.ndim == 1 else (sigma[..., 0], sigma[..., 1], sigma[..., 2])
+    return admits[key + (4 * (abs(a0) > TOL) + 2 * (abs(a1) > TOL) + (abs(a2) > TOL),)]
 
 
 # One rule per locus, read from _VERDICTS; each broadcasts over ``md`` and ``sigma``.
@@ -633,12 +644,12 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     # vector: the shape alone picks the carrier, Python floats for one field and
     # numpy columns for any stack, bit for bit alike, each addition in one order
     # on both.  check_predicates reads it without the refusals.
-    (split, pack, ldexp, pick, norms), e = _carrier(md, arr), md.mu_exponent
+    (split, pack, _, ldexp, pick, dots), e = _carrier(md, arr), md.mu_exponent
     a, mu, sectional = split(arr), split(md.scaled[..., 0, :]), split(md.scaled[..., 1, :])
     s1, ka = _times(mu, a), _times(sectional, a)
     if r == 1:
         return pack([ldexp(x, 3 * e) for x in _cross3(ka, s1)])
-    (delta, c), *second = _newton_parts(md, a, r - 1, split, norms)
+    (delta, c), *second = _newton_parts(md, a, r - 1, split, dots)
     delta = [d + (2.0 if r == 2 else 1.0) for d in delta]  # the shift, then delta_2
     for delta2, c2 in second:
         delta, c = [d + d2 for d, d2 in zip(delta, delta2)], c + c2
@@ -670,14 +681,9 @@ class PredicateReport:
     vertical_energy: float | None
 
 
-def _reported(value: np.ndarray, vector: bool):
-    # Rows outside the float range: None for a single field, nan in a stack.
-    if value.ndim == (1 if vector else 0):
-        items = value.tolist()
-        finite = all(map(math.isfinite, items)) if vector else math.isfinite(items)
-        return (value if vector else items) if finite else None
-    finite = np.isfinite(value).all(-1) if vector else np.isfinite(value)
-    return np.where(finite[..., None] if vector else finite, value, np.nan)
+def _reported(vector):
+    # One field's (3,) vector, or None where it is absent or leaves the float range.
+    return vector if vector is not None and all(map(math.isfinite, vector.tolist())) else None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as None, or nan
@@ -709,23 +715,32 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     _positive(coupling, "coupling")
     # One gather, one membership test: Z_r, H_r, H1 (the skyrmion locus), map.
     verdicts = _member(_VERDICTS, (md.mu_pattern, md.lam_ties, r - 1, slice(None)), arr)
-    # One field: four Python bools; a stack: four bool arrays.
-    flags = verdicts.tolist() if verdicts.ndim == 1 else np.moveaxis(verdicts, -1, 0)
-    parallel, harmonic_unit, h1, harmonic_map = flags
-    if r < 3:
-        vertical, energy = _vertical(md, arr, r)
-        horizontal = _horizontal_tension(md, arr, r)
-    else:
-        # Degree-3 bending density vanishes identically: the covariant
-        # derivative of a unit field takes values in a 2-plane.  The degree-3
-        # horizontal closed form holds on H1 only; other rows are reported as
-        # None (nan in a stack).
-        on = verdicts[..., _H1, None]
-        vertical = np.zeros(on.shape[:-1] + (3,))
-        energy = vertical[..., 0]
-        horizontal = vertical + np.nan
-        if _any(on):
-            horizontal = np.where(on, _horizontal_tension(md, arr, 3), horizontal)
+    # Degree-3 bending density vanishes identically: the covariant derivative
+    # of a unit field takes values in a 2-plane.  The degree-3 horizontal
+    # closed form holds on H1 only; other rows are reported as None (nan in a
+    # stack), as is any row outside the float range.
+    if verdicts.ndim == 1:  # one field (the float carrier): Python bools and floats
+        parallel, harmonic_unit, h1, harmonic_map = verdicts.tolist()
+        if r < 3:
+            vertical, energy = _vertical(md, arr, r)
+            vertical, energy = _reported(vertical), energy if math.isfinite(energy) else None
+        else:
+            vertical, energy = np.array((0.0, 0.0, 0.0)), 0.0
+        horizontal = _reported(_horizontal_tension(md, arr, r) if r < 3 or h1 else None)
+    else:  # a stack: bool arrays, and nan rows
+        parallel, harmonic_unit, h1, harmonic_map = np.moveaxis(verdicts, -1, 0)
+        if r < 3:
+            vertical, energy = _vertical(md, arr, r)
+            horizontal = _horizontal_tension(md, arr, r)
+        else:
+            vertical = np.zeros(h1.shape + (3,))
+            energy = vertical[..., 0]
+            horizontal = vertical + np.nan
+            if _any(h1):
+                horizontal = np.where(h1[..., None], _horizontal_tension(md, arr, 3), horizontal)
+        vertical, horizontal = (np.where(np.isfinite(v).all(-1, keepdims=True), v, np.nan)
+                                for v in (vertical, horizontal))
+        energy = np.where(np.isfinite(energy), energy, np.nan)
 
     return _frozen(PredicateReport, {
         "r": r,
@@ -734,9 +749,9 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         "r_harmonic_unit": harmonic_unit,
         "twisted_2_skyrmion": h1,
         "r_harmonic_map": harmonic_map,
-        "vertical_tension": _reported(vertical, True),
-        "horizontal_tension": _reported(horizontal, True),
-        "vertical_energy": _reported(energy, False),
+        "vertical_tension": vertical,
+        "horizontal_tension": horizontal,
+        "vertical_energy": energy,
     })
 
 

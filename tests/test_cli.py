@@ -758,7 +758,7 @@ def test_predicate_membership_catches_a_fault_of_the_shared_rule(monkeypatch):
     # in_h1, in_h2 and SubsetDescriptor.contains all decide through
     # lie3._member; with a wrong cut in it, the property must still fail.
     def loose(admits, key, sigma):
-        return admits[key + ((np.abs(sigma) > 0.5) @ lie3._BITS,)]
+        return admits[key + ((np.abs(sigma) > 0.5) @ np.array([4, 2, 1]),)]
 
     monkeypatch.setattr(lie3, "_member", loose)
     result = verify.check_predicate_membership(np.random.default_rng(42), 200)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -630,8 +631,9 @@ def test_stacks_broadcast_against_single_geometry():
 
 
 # ---------------------------------------------------------------------------
-# one field's horizontal tension on Python floats against its stack row (the
-# suite turns numpy's RuntimeWarning into an error, see pyproject.toml)
+# one field's horizontal tension, vertical tension, verdict mask and report on
+# Python floats against its stack row (the suite turns numpy's RuntimeWarning
+# into an error, see pyproject.toml)
 # ---------------------------------------------------------------------------
 
 _GENERIC = (0.6, 0.48, 0.64)
@@ -763,6 +765,61 @@ def test_no_overflow_error_escapes():
                     lie3.horizontal_tension(md, sigma, r)
                 except ValueError:  # the refusal, PreconditionError off H1 included
                     pass
+
+
+_VERDICT_NAMES = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-105, 1.0, 1e150, 1e200])
+def test_one_field_report_is_its_stack_row(scale):
+    # Every field of a one-field report (Python floats) is row k of the
+    # stacked report (numpy columns), bit for bit: a None field is a nan row.
+    # At 1e-170 and 1e-105 the tensions underflow, at 1e150 and 1e200 some
+    # overflow; at r = 3 some rows are on H1 and some off it.
+    lams = np.array([(2.0, 1.0, -1.0), (3.0, 2.0, 1.0), (1.0, 1.0, 0.5), (0.7, -0.3, 1.1), (1.0, 1.0, 0.0)])
+    sigmas = np.array([E[0], E[2], (0.6, 0.0, 0.8), (0.0, 0.6, 0.8), _GENERIC])
+    lam = np.repeat(lams * scale, len(sigmas), axis=0)
+    sigma = np.tile(sigmas, (len(lams), 1))
+    stack = MilnorData.normalize(lam)
+    rows = [MilnorData.normalize(row) for row in lam]
+    for r in (1, 2, 3):
+        stacked = lie3.check_predicates(stack, sigma, r)
+        for k, (row, s) in enumerate(zip(rows, sigma)):
+            one = lie3.check_predicates(row, s, r)
+            for name in _VERDICT_NAMES:
+                value = getattr(one, name)
+                assert type(value) is bool and value == getattr(stacked, name)[k], (name, r, k)
+            for name in _FIELDS:
+                value, want = getattr(one, name), getattr(stacked, name)[k]
+                if value is None:
+                    assert np.isnan(want).all(), (name, r, k)
+                    continue
+                if name == "vertical_energy":
+                    assert type(value) is float, (r, k)
+                else:
+                    assert type(value) is np.ndarray and value.shape == (3,), (name, r, k)
+                assert _bits(value) == _bits(want), (name, r, k, value, want)
+        if r == 3:
+            assert 0 < stacked.twisted_2_skyrmion.sum() < len(lam)
+            assert np.isnan(stacked.horizontal_tension).any()
+
+
+def test_membership_mask_is_the_weighted_flags():
+    # The mask of _member, 4 [|a0| > TOL] + 2 [|a1| > TOL] + [|a2| > TOL] in
+    # integer arithmetic, is (|sigma| > TOL) @ [4, 2, 1] at and next to TOL and
+    # at signed zeros, for one triple and for stacks.
+    tol = lie3.TOL
+    edges = [tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 0.0]
+    values = [x for v in edges for x in (v, -v)]
+    sigma = np.array(list(product(values, repeat=3)))
+    want = (np.abs(sigma) > tol) @ np.array([4, 2, 1])
+    assert sorted(set(want.tolist())) == list(range(8))
+    identity = np.arange(8)  # admission rows whose entry L is L: _member returns the mask
+    assert lie3._member(identity, (), sigma).tolist() == want.tolist()
+    assert lie3._member(identity, (), sigma.reshape(8, 8, 8, 3)).tolist() == want.reshape(8, 8, 8).tolist()
+    for s, mask in zip(sigma, want.tolist()):
+        got = lie3._member(identity, (), s)
+        assert got == mask and type(got) is np.int64, (s, got)
 
 
 # ---------------------------------------------------------------------------
