@@ -30,7 +30,9 @@ The package's input contract lives here, in helpers that ``lie3`` and
 ``mapenergy`` share: complex input is refused, not cast, non-finite input is
 refused naming the first bad row of a stack ("matrix row 3 has ..."), and so
 is a result that leaves the float range.  So is the tolerance policy ``TOL``
-of every verdict that treats a quantity as zero.
+of every verdict that treats a quantity as zero.  One item (a (3,) triple, a
+Python float or int coupling) is checked on Python floats; a stack, or an
+item that fails, takes the array path, which words every refusal.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ def _finite(values, name: str, axes: int, problem="has non-finite entries", erro
 def _positive(values, name: str, problem=lambda x: None) -> np.ndarray:
     # ``values`` as a float array whose entries are positive finite reals that
     # ``problem`` (a message, or None) passes; the first entry that is not is
-    # refused naming its row.
+    # refused naming its row.  A Python float or int that passes skips the array
+    # path and returns as a numpy float, whose shape () is that of the 0-d array.
+    if type(values) in (float, int) and 0.0 < (x := float(values)) < math.inf and not problem(x):
+        return np.float64(x)
     arr = _real(values, name)
     for k, x in enumerate(arr.ravel().tolist()):
         if not 0.0 < x < math.inf:

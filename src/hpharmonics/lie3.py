@@ -71,6 +71,9 @@ class PreconditionError(ValueError):
 
 def _triple(values, name: str) -> np.ndarray:
     arr = _real(values, name)
+    # One triple's floats sum to a finite number only if each is finite; others go the array way.
+    if arr.shape == (3,) and math.isfinite(sum(arr.tolist())):
+        return arr
     if arr.shape[-1:] != (3,):
         raise ValueError(f"{name} must be a triple, got shape {arr.shape}")
     return _finite(arr, name, 1)
@@ -98,8 +101,13 @@ def _norm(v):
 
 
 def _unit_triple(sigma) -> np.ndarray:
+    # |sigma|^2 comes from _dot, whose bits decide the 2 TOL band; an overflow is refused, not
+    # warned.  One triple of norm below 1.5 cannot overflow: it skips errstate, compares a float.
     arr = _triple(sigma, "sigma")
-    norm_sq = _dot(arr, arr)
+    if arr.ndim == 1 and math.hypot(*arr.tolist()) < 1.5 and abs(float(_dot(arr, arr)) - 1.0) <= 2.0 * TOL:
+        return arr
+    with np.errstate(over="ignore"):
+        norm_sq = _dot(arr, arr)
     if _any(abs(norm_sq - 1.0) > 2.0 * TOL):
         unit = abs(norm_sq - 1.0) <= 2.0 * TOL
         value = np.ravel(norm_sq)[np.argmin(unit)]
@@ -267,17 +275,18 @@ class MilnorData:
             label, kernel = _CLASS_BY_SIGNS.item(signs), _KERNEL_BY_ZERO_MU.item(zeros)
         numbers = (np.stack(numbers, -1) if lead else np.array(numbers)).reshape(lead + (6, 3))
         numbers.setflags(write=False)
+        rows = np.moveaxis(numbers, -2, 0) if lead else numbers  # row k is numbers[..., k, :]
         return _frozen(cls, {
-            "lam": numbers[..., 0, :],
-            "mu": numbers[..., 1, :],
-            "ricci": numbers[..., 2, :],
-            "sectional": numbers[..., 3, :],
+            "lam": rows[0],
+            "mu": rows[1],
+            "ricci": rows[2],
+            "sectional": rows[3],
             "algebra_class": label,
             "flat": kernel == 3,
             "ricci_kernel_dim": kernel,
             "permutation": order,
             "sign_flipped": flipped,
-            "scaled": numbers[..., 4:, :],
+            "scaled": numbers[4:] if not lead else numbers[..., 4:, :],
             "mu_exponent": f,
             "mu_pattern": pattern,
             "lam_ties": ties,
@@ -461,15 +470,23 @@ def in_z2(md: MilnorData, sigma):
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling):
     """Whether ``sigma`` is a twisted 2-skyrmion: an eigenvector of
-    diag(d), d_i = mu_i^2 - (coupling/4) rho_i^2, for a positive coupling.
+    diag(d), d_i = mu_i^2 - (coupling/4) rho_i^2, for a positive coupling
+    (one, or one per field: its shape must broadcast to the verdict's).
 
     With rho_i = 2 mu_j mu_k, d_i - d_j = (mu_i^2 - mu_j^2)(1 + coupling mu_k^2)
     for every permutation (i, j, k), so two entries of d coincide exactly
     when the same two entries of mu^2 do: the locus is H1 (:func:`in_h1`).
     Deciding it on d itself would mix degrees 2 and 4 in lambda.
     """
-    _positive(coupling, "coupling")
-    return in_h1(md, sigma)
+    fit = _positive(coupling, "coupling").shape
+    verdict = in_h1(md, sigma)
+    _fits(fit, np.shape(verdict))
+    return verdict
+
+
+def _fits(fit: tuple, shape: tuple) -> None:  # a coupling of shape ``fit`` must broadcast to ``shape``
+    if fit and (len(fit) > len(shape) or any(n not in (1, m) for n, m in zip(fit[::-1], shape[::-1]))):
+        raise ValueError(f"coupling of shape {fit} does not broadcast to the fields' shape {shape}")
 
 
 def vertical_newton_2(md: MilnorData, sigma) -> np.ndarray:
@@ -695,7 +712,8 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     for ``r_harmonic_unit``, both the sphere at degree 3 (the derivative has
     rank at most 2); H1 for ``twisted_2_skyrmion`` (:func:`in_skyrmion_locus`),
     whatever ``coupling``, the ratio c2/c1 of the degree-2 to degree-1
-    energy weights (default 0.5, the binomial weights (2, 1)).
+    energy weights (default 0.5, the binomial weights (2, 1)), positive and
+    of a shape that broadcasts to the verdicts'.
     ``r_harmonic_map`` classifies maps into the unit tangent bundle: the
     eigenvectors of diag(lam), read off the ties of lam
     (mu_i - mu_j = lam_j - lam_i), for r = 1, 2, and H1 for r = 3.
@@ -712,9 +730,10 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     arr = _unit_triple(sigma)
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
-    _positive(coupling, "coupling")
+    fit = _positive(coupling, "coupling").shape
     # One gather, one membership test: Z_r, H_r, H1 (the skyrmion locus), map.
     verdicts = _member(_VERDICTS, (md.mu_pattern, md.lam_ties, r - 1, slice(None)), arr)
+    _fits(fit, verdicts.shape[:-1])
     # Degree-3 bending density vanishes identically: the covariant derivative
     # of a unit field takes values in a 2-plane.  The degree-3 horizontal
     # closed form holds on H1 only; other rows are reported as None (nan in a

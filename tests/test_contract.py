@@ -141,7 +141,58 @@ CASES = {
         lambda: mapenergy.conformal_scaling_residual(POINTS, [2.0, np.nan], 1),
         "scale factor row 1 must be finite, got nan",
     ),
+    # One triple's checks run on Python floats; their refusals read as a stack's row would.
+    "nan sigma": (
+        lambda: lie3.check_predicates(MD, [np.nan, 0.0, 1.0], 1),
+        "sigma has non-finite entries",
+    ),
+    "inf sigma": (
+        lambda: lie3.tension_t1(MD, [0.0, -np.inf, 0.0]),
+        "sigma has non-finite entries",
+    ),
+    "sigma of shape (2,)": (
+        lambda: lie3.check_predicates(MD, [0.6, 0.8], 1),
+        "sigma must be a triple, got shape (2,)",
+    ),
+    # |sigma|^2 overflows: refused, not warned, on both carriers.
+    **{f"overflowing |sigma|^2 {name}": (
+        lambda call=call: call([1e200, 0.0, 0.0]),
+        "sigma must be a unit vector, |sigma|^2 = inf",
+    ) for name, call in {
+        "tension_t2": lambda s: lie3.tension_t2(MD, s),
+        "vertical_newton_1": lambda s: lie3.vertical_newton_1(MD, s),
+        "horizontal_tension": lambda s: lie3.horizontal_tension(MD, s, 2),
+        "first_variation_fd": lambda s: lie3.first_variation_fd(MD, s, [0.0, 1.0, 0.0], 1),
+        "check_predicates": lambda s: lie3.check_predicates(MD, s, 1),
+    }.items()},
+    "overflowing |sigma|^2 row": (
+        lambda: lie3.tension_t2(MD, np.array([SIGMA, [1e200, 0.0, 0.0]])),
+        "sigma row 1 must be a unit vector, |sigma|^2 = inf",
+    ),
+    # A coupling must broadcast to the shape of the verdicts; a scalar always does.
+    "coupling shape, one field": (
+        lambda: lie3.check_predicates(MD, SIGMA, 1, coupling=[0.5, 2.0]),
+        "coupling of shape (2,) does not broadcast to the fields' shape ()",
+    ),
+    "coupling shape, a stack": (
+        lambda: lie3.check_predicates(MD, np.array([SIGMA] * 3), 1, coupling=np.ones(5)),
+        "coupling of shape (5,) does not broadcast to the fields' shape (3,)",
+    ),
+    "coupling shape, skyrmion locus": (
+        lambda: lie3.in_skyrmion_locus(MD, SIGMA, np.ones((4, 4))),
+        "coupling of shape (4, 4) does not broadcast to the fields' shape ()",
+    ),
 }
+# Each refused coupling as a Python float, an int, a numpy float and a 0-d array:
+# one wording whichever type takes which path.
+for value, fault in ((np.nan, "finite, got nan"), (0.0, "positive, got 0.0"),
+                     (-1.0, "positive, got -1.0"), (np.inf, "finite, got inf")):
+    for kind in (float, int, np.float64, np.array):
+        if kind is not int or np.isfinite(value):
+            CASES[f"coupling {value} as {kind.__name__}"] = (
+                lambda c=kind(value): lie3.check_predicates(MD, SIGMA, 1, coupling=c),
+                f"coupling must be {fault}",
+            )
 
 
 @pytest.mark.filterwarnings("error")
@@ -158,3 +209,40 @@ def test_overflow_is_still_reported_as_none():
         report = lie3.check_predicates(BIG, SIGMA, r)
         assert report.vertical_tension is None
         assert report.vertical_energy is None
+
+
+def test_accepted_couplings_broadcast():
+    stack = np.array([SIGMA] * 10)[:, None].repeat(4, axis=1)  # (10, 4) fields
+    for coupling in (0.5, 2, np.float64(0.5), np.array(0.5), np.full((10, 1), 0.5), np.full(4, 0.5)):
+        assert lie3.in_skyrmion_locus(MD, stack, coupling).shape == (10, 4)
+        assert lie3.check_predicates(MD, stack, 2, coupling=coupling).coupling is coupling
+    assert lie3.check_predicates(MD, SIGMA, 1, coupling=np.array(0.5)).r_harmonic_unit is False
+
+
+def test_scale_factor_of_any_scalar_type_gives_one_residual():
+    # A Python float or int scale factor skips the array path of the positivity check.
+    residuals = [mapenergy.conformal_scaling_residual(POINTS, rho, 1) for rho in (2, 2.0, np.float64(2.0), np.array(2.0))]
+    assert all(type(x) is np.ndarray and x.shape == (2,) for x in residuals)
+    assert all(x.tobytes() == residuals[0].tobytes() for x in residuals)
+
+
+def test_one_field_checks_call_no_array_finiteness_test(monkeypatch):
+    # One finite unit field and a float coupling are checked on Python floats:
+    # the array test _finite words refusals and is not reached on this path.
+    calls = []
+    true_finite = invariants._finite
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return true_finite(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_finite", counting)
+    monkeypatch.setattr(lie3, "_finite", counting)
+    for r in (1, 2, 3):
+        md = lie3.MilnorData.normalize(np.array([3.0, 1.0, -2.0]))
+        sigma = md.permute(np.array([0.0, 0.6, 0.8]))
+        lie3.check_predicates(md, sigma, r, coupling=0.7)
+        assert not calls, r
+    # A stack takes the array path.
+    lie3.check_predicates(md, np.array([sigma, sigma]), 1, coupling=0.7)
+    assert calls == ["sigma"]
