@@ -43,7 +43,7 @@ print("subalgebra circle (both coefficients nonzero).")
 md = classify_algebra((1.0, 0.0, -1.0))
 t = 0.6
 sigma = np.array([np.cos(t), 0.0, np.sin(t)])
-print(f"sigma = {sigma}, harmonic unit field: {bool(in_h1(md, sigma))}")
+print(f"sigma = {sigma}, harmonic unit field: {in_h1(md, sigma)}")
 for r in (1, 2, 3):
     h = horizontal_tension(md, sigma, r)
     verdict = "vanishes -> harmonic map" if np.linalg.norm(h) < 1e-12 else "obstructs"

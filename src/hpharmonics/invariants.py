@@ -32,7 +32,9 @@ refused naming the first bad row of a stack ("matrix row 3 has ..."), and so
 is a result that leaves the float range.  So is the tolerance policy ``TOL``
 of every verdict that treats a quantity as zero.  One item (a (3,) triple, a
 Python float or int coupling) is checked on Python floats; a stack, or an
-item that fails, takes the array path, which words every refusal.
+item that fails, takes the array path, which words every refusal.  The two
+carriers their closed forms run on live here too: Python floats for one
+item, numpy columns for a stack.
 """
 
 from __future__ import annotations
@@ -117,6 +119,85 @@ def _frozen(cls, fields: dict):
 def _scalars(values):
     # A single item's result as a Python scalar, a stack's as its array.
     return values.item() if values.ndim == 0 else values
+
+
+class _Floats:
+    """One item, every input one-dimensional (a (3,) triple, one point's (m,)
+    stretches): each component a Python float."""
+
+    split = np.ndarray.tolist
+    pack = np.array
+    rows = lambda v: v  # a matrix's, by first index
+    full = lambda shape, value: value
+    frexp = math.frexp
+    scale = math.ldexp  # x 2^n where that is within the float range, as in an exact rescaling
+    maximum = max
+    pick = lambda flag, x, y: x if flag else y
+    lookup = np.ndarray.item  # a table's entry at an index (a tuple) as a Python scalar
+    any = bool
+    quiet = lambda body: body  # floats never warn
+    gather = np.ndarray.take  # values[index], index a tuple of slots
+    dots = lambda xs, ys: np.vecdot(w := np.array(xs), w if ys is xs else np.array(ys)).tolist()
+    reported = lambda vector, keep=True: (
+        vector if keep and all(map(math.isfinite, vector.tolist())) else None)
+    finite = lambda x: x if math.isfinite(x) else None
+
+    def ldexp(x, n):  # x 2^n, the signed inf where that overflows
+        try:  # math.ldexp raises where np.ldexp gives the signed inf
+            return math.ldexp(x, n)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+
+    def sort3(a, b, c, ua, ub, uc):
+        # a, b, c descending, each with its unit value and input slot; insertion is stable.
+        x, y, z = (a, ua, 0), (b, ub, 1), (c, uc, 2)
+        if b > a:
+            x, y = y, x
+        if c > y[0]:
+            y, z = z, y
+            if c > x[0]:
+                x, y = y, x
+        return (x[0], y[0], z[0]), (x[1], y[1], z[1]), (x[2], y[2], z[2])
+
+
+class _Columns:
+    """Any stack: each component one (...) array over its rows."""
+
+    split = lambda v: [v[..., k] for k in range(v.shape[-1])]
+    pack = lambda parts: np.stack(parts, -1)
+    rows = lambda v: np.moveaxis(v, -2, 0)
+    full = np.full
+    ldexp = np.ldexp
+    scale = np.ldexp
+    maximum = lambda a, b, c: np.maximum(np.maximum(a, b), c)
+    pick = np.where
+    lookup = np.ndarray.__getitem__
+    any = lambda flags: 1 in flags.tobytes()  # from the bytes, one a flag: cheaper than .any() on a few
+    quiet = lambda body: np.errstate(all="ignore")(body)  # built per call: numpy enters one only once
+    gather = lambda values, index: np.take_along_axis(*np.broadcast_arrays(values, index), -1)
+    # Component triples of a stack may differ in shape, so one np.vecdot each.
+    dots = lambda xs, ys: [
+        np.vecdot(w := np.stack(x, -1), w if y is x else np.stack(y, -1)) for x, y in zip(xs, ys)]
+    reported = lambda vector, keep=True: (
+        np.where((keep & np.isfinite(vector).all(-1))[..., None], vector, np.nan))
+    finite = lambda x: np.where(np.isfinite(x), x, np.nan)
+
+    def frexp(x):  # the exponents as int, as math.frexp gives them
+        mantissa, exponent = np.frexp(x)
+        return mantissa, exponent.astype(int)
+
+    def sort3(a, b, c, ua, ub, uc):
+        # The same sort, by a stable argsort of -(a, b, c).
+        both = np.array([[a, b, c], [ua, ub, uc]])
+        order = np.argsort(-both[0], 0, kind="stable")
+        return *np.take_along_axis(both, order[None], 1), np.moveaxis(order, 0, -1).copy()
+
+
+def _carrier(x: np.ndarray, y: np.ndarray = np.empty(3)) -> type:
+    # The one shape test of a body written once over the components of its vectors (the last
+    # axis): _Floats for x and y one item each, else _Columns.  A carrier is a namespace of
+    # functions called on the class, each rounding as numpy's does, so a row's bits ignore it.
+    return _Floats if x.ndim == y.ndim == 1 else _Columns
 
 
 def as_square_matrix(a) -> np.ndarray:

@@ -20,9 +20,11 @@ Everything here is a pure function of these triples.  Every oracle here is
 one connection engine on lam that reads no mu (:func:`tension_assembled`,
 :func:`vertical_cauchy_green`, :func:`divergence_invariant_tensor`).  Every
 function broadcasts over leading axes of (..., 3) inputs, each row computed
-exactly as alone; a single triple is a batch of one that returns Python
-scalars.  Input is checked as ``invariants`` states; a closed form leaving
-the float range refuses (:func:`check_predicates` reports None).
+exactly as alone, in one body over components whose carrier the input shapes
+pick: Python floats for a single triple (a batch of one that returns Python
+scalars), numpy columns for a stack.  Input is checked as ``invariants``
+states; a closed form leaving the float range refuses (:func:`check_predicates`
+reports None).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .invariants import TOL, _finite, _frozen, _newton_chain, _newton_girard, _positive, _real
-from .invariants import _refused, _row, _scalars, elementary_invariants_newton
+from .invariants import TOL, _Columns, _carrier, _finite, _frozen, _newton_chain, _newton_girard
+from .invariants import _positive, _real, _refused, _row, _scalars, elementary_invariants_newton
 
 __all__ = [
     "MilnorData", "PreconditionError", "PredicateReport", "StructureConstants", "SubsetDescriptor",
@@ -79,12 +81,6 @@ def _triple(values, name: str) -> np.ndarray:
     return _finite(arr, name, 1)
 
 
-# Whether any flag of a bool array is set, read from its bytes, one a flag: on
-# a few flags a fraction of the cost of count_nonzero or .any().
-def _any(flags) -> bool:
-    return 1 in flags.tobytes()
-
-
 def _negligible(magnitude, scale=1.0):
     """Whether ``magnitude`` (scalar or array) is zero relative to ``scale``;
     against a zero scale only an exact zero is negligible."""
@@ -108,30 +104,30 @@ def _unit_triple(sigma) -> np.ndarray:
         return arr
     with np.errstate(over="ignore"):
         norm_sq = _dot(arr, arr)
-    if _any(abs(norm_sq - 1.0) > 2.0 * TOL):
+    if _Columns.any(abs(norm_sq - 1.0) > 2.0 * TOL):
         unit = abs(norm_sq - 1.0) <= 2.0 * TOL
         value = np.ravel(norm_sq)[np.argmin(unit)]
         raise ValueError(f"sigma{_row(unit)} must be a unit vector, |sigma|^2 = {value}")
     return arr
 
 
-def _normalize_row(a, b, c, frexp, ldexp, pick, max3, sort3) -> tuple:
+def _normalize_row(a, b, c, carrier) -> tuple:
     # One raw triple, flipped and sorted, and every fact of it that depends on
     # lam alone (see MilnorData): lam, mu, rho, K and ``scaled`` as 18 numbers,
     # the sign counts, zero-mu count, order, flip, f, pattern and tie mask of
-    # lam.  Its carrier, Python floats (_FLOATS) or numpy columns (_COLUMNS),
-    # supplies frexp, ldexp, a pick, max of three and a stable descending sort,
-    # each rounding as numpy does.  Half-sums are plain (sum() compensates from
-    # 3.12 on); counts start at 1 * flag, as bool + bool is an or on arrays.
-    top, e = frexp(max3(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
-    ua, ub, uc = ldexp(a, -e), ldexp(b, -e), ldexp(c, -e)
+    # lam, on its carrier (see invariants._carrier).  Half-sums are plain
+    # (sum() compensates from 3.12 on); counts start at 1 * flag, as bool +
+    # bool is an or on arrays.
+    frexp, scale, pick = carrier.frexp, carrier.scale, carrier.pick
+    top, e = frexp(carrier.maximum(abs(a), abs(b), abs(c)))  # top = max |lam_i / 2^e|
+    ua, ub, uc = scale(a, -e), scale(b, -e), scale(c, -e)
     cut = TOL * top  # entries within it count as zero, differences as ties
     npos = 1 * (ua > cut) + (ub > cut) + (uc > cut)
     nneg = 1 * (ua < -cut) + (ub < -cut) + (uc < -cut)
     flip = nneg > npos
     s = pick(flip, -1.0, 1.0)
     signs = pick(flip, nneg, npos), pick(flip, npos, nneg)
-    (l0, l1, l2), (u0, u1, u2), order = sort3(s * a, s * b, s * c, s * ua, s * ub, s * uc)
+    (l0, l1, l2), (u0, u1, u2), order = carrier.sort3(s * a, s * b, s * c, s * ua, s * ub, s * uc)
     # The tie mask of unit lam, its flags as those of mu^2 below; u0 >= u1 >= u2.
     ties = 4 * (u1 - u2 <= cut) + 2 * (u0 - u2 <= cut) + (u0 - u1 <= cut)
     half = 0.5 * ((l0 + l1) + l2)
@@ -152,56 +148,10 @@ def _normalize_row(a, b, c, frexp, ldexp, pick, max3, sort3) -> tuple:
     f = frexp(pick(-m0 > m2, -m0, m2))[1]
     numbers = [
         l0, l1, l2, m0, m1, m2, r0, r1, r2, k23, k13, k12,
-        ldexp(m0, -f), ldexp(m1, -f), ldexp(m2, -f),
-        ldexp(k23, -2 * f), ldexp(k13, -2 * f), ldexp(k12, -2 * f),
+        scale(m0, -f), scale(m1, -f), scale(m2, -f),
+        scale(k23, -2 * f), scale(k13, -2 * f), scale(k12, -2 * f),
     ]
     return numbers, signs, 1 * z0 + z1 + z2, order, flip, f, pattern, ties
-
-
-def _sort_floats(a, b, c, ua, ub, uc):
-    # Descending by value, with each unit value and input slot; insertion is stable.
-    x, y, z = (a, ua, 0), (b, ub, 1), (c, uc, 2)
-    if b > a:
-        x, y = y, x
-    if c > y[0]:
-        y, z = z, y
-        if c > x[0]:
-            x, y = y, x
-    return zip(x, y, z)
-
-
-def _sort_columns(a, b, c, ua, ub, uc):
-    # The same sort on columns, by a stable argsort of -lam.
-    both = np.array([[a, b, c], [ua, ub, uc]])
-    order = np.argsort(-both[0], 0, kind="stable")
-    return *np.take_along_axis(both, order[None], 1), np.moveaxis(order, 0, -1).copy()
-
-
-_FLOATS = (math.frexp, math.ldexp, lambda flag, x, y: x if flag else y, max, _sort_floats)
-_COLUMNS = (np.frexp, np.ldexp, np.where, lambda a, b, c: np.maximum(np.maximum(a, b), c), _sort_columns)
-
-
-def _ldexp_float(x: float, n: int) -> float:
-    try:  # math.ldexp raises where np.ldexp gives the signed inf
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-# A field's carrier: split (..., 3) into components, pack them back, a component as
-# one number per row, ldexp, a pick and x . y of the component triples x of xs and
-# y of ys, from _dot on both.  One field (md and sigma of shape (3,)) runs on Python
-# floats, any stack on (..., 1) numpy columns.
-_FIELD_FLOATS = (np.ndarray.tolist, np.array, lambda x: x, _ldexp_float, lambda flag, x, y: x if flag else y,
-                 lambda xs, ys: _dot(w := np.array(xs), w if ys is xs else np.array(ys)).tolist())
-_FIELD_COLUMNS = (lambda v: (v[..., :1], v[..., 1:2], v[..., 2:]), lambda c: np.concatenate(c, -1),
-                  lambda x: x[..., 0], np.ldexp, np.where,
-                  lambda xs, ys: [_dot(w := np.concatenate(x, -1), w if y is x else np.concatenate(y, -1),
-                                       keepdims=True) for x, y in zip(xs, ys)])
-
-
-def _carrier(md: MilnorData, arr: np.ndarray) -> tuple:
-    return _FIELD_FLOATS if md.lam.ndim == arr.ndim == 1 else _FIELD_COLUMNS
 
 
 def _times(x, y) -> tuple:  # componentwise, on component triples of either carrier
@@ -215,8 +165,7 @@ def _cross3(x, y) -> tuple:  # the cross product, on component triples of either
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Over the last axis of (..., 3) arrays: np.cross's bits without its axis bookkeeping.
-    split, pack = _FIELD_COLUMNS[:2]
-    return pack(_cross3(split(a), split(b)))
+    return _Columns.pack(_cross3(_Columns.split(a), _Columns.split(b)))
 
 
 @dataclass(frozen=True)
@@ -238,8 +187,8 @@ class MilnorData:
     tie mask of m^2 as bits, the key of :func:`classify_sets`; ``lam_ties``
     has the tie mask of lam / 2^e, which fixes the harmonic-map locus.  The
     rows of ``scaled`` are mu / 2^f and K / 2^2f, 2^f ~ max |mu_i|
-    (f: ``mu_exponent``, with a trailing axis of 1 in a stack).  A stack
-    gives arrays for every field; one triple a str, bools, ints and a tuple.
+    (f: ``mu_exponent``, shaped as ``mu_pattern``).  A stack gives arrays
+    for every field; one triple a str, bools, ints and a tuple.
     """
 
     lam: np.ndarray
@@ -259,34 +208,27 @@ class MilnorData:
     @classmethod
     def normalize(cls, raw) -> "MilnorData":
         """Validate, flip and sort raw triples (a (..., 3) array) and derive
-        their geometry.  The shape alone picks the row kernel's carrier: a
-        (3,) triple runs on Python floats, any stack (empty too) on numpy
-        columns, bit for bit alike, with plain half-sums on every Python."""
+        their geometry, bit for bit alike on either carrier, on every Python."""
         vals = _triple(raw, "structure constants")
-        lead = vals.shape[:-1]
-        if lead:  # a row scaled to 1e155 or more overflows to inf/nan silently, as on floats
-            with np.errstate(all="ignore"):
-                row = _normalize_row(*np.moveaxis(vals, -1, 0), *_COLUMNS)
-            numbers, signs, zeros, order, flipped, f, pattern, ties = row
-            label, kernel, f = _CLASS_BY_SIGNS[signs], _KERNEL_BY_ZERO_MU[zeros], f[..., None].astype(int)
-        else:
-            row = _normalize_row(*vals.tolist(), *_FLOATS)
-            numbers, signs, zeros, order, flipped, f, pattern, ties = row
-            label, kernel = _CLASS_BY_SIGNS.item(signs), _KERNEL_BY_ZERO_MU.item(zeros)
-        numbers = (np.stack(numbers, -1) if lead else np.array(numbers)).reshape(lead + (6, 3))
+        carrier = _carrier(vals)
+        # A row scaled to 1e155 or more overflows to inf/nan silently, on either carrier.
+        row = carrier.quiet(_normalize_row)(*carrier.split(vals), carrier)
+        numbers, signs, zeros, order, flipped, f, pattern, ties = row
+        kernel = carrier.lookup(_KERNEL_BY_ZERO_MU, zeros)
+        numbers = carrier.pack(numbers).reshape(vals.shape[:-1] + (6, 3))
         numbers.setflags(write=False)
-        rows = np.moveaxis(numbers, -2, 0) if lead else numbers  # row k is numbers[..., k, :]
+        rows = carrier.rows(numbers)
         return _frozen(cls, {
             "lam": rows[0],
             "mu": rows[1],
             "ricci": rows[2],
             "sectional": rows[3],
-            "algebra_class": label,
+            "algebra_class": carrier.lookup(_CLASS_BY_SIGNS, signs),
             "flat": kernel == 3,
             "ricci_kernel_dim": kernel,
             "permutation": order,
             "sign_flipped": flipped,
-            "scaled": numbers[4:] if not lead else numbers[..., 4:, :],
+            "scaled": numbers[..., 4:, :],
             "mu_exponent": f,
             "mu_pattern": pattern,
             "lam_ties": ties,
@@ -295,9 +237,7 @@ class MilnorData:
     def permute(self, components) -> np.ndarray:
         """Reorder coefficient triples from input order to normalized order."""
         arr = _triple(components, "components")
-        if isinstance(self.permutation, tuple):
-            return arr.take(self.permutation, -1)
-        return np.take_along_axis(*np.broadcast_arrays(arr, self.permutation), -1)
+        return _carrier(arr, self.lam).gather(arr, self.permutation)
 
 
 #: The earlier name of :class:`MilnorData`, bound to the same class.
@@ -336,19 +276,20 @@ def _vertical(md: MilnorData, arr: np.ndarray, r: int):
     # Degree-r (1 or 2) vertical tension and bending density of validated coefficients:
     # t1 = sigma^(2) - |M|^2 sigma with e1 = sum_i a_i^2 (mu_j^2 + mu_k^2), no term negative,
     # t2 = -(|Ric sigma|^2 sigma + Ric^2 sigma)/4 with e2 = |sigma|^2 |Ric sigma|^2/4.
-    # Written once over components, on the carrier _carrier picks, as _horizontal_tension is.
-    split, pack, scalar, *_, dots = _carrier(md, arr)
+    # Written once over components, on the carrier of md and arr, as _horizontal_tension is.
+    carrier = _carrier(md.lam, arr)
+    split, dots = carrier.split, carrier.dots
     a = split(arr)
     if r == 1:
         mu = split(md.mu)
         q0, q1, q2 = q = _times(mu, mu)
         total = (q0 + q1) + q2
         (e1,) = dots([_times(a, a)], [(q1 + q2, q2 + q0, q0 + q1)])
-        return pack([x * y - total * y for x, y in zip(q, a)]), scalar(e1)
+        return carrier.pack([x * y - total * y for x, y in zip(q, a)]), e1
     ric = split(md.ricci)
     norms = [_times(ric, a), a]
     ricci_sq, norm_sq = dots(norms, norms)
-    return pack([-0.25 * (ricci_sq * y + x * x * y) for x, y in zip(ric, a)]), scalar(0.25 * norm_sq * ricci_sq)
+    return carrier.pack([-0.25 * (ricci_sq * y + x * x * y) for x, y in zip(ric, a)]), 0.25 * norm_sq * ricci_sq
 
 
 def vertical_cauchy_green(md: MilnorData, sigma) -> np.ndarray:
@@ -382,14 +323,14 @@ def vertical_newton_1(md: MilnorData, sigma) -> np.ndarray:
     return _refused(lambda: _newton_matrix(md, arr, 1), "the degree-1 vertical Newton tensor", 2)
 
 
-def _newton_parts(md: MilnorData, a, degree: int, split, dots) -> list:
+def _newton_parts(md: MilnorData, a, degree: int, carrier) -> list:
     # Vertical Newton tensors of degrees 1..degree (<= 2) of the unit field
     # as (delta, c), i.e. diag(delta) + c * s1 s1^T; degree 2 needs H1 and e2
-    # (see _vertical).  Over the components a of sigma on the carrier of split, dots.
-    mu = split(md.mu)
+    # (see _vertical).  Over the components a of sigma on its carrier.
+    mu = carrier.split(md.mu)
     s1 = _times(mu, a)
-    norms = [s1, a, _times(split(md.ricci), a)] if degree == 2 else [s1]
-    s1_sq, *e2 = dots(norms, norms)
+    norms = [s1, a, _times(carrier.split(md.ricci), a)] if degree == 2 else [s1]
+    s1_sq, *e2 = carrier.dots(norms, norms)
     q0, q1, q2 = mu_sq = _times(mu, mu)
     e1 = (q0 + q1) + q2 - s1_sq
     parts = [((e1 - q0, e1 - q1, e1 - q2), 1.0)]
@@ -399,7 +340,7 @@ def _newton_parts(md: MilnorData, a, degree: int, split, dots) -> list:
 
 
 def _require_h1(md: MilnorData, arr: np.ndarray) -> None:
-    if np.count_nonzero(~in_h1(md, arr)):
+    if not np.all(in_h1(md, arr)):
         raise PreconditionError(
             "sigma is not an eigenvector of the squared Milnor map; "
             "the degree-2 Newton tensor closed form does not apply"
@@ -414,11 +355,11 @@ def _newton_matrix(md: MilnorData, arr: np.ndarray, degree: int) -> np.ndarray:
         gram = (md.mu**2 * (near[..., :3] + near[..., 3:])).take(_NEXT_PREV, -1)
         rank_one[..., _DIAG, _DIAG] = gram[..., :3] + gram[..., 3:]
         return rank_one
-    split, pack, *_, dots = _carrier(md, arr)
-    delta, c = _newton_parts(md, split(arr), degree, split, dots)[-1]
+    carrier = _carrier(md.lam, arr)
+    delta, c = _newton_parts(md, carrier.split(arr), degree, carrier)[-1]
     out = np.zeros(rank_one.shape)
-    out[..., _DIAG, _DIAG] = pack(delta)
-    return out + np.asarray(c)[..., None] * rank_one
+    out[..., _DIAG, _DIAG] = carrier.pack(delta)
+    return out + np.asarray(c)[..., None, None] * rank_one
 
 
 def is_eigendirection(diag_values, sigma):
@@ -429,43 +370,42 @@ def is_eigendirection(diag_values, sigma):
     d = _triple(diag_values, "diag_values")
     arr = _triple(sigma, "sigma")
     v = arr * (d / np.maximum(np.abs(d).max(-1, keepdims=True), 1e-300))
-    return _negligible(_norm(v - _dot(v, arr)[..., None] * arr))
+    return _scalars(_negligible(_norm(v - _dot(v, arr)[..., None] * arr)))
 
 
 def _member(admits: np.ndarray, key: tuple, sigma):
     # The one membership test of every verdict and descriptor: the mask of the
     # coefficients of sigma not negligible against 1, first highest, picks the
     # entry of the admission rows admits[key] (SubsetDescriptor._admits); sigma
-    # is finite.  Exact integer arithmetic over its components, Python floats
-    # for one triple and one array per component for a stack.
-    a0, a1, a2 = sigma.tolist() if sigma.ndim == 1 else (sigma[..., 0], sigma[..., 1], sigma[..., 2])
+    # is finite.  Exact integer arithmetic over its components, on sigma's carrier.
+    a0, a1, a2 = _carrier(sigma).split(sigma)
     return admits[key + (4 * (abs(a0) > TOL) + 2 * (abs(a1) > TOL) + (abs(a2) > TOL),)]
 
 
-# One rule per locus, read from _VERDICTS; each broadcasts over ``md`` and ``sigma``.
+# One rule per locus, read from _VERDICTS, broadcast over md and sigma: a bool for one field.
 
 
 def in_h1(md: MilnorData, sigma):
     """Whether ``sigma`` is an eigenvector of the squared Milnor map (H1):
     membership in the H1 descriptor, fixed by the ties of mu^2."""
-    return _member(_VERDICTS, (md.mu_pattern, 0, 0, _H1), _triple(sigma, "sigma"))
+    return _scalars(_member(_VERDICTS, (md.mu_pattern, 0, 0, _H1), _triple(sigma, "sigma")))
 
 
 def in_h2(md: MilnorData, sigma):
     """Whether ``sigma`` is an eigenvector of the squared Ricci map (H2):
     rho_i^2 - rho_j^2 = 4 mu_k^2 (mu_j^2 - mu_i^2) for every permutation
     (i, j, k), so the H2 descriptor is H1 union Z2, without rho^2 of degree 4."""
-    return _member(_VERDICTS, (md.mu_pattern, 0, 1, _HR), _triple(sigma, "sigma"))
+    return _scalars(_member(_VERDICTS, (md.mu_pattern, 0, 1, _HR), _triple(sigma, "sigma")))
 
 
 def in_z1(md: MilnorData, sigma):
     """Whether ``sigma`` is parallel (Z1): membership in the Z1 descriptor."""
-    return _member(_VERDICTS, (md.mu_pattern, 0, 0, _Z), _triple(sigma, "sigma"))
+    return _scalars(_member(_VERDICTS, (md.mu_pattern, 0, 0, _Z), _triple(sigma, "sigma")))
 
 
 def in_z2(md: MilnorData, sigma):
     """Whether ``sigma`` lies in the Ricci kernel (Z2): membership in the Z2 descriptor."""
-    return _member(_VERDICTS, (md.mu_pattern, 0, 1, _Z), _triple(sigma, "sigma"))
+    return _scalars(_member(_VERDICTS, (md.mu_pattern, 0, 1, _Z), _triple(sigma, "sigma")))
 
 
 def in_skyrmion_locus(md: MilnorData, sigma, coupling):
@@ -658,23 +598,23 @@ def _horizontal_tension(md: MilnorData, arr: np.ndarray, r: int) -> np.ndarray:
     # c * x is x bit for bit).  mu and K are taken in units of t = 2^e ~ max
     # |mu|, an exact rescaling, so that no intermediate outgrows delta or c and
     # a zero result stays zero.  Written once over the components of each
-    # vector: the shape alone picks the carrier, Python floats for one field and
-    # numpy columns for any stack, bit for bit alike, each addition in one order
-    # on both.  check_predicates reads it without the refusals.
-    (split, pack, _, ldexp, pick, dots), e = _carrier(md, arr), md.mu_exponent
-    a, mu, sectional = split(arr), split(md.scaled[..., 0, :]), split(md.scaled[..., 1, :])
+    # vector on the carrier of md and arr, each addition in one order on both.
+    # check_predicates reads it without the refusals.
+    carrier = _carrier(md.lam, arr)
+    split, ldexp, e, scaled = carrier.split, carrier.ldexp, md.mu_exponent, carrier.rows(md.scaled)
+    a, mu, sectional = split(arr), split(scaled[0]), split(scaled[1])
     s1, ka = _times(mu, a), _times(sectional, a)
     if r == 1:
-        return pack([ldexp(x, 3 * e) for x in _cross3(ka, s1)])
-    (delta, c), *second = _newton_parts(md, a, r - 1, split, dots)
+        return carrier.pack([ldexp(x, 3 * e) for x in _cross3(ka, s1)])
+    (delta, c), *second = _newton_parts(md, a, r - 1, carrier)
     delta = [d + (2.0 if r == 2 else 1.0) for d in delta]  # the shift, then delta_2
     for delta2, c2 in second:
         delta, c = [d + d2 for d, d2 in zip(delta, delta2)], c + c2
     out = _cross3(ka, _times(delta, s1))
     s2 = _times(mu, s1)
     bend = _cross3(s1, _times(sectional, _cross3(a, _cross3(s2, a))))
-    return pack([ldexp(pick(c == 0.0, o, o + c * (x + ldexp(b, 2 * e))), 3 * e)
-                 for o, x, b in zip(out, _cross3(s2, s1), bend)])
+    return carrier.pack([ldexp(carrier.pick(c == 0.0, o, o + c * (x + ldexp(b, 2 * e))), 3 * e)
+                         for o, x, b in zip(out, _cross3(s2, s1), bend)])
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +636,6 @@ class PredicateReport:
     vertical_tension: np.ndarray | None
     horizontal_tension: np.ndarray | None
     vertical_energy: float | None
-
-
-def _reported(vector):
-    # One field's (3,) vector, or None where it is absent or leaves the float range.
-    return vector if vector is not None and all(map(math.isfinite, vector.tolist())) else None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as None, or nan
@@ -731,36 +666,22 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
     if r not in (1, 2, 3):
         raise ValueError(f"order r must be 1, 2 or 3, got {r}")
     fit = _positive(coupling, "coupling").shape
+    carrier = _carrier(md.lam, arr)
     # One gather, one membership test: Z_r, H_r, H1 (the skyrmion locus), map.
     verdicts = _member(_VERDICTS, (md.mu_pattern, md.lam_ties, r - 1, slice(None)), arr)
-    _fits(fit, verdicts.shape[:-1])
-    # Degree-3 bending density vanishes identically: the covariant derivative
-    # of a unit field takes values in a 2-plane.  The degree-3 horizontal
-    # closed form holds on H1 only; other rows are reported as None (nan in a
-    # stack), as is any row outside the float range.
-    if verdicts.ndim == 1:  # one field (the float carrier): Python bools and floats
-        parallel, harmonic_unit, h1, harmonic_map = verdicts.tolist()
-        if r < 3:
-            vertical, energy = _vertical(md, arr, r)
-            vertical, energy = _reported(vertical), energy if math.isfinite(energy) else None
-        else:
-            vertical, energy = np.array((0.0, 0.0, 0.0)), 0.0
-        horizontal = _reported(_horizontal_tension(md, arr, r) if r < 3 or h1 else None)
-    else:  # a stack: bool arrays, and nan rows
-        parallel, harmonic_unit, h1, harmonic_map = np.moveaxis(verdicts, -1, 0)
-        if r < 3:
-            vertical, energy = _vertical(md, arr, r)
-            horizontal = _horizontal_tension(md, arr, r)
-        else:
-            vertical = np.zeros(h1.shape + (3,))
-            energy = vertical[..., 0]
-            horizontal = vertical + np.nan
-            if _any(h1):
-                horizontal = np.where(h1[..., None], _horizontal_tension(md, arr, 3), horizontal)
-        vertical, horizontal = (np.where(np.isfinite(v).all(-1, keepdims=True), v, np.nan)
-                                for v in (vertical, horizontal))
-        energy = np.where(np.isfinite(energy), energy, np.nan)
-
+    _fits(fit, shape := verdicts.shape[:-1])
+    parallel, harmonic_unit, h1, harmonic_map = carrier.split(verdicts)
+    if r < 3:
+        vertical, energy = _vertical(md, arr, r)
+        vertical, energy, keep = carrier.reported(vertical), carrier.finite(energy), True
+    else:
+        # The degree-3 bending density vanishes identically (the derivative of a
+        # unit field takes values in a 2-plane).  The horizontal closed form holds
+        # on H1 only: a field off it reports None (nan in a stack), and with no
+        # field on H1 the zero vertical tension stands in for the unformed one.
+        energy = carrier.full(shape, 0.0)
+        vertical, keep = carrier.pack((energy, energy, energy)), h1
+    horizontal = _horizontal_tension(md, arr, r) if r < 3 or carrier.any(h1) else vertical
     return _frozen(PredicateReport, {
         "r": r,
         "coupling": coupling,
@@ -769,7 +690,7 @@ def check_predicates(md: MilnorData, sigma, r: int, coupling: float = 0.5) -> Pr
         "twisted_2_skyrmion": h1,
         "r_harmonic_map": harmonic_map,
         "vertical_tension": vertical,
-        "horizontal_tension": horizontal,
+        "horizontal_tension": carrier.reported(horizontal, keep),
         "vertical_energy": energy,
     })
 

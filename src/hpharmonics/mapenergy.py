@@ -29,9 +29,9 @@ Then
 and each e_r is built by multiplying out prod_i (1 + w_i t) one stretch at a
 time: the i-th stretch updates e_r <- e_r + w_i * e_{r-1} for r = i down to
 1 and nothing above, the triangle of terms that can be nonzero.  A single
-point runs it on Python floats, a stack on arrays over its rows, with the
-same bits.  Every w_i is a square, so every term is >= 0 and nothing
-cancels, however ill-conditioned G is.  Taking s from W rather than
+point runs it on Python floats, a stack on one array per stretch, in one
+body with the same bits.  Every w_i is a square, so every term is >= 0 and
+nothing cancels, however ill-conditioned G is.  Taking s from W rather than
 eigenvalues of its normal matrix W^T W keeps the small stretches relatively
 accurate: each s has an absolute error of about u |W| (u the unit roundoff),
 so w_i has about u |W| / s_i relative error, not u |W|^2 / s_i^2 (Higham,
@@ -65,8 +65,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .invariants import MAX_DIM, TOL, _check_order, _finite, _frozen, _positive, _real, _refused
-from .invariants import _row, _scalars, elementary_invariants_minors
+from .invariants import MAX_DIM, TOL, _carrier, _check_order, _finite, _frozen, _positive, _real
+from .invariants import _refused, _row, _scalars, elementary_invariants_minors
 
 __all__ = [
     "DensityReport", "InvalidMetricError", "PointData", "UnsupportedDimensionError",
@@ -240,36 +240,35 @@ def _right_vectors(whitened: np.ndarray) -> np.ndarray:
 
 
 def _absorb(e: list, stretches) -> list:
-    # Multiply the coefficients e = [e_0, ..., e_j] by each (1 + v t) in turn,
-    # in place: v opens e_{j+1} = v * e_j and updates e_r <- e_r + v * e_{r-1}
-    # for r = j down to 1; a term above that triangle would add v * 0.0 to 0.0,
-    # as every v is finite and >= 0.  On Python floats or on arrays over rows,
-    # each product and sum rounds once, unfused: a row's bits ignore the carrier.
+    # Multiply the coefficients e = [e_0, ..., e_j] by each (1 + v t) in turn:
+    # v opens e_{j+1} = v * e_j and updates e_r <- e_r + v * e_{r-1} for
+    # r = j down to 1; a term above that triangle would add v * 0.0 to 0.0, as
+    # every v is finite and >= 0.  Each product and sum rounds once, unfused, on
+    # either carrier; entries are rebound, so lists that share them stay apart.
     for v in stretches:
         e.append(v * e[-1])
         for r in range(len(e) - 2, 0, -1):
-            e[r] += v * e[r - 1]
+            e[r] = e[r] + v * e[r - 1]
     return e
 
 
 def _product_invariants(w: np.ndarray) -> np.ndarray:
-    # e_0, ..., e_m of the last axis of (..., m) ``w``: one point on Python floats,
-    # a stack one contiguous array per stretch (.T twice is the identity).
-    one, stretches = (1.0, w.tolist()) if w.ndim == 1 else (np.ones(w.shape[:-1]).T, w.T.copy())
-    return np.array(_absorb([one], stretches)).T
+    # e_0, ..., e_m of the last axis of (..., m) ``w``, on its carrier.
+    carrier = _carrier(w)
+    return carrier.pack(_absorb([carrier.full(w.shape[:-1], 1.0)], carrier.split(w)))
 
 
 def _leave_one_out(w: np.ndarray) -> np.ndarray:
     # e_r(w without w_i) as (..., m+1, m), column i.  A factor 1 + 0 t only
-    # appends a 0.0, so one point continues the prefix after w_0..w_{i-1}
-    # by w_{i+1}..w_{m-1}, sharing prefixes; a stack sets w_i to 0 in lane i.
-    if w.ndim > 1:
-        return _product_invariants(np.where(np.eye(w.shape[-1], dtype=bool), 0.0, w[..., None, :])).mT
-    stretches, prefix, columns = w.tolist(), [1.0], []
+    # appends a 0.0, so column i continues the prefix after w_0..w_{i-1} by
+    # w_{i+1}..w_{m-1}, sharing prefixes, and appends the 0.0.  The full
+    # prefix is packed last and dropped, so that m = 0 packs something too.
+    carrier, (*rows, m) = _carrier(w), w.shape
+    stretches, prefix, columns = carrier.split(w), [carrier.full(rows, 1.0)], []
     for i, v in enumerate(stretches):
-        columns.append(_absorb(prefix[:], stretches[i + 1:]) + [0.0])
+        columns += _absorb(prefix[:], stretches[i + 1:]) + [carrier.full(rows, 0.0)]
         _absorb(prefix, (v,))
-    return np.array(columns).T
+    return carrier.pack(columns + prefix).reshape(*rows, m + 1, m + 1)[..., :m, :].swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpharmonics import cli, lie3, mapenergy, verify
+from hpharmonics.invariants import _Floats
 from hpharmonics.lie3 import MilnorData, SubsetDescriptor
 
 E = np.eye(3)
@@ -115,7 +116,7 @@ def test_stacked_calls_match_row_calls_bitwise(draws):
         facts = ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped", "mu_pattern", "lam_ties")
         for name in facts:
             assert getattr(md, name).tolist() == [getattr(r, name) for r in rows], name
-        assert md.mu_exponent.tolist() == [[r.mu_exponent] for r in rows]
+        assert md.mu_exponent.tolist() == [r.mu_exponent for r in rows]
         assert [tuple(p) for p in md.permutation.tolist()] == [r.permutation for r in rows]
         permuted = md.permute(raw_sigma)
         assert _bits(permuted) == _bits([r.permute(s) for r, s in zip(rows, raw_sigma)])
@@ -286,7 +287,7 @@ def test_empty_stacks_normalize_to_empty_fields():
     for lead in ((0,), (2, 0)):
         md = MilnorData.normalize(np.empty(lead + (3,)))
         for name in ("lam", "mu", "ricci", "sectional", "permutation", "mu_exponent"):
-            assert getattr(md, name).shape == lead + ((1,) if name == "mu_exponent" else (3,)), name
+            assert getattr(md, name).shape == lead + (() if name == "mu_exponent" else (3,)), name
         assert md.scaled.shape == lead + (2, 3)
         facts = ("algebra_class", "flat", "ricci_kernel_dim", "sign_flipped", "mu_pattern", "lam_ties")
         for name in facts:
@@ -386,7 +387,7 @@ def _check_verdicts(draws):
     for rule, key in _RULES:
         assert rule(md, sigma).tolist() == members[key], (key, lam, sigma)
         singles = [rule(row, s) for row, s in zip(rows, sigma)]
-        assert all(map(_same, singles, members[key])), (key, lam, sigma)
+        assert all(map(_same, singles, [bool(member) for member in members[key]])), (key, lam, sigma)
     reports = {}
     for r in (1, 2, 3):
         verdicts = {"r_parallel": f"Z{r}", "r_harmonic_unit": f"H{r}", "twisted_2_skyrmion": "H1",
@@ -519,6 +520,25 @@ def test_zero_locus_rules_are_descriptor_membership(draws):
     _check_verdicts(draws)
 
 
+_LOCUS_VERDICTS = {
+    "in_h1": lie3.in_h1, "in_h2": lie3.in_h2, "in_z1": lie3.in_z1, "in_z2": lie3.in_z2,
+    "in_skyrmion_locus": lambda md, sigma: lie3.in_skyrmion_locus(md, sigma, 0.5),
+    "is_eigendirection": lambda md, sigma: lie3.is_eigendirection(md.mu**2, sigma),
+}
+
+
+@pytest.mark.parametrize("name", _LOCUS_VERDICTS)
+def test_one_field_locus_verdicts_are_python_bools(name):
+    # One field's verdict is a bool, a stack's a bool array of its rows.
+    verdict = _LOCUS_VERDICTS[name]
+    fields = np.array([E[0], E[2], (0.6, 0.8, 0.0), _GENERIC])
+    for md in (MilnorData.normalize((2.0, 1.0, -1.0)), MilnorData.normalize((1.0, 1.0, 0.0))):
+        alone = [verdict(md, sigma) for sigma in fields]
+        assert all(type(value) is bool for value in alone), (name, alone)
+        stacked = verdict(md, fields)
+        assert type(stacked) is np.ndarray and stacked.dtype == bool and stacked.tolist() == alone
+
+
 def test_single_triples_keep_python_scalars():
     md = MilnorData.normalize((2.0, 1.0, -1.0))
     assert type(md.algebra_class) is str and type(md.flat) is bool
@@ -614,8 +634,11 @@ def test_normalize_and_check_build_frozen_dataclasses():
 
 
 def test_stacks_broadcast_against_single_geometry():
-    # One geometry against many fields, and a (K, 1, 3) stack of geometries
-    # against (K, N, 3) fields, as the battery's skyrmion property uses.
+    # One geometry against a stack of fields, and a (K, 1, 3) stack of
+    # geometries against (K, N, 3) fields, as the battery's skyrmion property
+    # uses: the carrier is picked from both shapes, and each row of a verdict,
+    # a permutation and a report at r = 1, 2, 3 is the single field's, bit for
+    # bit.  The random fields are off H1; a pole, on it, is added as the last field of each k.
     rng = np.random.default_rng(7)
     samples = rng.normal(size=(4, 5, 3))
     samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
@@ -623,11 +646,23 @@ def test_stacks_broadcast_against_single_geometry():
     md = MilnorData.normalize(lam[:, None, :])
     assert md.mu.shape == (4, 1, 3) and md.flat.shape == (4, 1)
     got = lie3.in_h1(md, samples)
+    fields = np.concatenate((samples, np.broadcast_to(E[0], (4, 1, 3))), axis=1)
+    permuted = md.permute(fields)
+    reports = {r: lie3.check_predicates(md, fields, r) for r in (1, 2, 3)}
     for k in range(4):
         single = MilnorData.normalize(lam[k])
-        assert got[k].tolist() == [bool(lie3.in_h1(single, s)) for s in samples[k]]
+        assert got[k].tolist() == [lie3.in_h1(single, s) for s in samples[k]]
         stacked = lie3.tension_t1(md, samples)[k]
         np.testing.assert_array_equal(lie3.tension_t1(single, samples[k]), stacked)
+        alone = [single.permute(s) for s in fields[k]]
+        assert _bits(permuted[k]) == _bits(single.permute(fields[k])) == _bits(alone)
+        for r in (1, 2, 3):
+            one_geometry = lie3.check_predicates(single, fields[k], r)
+            for n, s in enumerate(fields[k]):
+                one = lie3.check_predicates(single, s, r)
+                _assert_report_row(one, reports[r], (k, n), (r, k, n))
+                _assert_report_row(one, one_geometry, n, (r, k, n))
+    assert reports[3].twisted_2_skyrmion[:, -1].all() and np.isnan(reports[3].horizontal_tension[:, :-1]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +692,7 @@ def _field_and_row(lam, sigma, r):
 def _frozen_horizontal_tension(md, arr, r):
     # The array form that the component body replaced, kept frozen as its
     # oracle: each addition in the order the body must keep on both carriers.
-    e, mu, sectional = md.mu_exponent, md.scaled[..., 0, :], md.scaled[..., 1, :]
+    e, mu, sectional = md.mu_exponent[..., None], md.scaled[..., 0, :], md.scaled[..., 1, :]
     mu_sq, s1 = md.mu**2, md.mu * arr
     e1 = mu_sq.sum(-1) - np.vecdot(s1, s1)
     delta, c = e1[..., None] - mu_sq + (2.0 if r == 2 else 1.0), 1.0
@@ -706,7 +741,7 @@ def test_float_ldexp_is_numpy_ldexp():
         for n in (-2200, -1100, -60, 0, 60, 1100, 2200):
             with np.errstate(over="ignore"):
                 want = np.ldexp(x, n)
-            assert _bits(lie3._ldexp_float(x, n)) == _bits(want), (x, n)
+            assert _bits(_Floats.ldexp(x, n)) == _bits(want), (x, n)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200])
@@ -744,11 +779,10 @@ def test_one_field_at_degree_3_with_c_zero():
     # the pole e3 of lam = (1, 1, 0), mu = (0, 0, 1), where the tension
     # vanishes, and off H1 at lam = (3, 2, 1), where the pick keeps the
     # nonzero diagonal part alone.
-    split, *_, norms = lie3._FIELD_FLOATS
     cases = (((1.0, 1.0, 0.0), E[2], False), ((3.0, 2.0, 1.0), (0.0, 0.5773502691896258, 0.816496580927726), True))
     for lam, sigma, nonzero in cases:
         md, sigma, one = _field_and_row(lam, sigma, 3)
-        assert 1.0 + lie3._newton_parts(md, sigma.tolist(), 2, split, norms)[1][1] == 0.0
+        assert 1.0 + lie3._newton_parts(md, _Floats.split(sigma), 2, _Floats)[1][1] == 0.0
         assert bool(one.any()) == nonzero and bool(lie3.in_h1(md, sigma)) != nonzero
 
 
@@ -770,6 +804,24 @@ def test_no_overflow_error_escapes():
 _VERDICT_NAMES = ("r_parallel", "r_harmonic_unit", "twisted_2_skyrmion", "r_harmonic_map")
 
 
+def _assert_report_row(one, stacked, k, context):
+    # One field's report against row k of a stacked report, bit for bit: Python
+    # bools, and a float or a (3,) array for each field, a None field a nan row.
+    for name in _VERDICT_NAMES:
+        value = getattr(one, name)
+        assert type(value) is bool and value == getattr(stacked, name)[k], (name, context)
+    for name in _FIELDS:
+        value, want = getattr(one, name), getattr(stacked, name)[k]
+        if value is None:
+            assert np.isnan(want).all(), (name, context)
+            continue
+        if name == "vertical_energy":
+            assert type(value) is float, context
+        else:
+            assert type(value) is np.ndarray and value.shape == (3,), (name, context)
+        assert _bits(value) == _bits(want), (name, context, value, want)
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1e-105, 1.0, 1e150, 1e200])
 def test_one_field_report_is_its_stack_row(scale):
     # Every field of a one-field report (Python floats) is row k of the
@@ -785,20 +837,7 @@ def test_one_field_report_is_its_stack_row(scale):
     for r in (1, 2, 3):
         stacked = lie3.check_predicates(stack, sigma, r)
         for k, (row, s) in enumerate(zip(rows, sigma)):
-            one = lie3.check_predicates(row, s, r)
-            for name in _VERDICT_NAMES:
-                value = getattr(one, name)
-                assert type(value) is bool and value == getattr(stacked, name)[k], (name, r, k)
-            for name in _FIELDS:
-                value, want = getattr(one, name), getattr(stacked, name)[k]
-                if value is None:
-                    assert np.isnan(want).all(), (name, r, k)
-                    continue
-                if name == "vertical_energy":
-                    assert type(value) is float, (r, k)
-                else:
-                    assert type(value) is np.ndarray and value.shape == (3,), (name, r, k)
-                assert _bits(value) == _bits(want), (name, r, k, value, want)
+            _assert_report_row(lie3.check_predicates(row, s, r), stacked, k, (r, k))
         if r == 3:
             assert 0 < stacked.twisted_2_skyrmion.sum() < len(lam)
             assert np.isnan(stacked.horizontal_tension).any()

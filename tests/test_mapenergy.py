@@ -374,6 +374,16 @@ def test_report_forms_alpha_and_newton_on_first_read():
     assert "leave_one_out" not in mapenergy._Spectrum._fields
 
 
+def test_zero_dimensional_domain_gives_empty_newton_tensors():
+    # A domain of dimension m = 0 has the one invariant e_0 = 1 and the one
+    # Newton tensor chi_0, a 0 x 0 matrix, at one point and in each row of a stack.
+    for lead in ((), (4,)):
+        point = PointData(np.zeros(lead + (2, 0)), np.zeros(lead + (0, 0)), np.zeros(lead + (2, 2)) + np.eye(2))
+        report = density_report(point)
+        assert report.eps.tolist() == np.ones(lead + (1,)).tolist()
+        assert report.newton.shape == lead + (1, 0, 0)
+
+
 @pytest.mark.parametrize("dom", [[[1e308, 0.0], [0.0, 1.0]], [[1e308, 1.0], [1.0 + 1e-10, 1.0]]])
 def test_metric_entries_near_the_float_maximum(dom):
     # det G is 1e308 up to 1 part in 1e308, so e_2 = det P / det G is 1e-308.
